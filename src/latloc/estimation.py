@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import EstimationError
-from .geodesy import EARTH_RADIUS_M, GeoPoint
+from .geodesy import EARTH_RADIUS_M, GeoPoint, normalize_lon
 from .lateration import DEFAULT_GAP_MAX_KM, CandidatePoint, LandmarkCircle, all_candidates
 
 
@@ -64,7 +64,7 @@ class EstimatedLocation:
 
 
 class _Cloud:
-    """Cached radian arrays for fast mean-distance evaluation."""
+    """Cached radian arrays of a point cloud for mean-distance evaluation."""
 
     def __init__(self, points: list[GeoPoint]):
         self.lat = np.radians([p.lat for p in points])
@@ -72,16 +72,33 @@ class _Cloud:
         self.sin_lat = np.sin(self.lat)
         self.cos_lat = np.cos(self.lat)
 
-    def mean_distance_m(self, p: GeoPoint) -> float:
-        phi = math.radians(p.lat)
-        lam = math.radians(p.lon)
-        dlon = self.lon - lam
+    def mean_distance_m(self, lat, lon) -> np.ndarray:
+        """Mean great-circle distance in meters from each query point to the cloud.
+
+        lat and lon are degrees that broadcast together; the result has their
+        broadcast shape. A grid passes a column of latitudes and a row of
+        longitudes, so the longitude terms are computed once per column.
+        Query-point sin/cos come from math, point by point, and cloud terms
+        from numpy, in the atan2 form of geodesy.orthodromic_distance.
+        """
+        phi = _per_point(math.radians, lat)
+        sin_phi = _per_point(math.sin, phi)[..., None]
+        cos_phi = _per_point(math.cos, phi)[..., None]
+        dlon = self.lon - _per_point(math.radians, lon)[..., None]
+        sin_dlon = np.sin(dlon)
+        cos_dlon = np.cos(dlon)
         num = np.hypot(
-            self.cos_lat * np.sin(dlon),
-            math.cos(phi) * self.sin_lat - math.sin(phi) * self.cos_lat * np.cos(dlon),
+            self.cos_lat * sin_dlon,
+            cos_phi * self.sin_lat - sin_phi * self.cos_lat * cos_dlon,
         )
-        den = math.sin(phi) * self.sin_lat + math.cos(phi) * self.cos_lat * np.cos(dlon)
-        return float(np.mean(np.arctan2(num, den))) * EARTH_RADIUS_M
+        den = sin_phi * self.sin_lat + cos_phi * self.cos_lat * cos_dlon
+        return np.mean(np.arctan2(num, den), axis=-1) * EARTH_RADIUS_M
+
+
+def _per_point(f, values) -> np.ndarray:
+    """f applied to each value; math and numpy may round differently."""
+    a = np.asarray(values, dtype=float)
+    return np.array([f(v) for v in a.ravel().tolist()]).reshape(a.shape)
 
 
 def spherical_centroid(points: list[GeoPoint]) -> GeoPoint:
@@ -99,21 +116,18 @@ def spherical_centroid(points: list[GeoPoint]) -> GeoPoint:
     return GeoPoint(math.degrees(math.asin(z / norm)), math.degrees(math.atan2(y, x)))
 
 
-def _grid_offsets(center: GeoPoint, eps_m: float, extent: int) -> list[GeoPoint]:
+def _grid_axes(center: GeoPoint, eps_m: float, extent: int
+               ) -> tuple[list[int], list[float], list[float]]:
+    """Row offsets and latitudes (rows past +-90 degrees skipped) and column
+    longitudes of the search grid around center."""
     dlat_deg = math.degrees(eps_m / EARTH_RADIUS_M)
     cos_lat = math.cos(math.radians(center.lat))
     dlon_deg = math.degrees(eps_m / (EARTH_RADIUS_M * max(cos_lat, 1e-6)))
-    offsets = []
     steps = range(-extent, extent + 1)
-    for i in steps:
-        for j in steps:
-            if i == 0 and j == 0:
-                continue
-            lat = center.lat + i * dlat_deg
-            if not -90.0 <= lat <= 90.0:
-                continue
-            offsets.append(GeoPoint(lat, center.lon + j * dlon_deg))
-    return offsets
+    rows = [(i, center.lat + i * dlat_deg) for i in steps]
+    rows = [(i, lat) for i, lat in rows if -90.0 <= lat <= 90.0]
+    lons = [normalize_lon(center.lon + j * dlon_deg) for j in steps]
+    return [i for i, _ in rows], [lat for _, lat in rows], lons
 
 
 def grid_center(points: list[GeoPoint], cfg: GridSearchConfig | None = None,
@@ -121,30 +135,30 @@ def grid_center(points: list[GeoPoint], cfg: GridSearchConfig | None = None,
     """Point minimizing the mean great-circle distance to the cloud, found by
     local grid search with spacing halved whenever no grid point improves.
 
-    Ties between equally good grid points break north-most, then west-most,
-    so the search is deterministic.
+    Each step scores the whole grid around the current best point in one
+    array. Ties between equally good grid points break north-most, then
+    west-most, so the search is deterministic.
     """
     if not points:
         raise EstimationError("cannot center an empty point cloud")
     cfg = cfg or GridSearchConfig()
     cloud = _Cloud(points)
     best = seed if seed is not None else spherical_centroid(points)
-    best_obj = cloud.mean_distance_m(best)
+    best_obj = float(cloud.mean_distance_m(best.lat, best.lon))
 
     eps = cfg.eps0_m
     while eps >= cfg.eps_min_m:
-        candidates = _grid_offsets(best, eps, cfg.extent)
-        winner = None
-        winner_key = None
-        for cand in candidates:
-            obj = cloud.mean_distance_m(cand)
-            key = (obj, -cand.lat, cand.lon)
-            if winner_key is None or key < winner_key:
-                winner_key = key
-                winner = cand
-        if winner is not None and winner_key[0] < best_obj:
-            best = winner
-            best_obj = winner_key[0]
+        row_steps, lats, lons = _grid_axes(best, eps, cfg.extent)
+        obj = cloud.mean_distance_m(np.array(lats)[:, None], lons)
+        # Every grid point but the center, in row-major order.
+        idx = np.delete(np.arange(obj.size), row_steps.index(0) * len(lons) + cfg.extent)
+        grid_lat = np.repeat(lats, len(lons))[idx]
+        grid_lon = np.tile(lons, len(lats))[idx]
+        k = idx[np.lexsort((grid_lon, -grid_lat, obj.ravel()[idx]))[0]]
+        row, col = divmod(int(k), len(lons))
+        if obj[row, col] < best_obj:
+            best = GeoPoint(lats[row], lons[col])
+            best_obj = float(obj[row, col])
         else:
             eps /= 2.0
     return best
@@ -167,19 +181,18 @@ def filter_outliers(points: list[CandidatePoint], cfg: FilterConfig | None = Non
         if len(kept) <= 3:
             break
         center = grid_center([c.point for c in kept], grid_cfg)
-        cloud = _Cloud([center])
         n_drop = math.ceil(cfg.drop_fraction * len(kept))
         n_drop = min(n_drop, len(kept) - 3)
         if n_drop <= 0:
             break
-        # Farthest first; index tie-break keeps the drop order deterministic.
-        ranked = sorted(
-            range(len(kept)),
-            key=lambda i: (-cloud.mean_distance_m(kept[i].point), i),
-        )
-        drop_idx = set(ranked[:n_drop])
-        dropped.extend(kept[i] for i in sorted(drop_idx))
-        kept = [c for i, c in enumerate(kept) if i not in drop_idx]
+        # The center stays on the cloud side: the atan2 form is not bitwise symmetric.
+        dist = _Cloud([center]).mean_distance_m(
+            [c.point.lat for c in kept], [c.point.lon for c in kept])
+        # Farthest first; the stable sort keeps ties in index order.
+        drop = np.zeros(len(kept), dtype=bool)
+        drop[np.argsort(-dist, kind="stable")[:n_drop]] = True
+        dropped.extend(c for c, d in zip(kept, drop) if d)
+        kept = [c for c, d in zip(kept, drop) if not d]
     return kept, dropped
 
 
@@ -201,5 +214,5 @@ def estimate_target(circles: list[LandmarkCircle],
         point=point,
         kept_points=tuple(kept),
         dropped_points=tuple(dropped),
-        mean_residual_km=cloud.mean_distance_m(point) / 1000.0,
+        mean_residual_km=float(cloud.mean_distance_m(point.lat, point.lon)) / 1000.0,
     )

@@ -32,12 +32,19 @@ class GeoPoint:
     def __post_init__(self):
         if not -90.0 <= self.lat <= 90.0:
             raise ValueError(f"latitude {self.lat} outside [-90, 90]")
-        lon = self.lon % 360.0
-        if lon > 180.0:
-            lon -= 360.0
-        elif lon == -180.0:
-            lon = 180.0
-        object.__setattr__(self, "lon", lon)
+        if not math.isfinite(self.lon):
+            raise ValueError(f"longitude {self.lon} is not finite")
+        object.__setattr__(self, "lon", normalize_lon(self.lon))
+
+
+def normalize_lon(lon: float) -> float:
+    """Longitude in degrees mapped into (-180, 180]."""
+    lon = lon % 360.0
+    if lon > 180.0:
+        lon -= 360.0
+    elif lon == -180.0:
+        lon = 180.0
+    return lon
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,5 @@
-"""GeoJSON export helpers: circles, candidate clouds, and estimates become a
-FeatureCollection any map viewer can render."""
+"""GeoJSON export: an estimate and its kept and dropped candidate cloud become
+a FeatureCollection any map viewer can render."""
 
 from __future__ import annotations
 
@@ -7,7 +7,6 @@ import json
 
 from .estimation import EstimatedLocation
 from .geodesy import GeoPoint
-from .lateration import CandidatePoint, LandmarkCircle
 
 
 def _point_feature(point: GeoPoint, properties: dict) -> dict:
@@ -16,31 +15,6 @@ def _point_feature(point: GeoPoint, properties: dict) -> dict:
         "geometry": {"type": "Point", "coordinates": [point.lon, point.lat]},
         "properties": properties,
     }
-
-
-def circles_to_geojson(circles: list[LandmarkCircle]) -> str:
-    features = [
-        _point_feature(lc.circle.center, {
-            "kind": "circle",
-            "landmark_id": lc.landmark_id,
-            "radius_m": lc.circle.radius_m,
-        })
-        for lc in circles
-    ]
-    return _dump({"type": "FeatureCollection", "features": features})
-
-
-def candidates_to_geojson(candidates: list[CandidatePoint]) -> str:
-    features = [
-        _point_feature(c.point, {
-            "kind": "candidate",
-            "case_tag": c.case_tag,
-            "source_pair": list(c.source_pair),
-            "weight": c.weight,
-        })
-        for c in candidates
-    ]
-    return _dump({"type": "FeatureCollection", "features": features})
 
 
 def estimate_to_geojson(estimate: EstimatedLocation) -> str:

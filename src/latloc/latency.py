@@ -37,6 +37,8 @@ class Measurement:
     def __post_init__(self):
         if not self.rtt_samples_ms:
             raise ValueError("measurement needs at least one RTT sample")
+        if not all(math.isfinite(s) for s in self.rtt_samples_ms):
+            raise ValueError("RTT samples must be finite")
         if any(s <= 0 for s in self.rtt_samples_ms):
             raise ValueError("RTT samples must be positive")
         if self.hop_count < 0:

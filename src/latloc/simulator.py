@@ -16,7 +16,7 @@ import random
 import statistics
 from dataclasses import dataclass, field, replace
 
-from .errors import PlacementError, SimulationError, TopologyError
+from .errors import LatlocError, PlacementError, SimulationError, TopologyError
 from .estimation import FilterConfig, GridSearchConfig, estimate_target
 from .geodesy import GeoPoint, orthodromic_distance
 from .lateration import DEFAULT_GAP_MAX_KM, LandmarkCircle, build_circle
@@ -329,7 +329,7 @@ def run_experiment(world: SimWorld, k_landmarks: int, strategy: str,
                     for m in probes
                 ]
                 est = estimate_target(circles, grid_cfg, filter_cfg, gap_max_km).point
-        except Exception as exc:
+        except (LatlocError, ValueError) as exc:
             results.append(TargetResult(target, true_point, None, None, failure=str(exc)))
             continue
         error_km = orthodromic_distance(true_point, est) / 1000.0

@@ -124,6 +124,23 @@ def test_locate_single_landmark_rejected(world_files, tmp_path, capsys):
     assert ">= 2 landmarks" in capsys.readouterr().err
 
 
+
+def test_locate_non_finite_rtt_rejected(world_files, tmp_path, capsys):
+    models = tmp_path / "models.json"
+    assert run(["fit", "--topology", world_files / "topology.json",
+                "--landmarks", world_files / "landmarks.json",
+                "--measurements", world_files / "mesh.csv", "--out", models]) == 0
+    lines = (world_files / "target.csv").read_text().splitlines()
+    lines[2] = ",".join(lines[2].split(",")[:3] + ["nan"])
+    probes = tmp_path / "nan.csv"
+    probes.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "estimate.json"
+    code = run(["locate", "--topology", world_files / "topology.json",
+                "--models", models, "--measurements", probes, "--out", out])
+    assert code == 1
+    assert "line 3" in capsys.readouterr().err
+    assert not out.exists()
+
 def test_simulate_reproducible_reports(tmp_path):
     outs = []
     for name in ("r1.json", "r2.json"):

@@ -3,6 +3,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from latloc.errors import EstimationError
 from latloc.estimation import (
@@ -14,7 +16,13 @@ from latloc.estimation import (
     grid_center,
     spherical_centroid,
 )
-from latloc.geodesy import GeoCircle, GeoPoint, destination_point, orthodromic_distance
+from latloc.geodesy import (
+    EARTH_RADIUS_M,
+    GeoCircle,
+    GeoPoint,
+    destination_point,
+    orthodromic_distance,
+)
 from latloc.lateration import CandidatePoint, LandmarkCircle
 
 FAST_GRID = GridSearchConfig(eps0_m=50_000.0, eps_min_m=500.0)
@@ -218,3 +226,165 @@ def test_estimate_serializes():
     import json
     doc = json.loads(result.to_json())
     assert set(doc) == {"estimate", "kept_points", "dropped_points", "mean_residual_km"}
+
+
+# ---------------------------------------------------------------------------
+# Oracle: the scalar grid search and filter, one objective evaluation per grid
+# point and per candidate. The array code must reproduce them bit for bit.
+
+
+class _ScalarCloud:
+    def __init__(self, points):
+        self.lat = np.radians([p.lat for p in points])
+        self.lon = np.radians([p.lon for p in points])
+        self.sin_lat = np.sin(self.lat)
+        self.cos_lat = np.cos(self.lat)
+
+    def mean_distance_m(self, p):
+        phi = math.radians(p.lat)
+        lam = math.radians(p.lon)
+        dlon = self.lon - lam
+        num = np.hypot(
+            self.cos_lat * np.sin(dlon),
+            math.cos(phi) * self.sin_lat - math.sin(phi) * self.cos_lat * np.cos(dlon),
+        )
+        den = math.sin(phi) * self.sin_lat + math.cos(phi) * self.cos_lat * np.cos(dlon)
+        return float(np.mean(np.arctan2(num, den))) * EARTH_RADIUS_M
+
+
+def _scalar_grid_offsets(center, eps_m, extent):
+    dlat_deg = math.degrees(eps_m / EARTH_RADIUS_M)
+    cos_lat = math.cos(math.radians(center.lat))
+    dlon_deg = math.degrees(eps_m / (EARTH_RADIUS_M * max(cos_lat, 1e-6)))
+    offsets = []
+    steps = range(-extent, extent + 1)
+    for i in steps:
+        for j in steps:
+            if i == 0 and j == 0:
+                continue
+            lat = center.lat + i * dlat_deg
+            if not -90.0 <= lat <= 90.0:
+                continue
+            offsets.append(GeoPoint(lat, center.lon + j * dlon_deg))
+    return offsets
+
+
+def scalar_grid_center(points, cfg, seed=None):
+    cloud = _ScalarCloud(points)
+    best = seed if seed is not None else spherical_centroid(points)
+    best_obj = cloud.mean_distance_m(best)
+    eps = cfg.eps0_m
+    while eps >= cfg.eps_min_m:
+        winner = None
+        winner_key = None
+        for cand_pt in _scalar_grid_offsets(best, eps, cfg.extent):
+            key = (cloud.mean_distance_m(cand_pt), -cand_pt.lat, cand_pt.lon)
+            if winner_key is None or key < winner_key:
+                winner_key = key
+                winner = cand_pt
+        if winner is not None and winner_key[0] < best_obj:
+            best = winner
+            best_obj = winner_key[0]
+        else:
+            eps /= 2.0
+    return best
+
+
+def scalar_filter_outliers(points, cfg, grid_cfg):
+    kept = list(points)
+    dropped = []
+    for _ in range(cfg.rounds):
+        if len(kept) <= 3:
+            break
+        center = scalar_grid_center([c.point for c in kept], grid_cfg)
+        cloud = _ScalarCloud([center])
+        n_drop = min(math.ceil(cfg.drop_fraction * len(kept)), len(kept) - 3)
+        if n_drop <= 0:
+            break
+        ranked = sorted(range(len(kept)),
+                        key=lambda i: (-cloud.mean_distance_m(kept[i].point), i))
+        drop_idx = set(ranked[:n_drop])
+        dropped.extend(kept[i] for i in sorted(drop_idx))
+        kept = [c for i, c in enumerate(kept) if i not in drop_idx]
+    return kept, dropped
+
+
+def bits(p: GeoPoint) -> tuple[str, str]:
+    return float.hex(p.lat), float.hex(p.lon)
+
+
+ORACLE_GRIDS = st.builds(
+    GridSearchConfig,
+    eps0_m=st.sampled_from([8_000.0, 20_000.0, 60_000.0]),
+    eps_min_m=st.sampled_from([500.0, 2_000.0]),
+    extent=st.integers(1, 3),
+)
+
+
+@st.composite
+def clouds(draw, origin, max_km, max_size=25):
+    """Points scattered up to max_km around origin, some of them repeated."""
+    o = draw(origin)
+    n = draw(st.integers(1, max_size))
+    pts = [
+        destination_point(o, draw(st.floats(0, 360)), draw(st.floats(0, max_km * 1000.0)))
+        for _ in range(n)
+    ]
+    repeats = draw(st.lists(st.sampled_from(pts), max_size=4))
+    return pts + repeats
+
+
+@st.composite
+def rings(draw, origin):
+    """Points at one distance and evenly spaced bearings around origin, so
+    their distances to a center nearby tie up to rounding."""
+    o = draw(origin)
+    radius_m = draw(st.sampled_from([1_000.0, 50_000.0, 300_000.0]))
+    n = draw(st.integers(4, 8))
+    return [destination_point(o, 360.0 * k / n, radius_m) for k in range(n)]
+
+
+ANTIMERIDIAN = st.builds(
+    GeoPoint,
+    lat=st.floats(-70.0, 70.0),
+    lon=st.one_of(st.floats(179.0, 180.0), st.floats(-180.0, -179.0)),
+)
+NEAR_POLE = st.builds(
+    GeoPoint,
+    lat=st.one_of(st.sampled_from([90.0, -90.0]), st.floats(89.97, 90.0), st.floats(-90.0, -89.97)),
+    lon=st.floats(-180.0, 180.0),
+)
+ANYWHERE = st.builds(GeoPoint, lat=st.floats(-90.0, 90.0), lon=st.floats(-180.0, 180.0))
+
+ORACLE_CLOUDS = st.one_of(
+    clouds(ANTIMERIDIAN, 300.0),
+    clouds(NEAR_POLE, 5.0),
+    clouds(ANYWHERE, 2000.0),
+    st.builds(lambda p, n: [p] * n, ANYWHERE, st.integers(1, 6)),
+    rings(ANYWHERE),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(points=ORACLE_CLOUDS, cfg=ORACLE_GRIDS)
+def test_grid_center_matches_scalar_oracle(points, cfg):
+    assert bits(grid_center(points, cfg)) == bits(scalar_grid_center(points, cfg))
+
+
+@settings(max_examples=30, deadline=None)
+@given(points=ORACLE_CLOUDS, cfg=ORACLE_GRIDS, seed=st.one_of(ANYWHERE, NEAR_POLE))
+def test_grid_center_from_seed_matches_scalar_oracle(points, cfg, seed):
+    assert bits(grid_center(points, cfg, seed)) == bits(scalar_grid_center(points, cfg, seed))
+
+
+@settings(max_examples=40, deadline=None)
+@given(points=ORACLE_CLOUDS, cfg=ORACLE_GRIDS,
+       filter_cfg=st.builds(FilterConfig, rounds=st.integers(1, 3),
+                            drop_fraction=st.sampled_from([0.1, 0.25, 0.5])))
+def test_filter_outliers_matches_scalar_oracle(points, cfg, filter_cfg):
+    cands = [cand(p.lat, p.lon, pair=(f"a{i}", "b")) for i, p in enumerate(points)]
+    kept, dropped = filter_outliers(cands, filter_cfg, cfg)
+    ref_kept, ref_dropped = scalar_filter_outliers(cands, filter_cfg, cfg)
+    # Identity, not equality: duplicate points must keep their input order.
+    assert [id(c) for c in kept] == [id(c) for c in ref_kept]
+    assert [id(c) for c in dropped] == [id(c) for c in ref_dropped]

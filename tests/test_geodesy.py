@@ -211,3 +211,10 @@ def test_geopoint_validation():
         GeoPoint(91.0, 0.0)
     assert GeoPoint(0.0, -180.0).lon == 180.0
     assert GeoPoint(0.0, 360.0).lon == 0.0
+
+
+@pytest.mark.parametrize("lat, lon", [(0.0, math.nan), (0.0, math.inf), (0.0, -math.inf),
+                                      (math.nan, 0.0), (math.inf, 0.0)])
+def test_geopoint_rejects_non_finite(lat, lon):
+    with pytest.raises(ValueError):
+        GeoPoint(lat, lon)

@@ -247,6 +247,18 @@ def test_measurement_csv_malformed_row_names_line():
         measurements_from_csv(text)
 
 
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_measurement_rejects_non_finite_samples(bad):
+    with pytest.raises(ValueError, match="finite"):
+        Measurement("l", "t", (5.0, bad), 1)
+
+
+@pytest.mark.parametrize("field", ["nan", "inf", "-inf"])
+def test_measurement_csv_rejects_non_finite_rtt(field):
+    with pytest.raises(ValueError, match="line 1"):
+        measurements_from_csv(f"a,t,3,{field},5")
+
 def test_models_json_roundtrip():
     models = {"l1": LatencyModel(1.5, 0.25, 1.0, -2.0, 0.5, 9)}
     assert models_from_json(models_to_json(models)) == models

@@ -4,6 +4,7 @@ import pytest
 
 from latloc.errors import PlacementError, SimulationError
 from latloc.estimation import GridSearchConfig
+from latloc import simulator
 from latloc.geodesy import GeoPoint, orthodromic_distance
 from latloc.simulator import (
     DelayParams,
@@ -188,6 +189,15 @@ def test_run_experiment_reproducible():
     assert a == b
     assert a.to_json() == b.to_json()
 
+
+
+def test_run_experiment_reraises_programming_errors(monkeypatch):
+    def broken(*args, **kwargs):
+        raise TypeError("bug in estimation")
+
+    monkeypatch.setattr(simulator, "estimate_target", broken)
+    with pytest.raises(TypeError, match="bug in estimation"):
+        run_experiment(noiseless_world(n=20), 5, "dragoon", 1, seed=1)
 
 def test_run_experiment_shortest_ping_baseline():
     w = noiseless_world()
