@@ -18,7 +18,14 @@ from .latency import (
     fit_model,
     predict_distance,
 )
-from .placement import LandmarkSet, dragoon_place, place_orientation_mark, refine, two_approx
+from .placement import (
+    LandmarkSet,
+    dragoon_place,
+    place_landmarks,
+    place_orientation_mark,
+    refine,
+    two_approx,
+)
 from .simulator import DelayParams, SimWorld, generate_topology, run_experiment, simulate_measurement
 from .topology import Topology, assign_to_closest, hop_distances, load_topology_json
 

@@ -24,7 +24,7 @@ from .latency import (
     models_from_json,
     models_to_json,
 )
-from .placement import dragoon_place, landmark_set_from_json, place_orientation_mark, two_approx
+from .placement import PLACEMENT_ALGORITHMS, landmark_set_from_json, place_landmarks
 from .simulator import (
     PLACEMENT_STRATEGIES,
     DelayParams,
@@ -67,10 +67,7 @@ def cmd_place(args) -> int:
     t = _load_topology(args)
     if args.k < 1:
         raise UsageError(f"--k must be >= 1, got {args.k}")
-    if args.algorithm == "dragoon":
-        ls = dragoon_place(t, args.k)
-    else:
-        ls = two_approx(t, args.k, place_orientation_mark(t))
+    ls = place_landmarks(t, args.k, args.algorithm)
     _write(args.out, ls.to_json())
     if args.out is not None:
         print(f"placed {len(ls.landmarks)} landmarks: "
@@ -108,7 +105,7 @@ def cmd_locate(args) -> int:
         raise UsageError(f"need measurements from >= 2 landmarks, got {len(circles)}")
     estimate = estimate_target(circles, _grid_cfg(args), gap_max_km=args.gap_max_km)
 
-    doc = json.loads(estimate.to_json())
+    doc = estimate.to_dict()
     if args.truth:
         try:
             lat_s, lon_s = args.truth.split(",")
@@ -230,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("place", help="choose landmark positions on a topology")
     _add_topology_args(p)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--algorithm", choices=["dragoon", "two_approx"], default="dragoon")
+    p.add_argument("--algorithm", choices=list(PLACEMENT_ALGORITHMS), default="dragoon")
     p.add_argument("--out")
     p.set_defaults(func=cmd_place)
 

@@ -47,20 +47,23 @@ class EstimatedLocation:
     dropped_points: tuple[CandidatePoint, ...]
     mean_residual_km: float
 
-    def to_json(self) -> str:
+    def to_dict(self) -> dict:
+        """The JSON document of to_json, as plain dicts, lists and floats."""
         def cand(c: CandidatePoint) -> dict:
             return {
                 "lat": c.point.lat, "lon": c.point.lon,
                 "source_pair": list(c.source_pair), "case_tag": c.case_tag,
                 "weight": c.weight,
             }
-        doc = {
+        return {
             "estimate": {"lat": self.point.lat, "lon": self.point.lon},
             "kept_points": [cand(c) for c in self.kept_points],
             "dropped_points": [cand(c) for c in self.dropped_points],
             "mean_residual_km": self.mean_residual_km,
         }
-        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
 
 
 class _Cloud:

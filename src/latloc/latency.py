@@ -6,8 +6,11 @@ gets its own logarithmic distance curve
 
     distance_km = p * ln(q * latency_ms + n) + m
 
-fitted to inter-landmark calibration samples by damped nonlinear least
-squares with a fixed multi-start schedule.
+fitted to inter-landmark calibration samples. q and n enter the curve only
+through their ratio, so the fit fixes n = 1 and solves by variable
+projection (Golub & Pereyra 1973): for each q, (p, m) is a closed-form
+linear least-squares solution, which leaves a one-dimensional search over
+log q.
 """
 
 from __future__ import annotations
@@ -64,6 +67,8 @@ class CalibrationSample:
     distance_km: float
 
     def __post_init__(self):
+        if not (math.isfinite(self.latency_ms) and math.isfinite(self.distance_km)):
+            raise ValueError("calibration sample fields must be finite")
         if self.latency_ms < 0 or self.distance_km < 0:
             raise ValueError("calibration sample fields must be non-negative")
 
@@ -102,30 +107,39 @@ def predict_distance(model: LatencyModel, latency_ms: float) -> float:
     return max(0.0, model.p * math.log(arg) + model.m)
 
 
-# Multi-start grid for the nonlinear fit; fixed so results are deterministic.
-_START_P = (10.0, 100.0)
-_START_Q = (0.1, 1.0)
+# Scan of q, in decades of q * max(latency), every 0.1 decade. At 1e-9 the
+# curve is a straight line over the samples to about a part in 1e9; at 1e15
+# it is ln(latency) plus a constant. Fixed, so results are deterministic.
+_SCAN_DECADES = np.linspace(-9.0, 15.0, 241)
+_MIN_P = 1e-9
 
 
-def _residuals(theta: np.ndarray, lat: np.ndarray, dist: np.ndarray) -> np.ndarray:
-    p, q, n, m = theta
-    return dist - (p * np.log(q * lat + n) + m)
-
-
-def _linear_baseline(lat: np.ndarray, dist: np.ndarray) -> tuple[float, float]:
-    """Least-squares slope/intercept of distance = a*latency + b."""
-    a, b = np.polyfit(lat, dist, 1)
-    return float(a), float(b)
+def _project(x: np.ndarray, dist: np.ndarray):
+    """Least-squares (p, m) of dist = p*x + m for each row of x, with p held
+    at or above _MIN_P, and the residuals of that fit."""
+    x_mean = x.mean(axis=-1, keepdims=True)
+    xc = x - x_mean
+    d_mean = dist.mean()
+    p = np.maximum((xc * (dist - d_mean)).sum(axis=-1) / (xc * xc).sum(axis=-1), _MIN_P)
+    m = d_mean - p * x_mean[..., 0]
+    return p, m, dist - p[..., None] * x - m[..., None]
 
 
 def fit_model(samples: list[CalibrationSample], max_nfev: int = 200) -> LatencyModel:
     """Fit the logarithmic curve to calibration samples.
 
-    Requires at least 4 samples with at least 4 distinct latencies. Runs a
-    bounded trust-region least-squares solve from each multi-start point
-    (plus one start seeded from the closed-form linear fit, so the result
-    is never worse than the linear abstraction) and keeps the lowest
-    residual sum of squares.
+    Requires at least 4 samples with at least 4 distinct latencies. The
+    curve is fitted as p * ln(q * latency + 1) + m. Every q of a fixed
+    log-spaced scan gets its closed-form (p, m); one bounded trust-region
+    least-squares solve then refines log q between the neighbours of the
+    best scan point, and the better of the two is kept. Because the scan
+    reaches curves that are straight lines to within a part in 1e9, the
+    fit is as good as the linear abstraction. max_nfev caps the refining
+    solve.
+
+    The model stores n = 1 rather than q = 1: near-linear fits need
+    q * latency << n, and p * ln(latency + n) with a huge n and p loses to
+    rounding what p * ln(q * latency + 1) keeps.
     """
     if len(samples) < 4:
         raise InsufficientDataError(f"insufficient samples: {len(samples)} < 4")
@@ -134,42 +148,33 @@ def fit_model(samples: list[CalibrationSample], max_nfev: int = 200) -> LatencyM
     if len(set(lat.tolist())) < 4:
         raise InsufficientDataError("degenerate samples: fewer than 4 distinct latencies")
 
-    mean_dist = float(dist.mean())
-    starts = [
-        np.array([p0, q0, 1.0, m0])
-        for p0 in _START_P
-        for q0 in _START_Q
-        for m0 in (0.0, mean_dist)
-    ]
-    # Linear-equivalent start: with tiny q the curve is locally linear with
-    # slope p*q, so the log model can always match the straight-line fit.
-    a, b = _linear_baseline(lat, dist)
-    if a > 0:
-        q0 = 1e-9
-        starts.append(np.array([a / q0, q0, 1.0, b]))
+    scale = float(lat.max())
 
-    lower = np.array([1e-9, 1e-12, 1e-12, -np.inf])
-    upper = np.array([np.inf, np.inf, np.inf, np.inf])
+    def residuals(decades: np.ndarray) -> np.ndarray:
+        q = 10.0 ** decades[0] / scale
+        return _project(np.log(q * lat + 1.0), dist)[2]
 
-    best = None
-    best_rss = math.inf
-    for x0 in starts:
-        try:
-            res = least_squares(
-                _residuals, x0, args=(lat, dist), bounds=(lower, upper),
-                method="trf", max_nfev=max_nfev, x_scale="jac",
-            )
-        except Exception:
-            continue
-        rss = float(np.sum(res.fun ** 2))
-        if rss < best_rss:
-            best_rss = rss
-            best = res.x
-    if best is None:
-        raise FitError("curve fit failed to converge from every start point")
+    q_scan = 10.0 ** _SCAN_DECADES / scale
+    _, _, r = _project(np.log(np.multiply.outer(q_scan, lat) + 1.0), dist)
+    rss = np.nan_to_num(np.sum(r * r, axis=-1), nan=math.inf)
+    i = int(np.argmin(rss))
+    decades = float(_SCAN_DECADES[i])
+    lo = _SCAN_DECADES[max(i - 1, 0)]
+    hi = _SCAN_DECADES[min(i + 1, len(_SCAN_DECADES) - 1)]
+    # Central differences and tight tolerances: with the defaults the solve
+    # can stop at a flat minimum up to 1e-8 (relative) above its RSS.
+    res = least_squares(residuals, [decades], bounds=([lo], [hi]), method="trf",
+                        jac="3-point", ftol=1e-15, xtol=1e-15, gtol=1e-15,
+                        max_nfev=max_nfev)
+    if float(np.sum(res.fun ** 2)) < rss[i]:
+        decades = float(res.x[0])
 
-    p, q, n, m = (float(v) for v in best)
-    return LatencyModel(p=p, q=q, n=n, m=m, fit_rss=best_rss, sample_count=len(samples))
+    q = 10.0 ** decades / scale
+    p, m, r = _project(np.log(q * lat + 1.0), dist)
+    p, m, fit_rss = float(p), float(m), float(np.sum(r * r))
+    if not all(math.isfinite(v) for v in (p, q, m, fit_rss)):
+        raise FitError(f"curve fit gave non-finite parameters p={p}, q={q}, m={m}")
+    return LatencyModel(p=p, q=q, n=1.0, m=m, fit_rss=fit_rss, sample_count=len(samples))
 
 
 def calibrate_all(landmark_ids, measurements: list[Measurement],

@@ -172,3 +172,20 @@ def dragoon_place(t: Topology, k: int, hops: HopMatrix | None = None,
     mark = place_orientation_mark(t, hops)
     initial = two_approx(t, k, mark, hops)
     return refine(t, initial, hops, move_log=move_log)
+
+
+PLACEMENT_ALGORITHMS = ("dragoon", "two_approx")
+
+
+def place_landmarks(t: Topology, k: int, algorithm: str) -> LandmarkSet:
+    """Place k landmarks with the full dragoon pipeline, or with the
+    farthest-point initialization alone (two_approx, seeded by the
+    orientation mark)."""
+    if algorithm == "dragoon":
+        return dragoon_place(t, k)
+    if algorithm == "two_approx":
+        hops = hop_distances(t, t.node_ids)
+        return two_approx(t, k, place_orientation_mark(t, hops), hops)
+    raise PlacementError(
+        f"unknown placement algorithm {algorithm!r}; choose from {PLACEMENT_ALGORITHMS}"
+    )

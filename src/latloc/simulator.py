@@ -21,10 +21,11 @@ from .estimation import FilterConfig, GridSearchConfig, estimate_target
 from .geodesy import GeoPoint, orthodromic_distance
 from .lateration import DEFAULT_GAP_MAX_KM, LandmarkCircle, build_circle
 from .latency import Measurement, calibrate_all
-from .placement import LandmarkSet, dragoon_place, place_orientation_mark, two_approx
-from .topology import Topology, build_topology, hop_distances
+# perfbench's tracer patches simulator.dragoon_place, so the name stays importable here.
+from .placement import PLACEMENT_ALGORITHMS, LandmarkSet, dragoon_place, place_landmarks
+from .topology import Topology, build_topology
 
-PLACEMENT_STRATEGIES = ("dragoon", "two_approx", "random", "shortest_ping_only")
+PLACEMENT_STRATEGIES = (*PLACEMENT_ALGORITHMS, "random", "shortest_ping_only")
 
 
 @dataclass(frozen=True)
@@ -256,15 +257,10 @@ class ExperimentReport:
 
 def _place_landmarks(world: SimWorld, k: int, strategy: str, rng: random.Random) -> list[str]:
     t = world.topology
-    if strategy in ("dragoon", "shortest_ping_only"):
-        return list(dragoon_place(t, k).landmarks)
-    if strategy == "two_approx":
-        hops = hop_distances(t, t.node_ids)
-        mark = place_orientation_mark(t, hops)
-        return list(two_approx(t, k, mark, hops).landmarks)
     if strategy == "random":
         return sorted(rng.sample(t.node_ids, k))
-    raise SimulationError(f"unknown placement strategy {strategy!r}")
+    algorithm = "dragoon" if strategy == "shortest_ping_only" else strategy
+    return list(place_landmarks(t, k, algorithm).landmarks)
 
 
 def calibration_mesh(world: SimWorld, landmark_ids: list[str]) -> list[Measurement]:

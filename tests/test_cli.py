@@ -104,6 +104,9 @@ def test_locate_end_to_end_error_under_5km(world_files, tmp_path):
     assert code == 0
     doc = json.loads(out.read_text())
     assert doc["error_km"] <= 5.0
+    # One indent-2 dump of the document: the bytes a decode and re-encode of
+    # the estimate's own JSON would give.
+    assert out.read_text() == json.dumps(doc, indent=2, sort_keys=True) + "\n"
     fc = json.loads(geojson.read_text())
     assert fc["type"] == "FeatureCollection"
     kinds = {f["properties"]["kind"] for f in fc["features"]}

@@ -1,11 +1,19 @@
+import json
 import math
 import random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from scipy.optimize import least_squares
 
-from latloc.errors import InsufficientDataError, ModelDomainError
+from latloc import latency
+from latloc.errors import FitError, InsufficientDataError, ModelDomainError
 from latloc.geodesy import GeoPoint
+from latloc.placement import dragoon_place
+from latloc.simulator import DelayParams, SimWorld, calibration_mesh, generate_topology
 from latloc.latency import (
     CalibrationSample,
     LatencyModel,
@@ -262,3 +270,143 @@ def test_measurement_csv_rejects_non_finite_rtt(field):
 def test_models_json_roundtrip():
     models = {"l1": LatencyModel(1.5, 0.25, 1.0, -2.0, 0.5, 9)}
     assert models_from_json(models_to_json(models)) == models
+
+
+# ---------------------------------------------------------------------------
+# The variable-projection fit against the 4-parameter multi-start fitter it
+# replaced, kept here as the reference.
+
+def reference_fit(lat: np.ndarray, dist: np.ndarray) -> tuple[np.ndarray, float]:
+    """Best (p, q, n, m) and RSS of bounded TRF solves of the full 4-parameter
+    curve from a fixed 8-point start grid plus one start from the linear fit."""
+    def residuals(theta):
+        p, q, n, m = theta
+        return dist - (p * np.log(q * lat + n) + m)
+
+    mean_dist = float(dist.mean())
+    starts = [
+        np.array([p0, q0, 1.0, m0])
+        for p0 in (10.0, 100.0) for q0 in (0.1, 1.0) for m0 in (0.0, mean_dist)
+    ]
+    a, b = np.polyfit(lat, dist, 1)
+    if a > 0:
+        starts.append(np.array([a / 1e-9, 1e-9, 1.0, b]))
+    lower = np.array([1e-9, 1e-12, 1e-12, -np.inf])
+    best, best_rss = None, math.inf
+    for x0 in starts:
+        try:
+            res = least_squares(residuals, x0, bounds=(lower, np.full(4, np.inf)),
+                                method="trf", max_nfev=200, x_scale="jac")
+        except ValueError:
+            continue
+        rss = float(np.sum(res.fun ** 2))
+        if rss < best_rss:
+            best, best_rss = res.x, rss
+    return best, best_rss
+
+
+def model_rss(model: LatencyModel, lat: np.ndarray, dist: np.ndarray) -> float:
+    return float(np.sum((dist - (model.p * np.log(model.q * lat + model.n) + model.m)) ** 2))
+
+
+def assert_no_worse_than_reference(samples):
+    lat = np.array([s.latency_ms for s in samples])
+    dist = np.array([s.distance_km for s in samples])
+    model = fit_model(samples)
+    _, ref_rss = reference_fit(lat, dist)
+    assert model.fit_rss <= ref_rss * (1 + 1e-8)
+    # fit_rss is the RSS of the stored curve, as predict_distance evaluates it.
+    assert model_rss(model, lat, dist) == pytest.approx(model.fit_rss, rel=1e-12, abs=1e-12)
+
+
+EUROPE = (35.0, 60.0, -10.0, 30.0)
+
+
+@pytest.mark.parametrize("world_seed", range(10))
+def test_fit_no_worse_than_reference_on_criterion_6_meshes(world_seed, monkeypatch):
+    topology = generate_topology(120, EUROPE, 400.0, seed=world_seed)
+    world = SimWorld(topology, world_seed, DelayParams(stochastic_mean_ms=2.0))
+    landmarks = list(dragoon_place(topology, 8).landmarks)
+    fitted = []
+    monkeypatch.setattr(latency, "fit_model", lambda samples: fitted.append(samples))
+    calibrate_all(landmarks, calibration_mesh(world, landmarks), topology.positions)
+    monkeypatch.undo()
+    assert len(fitted) == 8
+    for samples in fitted:
+        assert_no_worse_than_reference(samples)
+
+
+@st.composite
+def noisy_log_curves(draw):
+    """Sample sets from noisy log curves or near-straight lines, with
+    repeated latencies, an exact zero latency, or exactly 4 samples."""
+    shape = draw(st.sampled_from(["plain", "duplicates", "zero", "four"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    size = 4 if shape == "four" else draw(st.integers(5, 30))
+    if shape == "duplicates":
+        base = rng.uniform(0.0, 60.0, 4)
+        lat = np.concatenate([base, rng.choice(base, size - 4)])
+    else:
+        lat = rng.uniform(0.0, 60.0, size)
+    if shape == "zero":
+        lat[0] = 0.0
+    lat = np.round(lat, 3)
+    assume(len(set(lat.tolist())) >= 4)
+    if draw(st.booleans()):
+        # Near-linear: a line, optionally bent slightly upwards, which the
+        # concave log curve can only approach as q -> 0.
+        curve = (rng.uniform(10.0, 200.0) * lat + rng.uniform(0.0, 100.0)
+                 + draw(st.sampled_from([0.0, 0.05])) * lat ** 2)
+    else:
+        p, m = rng.uniform(10.0, 300.0), rng.uniform(-100.0, 100.0)
+        q, n = 10.0 ** rng.uniform(-3.0, 2.0), 10.0 ** rng.uniform(-2.0, 1.0)
+        curve = p * np.log(q * lat + n) + m
+    sigma = draw(st.sampled_from([0.01, 0.5, 5.0]))
+    dist = np.maximum(curve + rng.normal(0.0, sigma, size), 0.0)
+    return [CalibrationSample(float(l), float(d)) for l, d in zip(lat, dist)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(samples=noisy_log_curves())
+def test_fit_no_worse_than_reference_on_noisy_curves(samples):
+    assert_no_worse_than_reference(samples)
+
+
+def test_fit_model_propagates_solver_programming_errors(monkeypatch):
+    def broken(*args, **kwargs):
+        raise TypeError("broken solver")
+
+    monkeypatch.setattr(latency, "least_squares", broken)
+    samples = make_samples(100, 2, 1, 10, list(np.linspace(1, 100, 20)))
+    with pytest.raises(TypeError, match="broken solver"):
+        fit_model(samples)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_calibration_sample_rejects_non_finite(bad):
+    with pytest.raises(ValueError, match="finite"):
+        CalibrationSample(bad, 10.0)
+    with pytest.raises(ValueError, match="finite"):
+        CalibrationSample(1.0, bad)
+
+
+def test_fit_non_finite_parameters_raise_fit_error(monkeypatch):
+    samples = make_samples(100, 2, 1, 10, list(np.linspace(1, 100, 20)))
+    monkeypatch.setattr(latency, "least_squares", lambda *args, **kwargs: SimpleNamespace(
+        x=np.array([math.nan]), fun=np.zeros(len(samples))))
+    with pytest.raises(FitError, match="non-finite"):
+        fit_model(samples)
+
+
+def test_old_style_models_load_and_predict_the_same():
+    # A model file from the 4-parameter fitter, whose q and n were both free.
+    lat = np.linspace(0.5, 40.0, 12)
+    dist = 120.0 * np.log(0.7 * lat + 1.5) - 20.0
+    (p, q, n, m), rss = reference_fit(lat, dist)
+    assert q != 1.0 and n != 1.0
+    text = json.dumps({"lm": {"p": p, "q": q, "n": n, "m": m,
+                              "fit_rss": rss, "sample_count": 12}})
+    model = models_from_json(text)["lm"]
+    assert (model.p, model.q, model.n, model.m) == (p, q, n, m)
+    for x in (0.0, 0.5, 7.25, 40.0):
+        assert predict_distance(model, x) == max(0.0, p * math.log(q * x + n) + m)

@@ -7,6 +7,7 @@ from latloc.geodesy import GeoPoint
 from latloc.placement import (
     dragoon_place,
     objective_key,
+    place_landmarks,
     place_orientation_mark,
     refine,
     two_approx,
@@ -176,3 +177,11 @@ def test_landmark_set_json_roundtrip():
     t = random_connected_graph(9, 0.25, seed=4)
     ls = dragoon_place(t, 2)
     assert landmark_set_from_json(ls.to_json()) == ls
+
+
+def test_place_landmarks_dispatch():
+    t = random_connected_graph(25, 0.08, seed=4)
+    assert place_landmarks(t, 4, "dragoon") == dragoon_place(t, 4)
+    assert place_landmarks(t, 4, "two_approx") == two_approx(t, 4, place_orientation_mark(t))
+    with pytest.raises(PlacementError, match="unknown placement algorithm"):
+        place_landmarks(t, 4, "random")
