@@ -130,7 +130,8 @@ def _build_world(args) -> SimWorld:
                                  args.radius_km, args.world_seed)
     delay = DelayParams(
         per_hop_ms=args.per_hop_ms,
-        stochastic_mean_ms=args.noise_mean_ms if args.noise_mean_ms > 0 else None,
+        # Only a number <= 0 turns noise off; NaN reaches DelayParams and is rejected.
+        stochastic_mean_ms=None if args.noise_mean_ms <= 0 else args.noise_mean_ms,
         samples_per_probe=args.samples,
     )
     return SimWorld(topology=topology, rng_seed=args.world_seed, delay=delay)

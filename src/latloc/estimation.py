@@ -28,8 +28,9 @@ class GridSearchConfig:
     extent: int = 3  # offsets up to +-extent * eps in each axis
 
     def __post_init__(self):
-        if self.eps_min_m <= 0 or self.eps0_m < self.eps_min_m:
-            raise ValueError("need eps0_m >= eps_min_m > 0")
+        # NaN fails every comparison, so test for the valid range, not the invalid one.
+        if not (0 < self.eps_min_m <= self.eps0_m < math.inf):
+            raise ValueError("need finite eps0_m >= eps_min_m > 0")
         if self.extent < 1:
             raise ValueError("grid extent must be >= 1")
 

@@ -104,6 +104,8 @@ def all_candidates(circles: list[LandmarkCircle],
     Degenerate pairs (identical centers with equal radii) are skipped with a
     log message instead of failing the whole cloud.
     """
+    if not math.isfinite(gap_max_km):
+        raise ValueError(f"gap_max_km must be finite, got {gap_max_km!r}")
     if len(circles) < 2:
         raise LaterationError(f"need at least 2 circles, got {len(circles)}")
     ordered = sorted(circles, key=lambda lc: lc.landmark_id)

@@ -5,6 +5,11 @@ distance from any node to its closest landmark, then the mean hop distance
 over all nodes. Placement runs in three stages: an orientation mark (graph
 1-center) seeds a farthest-point initialization, which an iterative
 neighbor-move refinement then improves.
+
+Every stage works on the int hop rows of `Topology.graph` (rows indexed in
+sorted-id order), so ties that the objective leaves open break toward the
+smallest node id, and only the rows of landmarks, their neighbors and the
+seed are ever held; the 1-center scan streams all rows in blocks.
 """
 
 from __future__ import annotations
@@ -12,8 +17,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import PlacementError
-from .topology import HopMatrix, Topology, assign_to_closest, hop_distances
+# hop_distances is unused here but stays importable: perfbench's tracer
+# patches latloc.placement.hop_distances.
+from .topology import Topology, assign_to_closest, hop_distances  # noqa: F401
 
 # Objective comparisons use (max_hop, total_hops) so ties in the mean are
 # exact integer comparisons, never float ones.
@@ -48,51 +57,37 @@ def landmark_set_from_json(data: str) -> LandmarkSet:
     )
 
 
-def objective_key(t: Topology, landmarks: list[str] | tuple[str, ...],
-                  hops: HopMatrix | None = None) -> ObjectiveKey:
+def _key(closest: np.ndarray) -> ObjectiveKey:
+    return (int(closest.max()), int(closest.sum(dtype=np.int64)))
+
+
+def objective_key(t: Topology, landmarks: list[str] | tuple[str, ...]) -> ObjectiveKey:
     """(max hop, total hops) over all nodes to their closest landmark."""
-    if hops is None:
-        hops = hop_distances(t, landmarks)
-    max_hop = 0
-    total = 0
-    for node in t.node_ids:
-        d = min(hops[lm][node] for lm in landmarks)
-        if d > max_hop:
-            max_hop = d
-        total += d
-    return (max_hop, total)
+    g = t.graph
+    return _key(g.hop_rows([g.index_of(lm) for lm in landmarks]).min(axis=0))
 
 
-def _make_set(t: Topology, landmarks: list[str], hops: HopMatrix) -> LandmarkSet:
-    key = objective_key(t, landmarks, hops)
+def _make_set(t: Topology, landmarks: list[str]) -> LandmarkSet:
+    key = objective_key(t, landmarks)
     return LandmarkSet(
         landmarks=tuple(landmarks),
-        assignment=assign_to_closest(t, landmarks, hops),
+        assignment=assign_to_closest(t, landmarks),
         max_hop=key[0],
         mean_hop=key[1] / len(t.positions),
     )
 
 
-def place_orientation_mark(t: Topology, hops: HopMatrix | None = None) -> str:
+def place_orientation_mark(t: Topology) -> str:
     """The graph 1-center under hop distance.
 
     Ties break by smaller total hops, then smaller node id.
     """
-    if hops is None:
-        hops = hop_distances(t, t.node_ids)
-    best = None
-    best_key = None
-    for node in t.node_ids:
-        row = hops[node]
-        key = (max(row.values()), sum(row.values()), node)
-        if best_key is None or key < best_key:
-            best_key = key
-            best = node
-    return best
+    ecc, total = t.graph.eccentricities()
+    # lexsort is stable, so among equal (ecc, total) the smallest index wins.
+    return t.graph.ids[int(np.lexsort((total, ecc))[0])]
 
 
-def two_approx(t: Topology, k: int, seed_node: str,
-               hops: HopMatrix | None = None) -> LandmarkSet:
+def two_approx(t: Topology, k: int, seed_node: str) -> LandmarkSet:
     """Farthest-point (Gonzalez) initialization.
 
     The first landmark is the node farthest from seed_node; each further
@@ -104,27 +99,21 @@ def two_approx(t: Topology, k: int, seed_node: str,
     n = len(t.positions)
     if not 1 <= k <= n:
         raise PlacementError(f"k={k} outside [1, {n}]")
-    if hops is None:
-        hops = hop_distances(t, t.node_ids)
     if seed_node not in t.positions:
         raise PlacementError(f"unknown seed node {seed_node!r}")
-
-    closest = dict(hops[seed_node])
+    g = t.graph
+    closest = g.hop_rows([g.index_of(seed_node)])[0]
     landmarks: list[str] = []
     for _ in range(k):
-        # max() keeps the first winner on ties, and node_ids is ascending,
-        # so the smallest id among the farthest nodes wins.
-        pick = max(t.node_ids, key=lambda node: closest[node])
-        landmarks.append(pick)
-        for node in t.node_ids:
-            d = hops[pick][node]
-            if d < closest[node]:
-                closest[node] = d
-    return _make_set(t, landmarks, hops)
+        # argmax keeps the first maximum, and index order is id order, so
+        # the smallest id among the farthest nodes wins.
+        pick = int(closest.argmax())
+        landmarks.append(g.ids[pick])
+        np.minimum(closest, g.hop_rows([pick])[0], out=closest)
+    return _make_set(t, landmarks)
 
 
-def refine(t: Topology, ls: LandmarkSet, hops: HopMatrix | None = None,
-           move_log: list | None = None) -> LandmarkSet:
+def refine(t: Topology, ls: LandmarkSet, *, move_log: list | None = None) -> LandmarkSet:
     """Iterative neighbor-move improvement of a landmark set.
 
     Each iteration reassigns nodes to their closest landmark, then visits
@@ -135,43 +124,50 @@ def refine(t: Topology, ls: LandmarkSet, hops: HopMatrix | None = None,
     stops when a full pass makes no move.
 
     move_log, when given, receives (before_key, after_key) tuples for every
-    accepted move.
+    accepted move. It is keyword-only because perfbench's tracer supplies
+    its own log by keyword.
     """
-    if hops is None:
-        hops = hop_distances(t, t.node_ids)
+    g = t.graph
     landmarks = list(ls.landmarks)
-    current_key = objective_key(t, landmarks, hops)
+    rows = g.hop_rows([g.index_of(lm) for lm in landmarks])
+    current_key = _key(rows.min(axis=0))
+    no_hop = np.iinfo(rows.dtype).max
 
     while True:
         moved = False
         for i in range(len(landmarks)):
             occupied = set(landmarks)
-            for candidate in t.neighbors(landmarks[i]):
-                if candidate in occupied:
-                    continue
-                trial = landmarks.copy()
-                trial[i] = candidate
-                trial_key = objective_key(t, trial, hops)
-                if trial_key < current_key:
-                    if move_log is not None:
-                        move_log.append((current_key, trial_key))
-                    landmarks = trial
-                    current_key = trial_key
-                    moved = True
-                    break
+            free = [c for c in t.neighbors(landmarks[i]) if c not in occupied]
+            if not free:
+                continue
+            # Hops to the closest of the other landmarks, then every trial
+            # move of landmark i at once: one row per free neighbor.
+            others = np.delete(rows, i, axis=0).min(axis=0, initial=no_hop)
+            trial_rows = g.hop_rows([g.index_of(c) for c in free])
+            trials = np.minimum(others, trial_rows)
+            max_hops = trials.max(axis=1)
+            totals = trials.sum(axis=1, dtype=np.int64)
+            better = (max_hops < current_key[0]) | (
+                (max_hops == current_key[0]) & (totals < current_key[1]))
+            if better.any():
+                j = int(better.argmax())  # the first improving neighbor
+                trial_key = (int(max_hops[j]), int(totals[j]))
+                if move_log is not None:
+                    move_log.append((current_key, trial_key))
+                landmarks[i] = free[j]
+                rows[i] = trial_rows[j]
+                current_key = trial_key
+                moved = True
         if not moved:
             break
-    return _make_set(t, landmarks, hops)
+    return _make_set(t, landmarks)
 
 
-def dragoon_place(t: Topology, k: int, hops: HopMatrix | None = None,
-                  move_log: list | None = None) -> LandmarkSet:
+def dragoon_place(t: Topology, k: int, move_log: list | None = None) -> LandmarkSet:
     """Full placement pipeline: orientation mark, farthest-point init, refinement."""
-    if hops is None:
-        hops = hop_distances(t, t.node_ids)
-    mark = place_orientation_mark(t, hops)
-    initial = two_approx(t, k, mark, hops)
-    return refine(t, initial, hops, move_log=move_log)
+    mark = place_orientation_mark(t)
+    initial = two_approx(t, k, mark)
+    return refine(t, initial, move_log=move_log)
 
 
 PLACEMENT_ALGORITHMS = ("dragoon", "two_approx")
@@ -184,8 +180,7 @@ def place_landmarks(t: Topology, k: int, algorithm: str) -> LandmarkSet:
     if algorithm == "dragoon":
         return dragoon_place(t, k)
     if algorithm == "two_approx":
-        hops = hop_distances(t, t.node_ids)
-        return two_approx(t, k, place_orientation_mark(t, hops), hops)
+        return two_approx(t, k, place_orientation_mark(t))
     raise PlacementError(
         f"unknown placement algorithm {algorithm!r}; choose from {PLACEMENT_ALGORITHMS}"
     )

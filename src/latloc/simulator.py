@@ -5,6 +5,10 @@ probes with a deterministic delay floor (propagation along the shortest-hop
 path plus per-hop processing) and optional exponential stochastic excess,
 and runs full placement/calibration/localization experiments against known
 ground truth.
+
+A probe reads its hop count and path length from the topology's cached BFS
+tree rooted at the probing landmark, so each landmark costs one BFS however
+many targets it probes.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from .lateration import DEFAULT_GAP_MAX_KM, LandmarkCircle, build_circle
 from .latency import Measurement, calibrate_all
 # perfbench's tracer patches simulator.dragoon_place, so the name stays importable here.
 from .placement import PLACEMENT_ALGORITHMS, LandmarkSet, dragoon_place, place_landmarks
-from .topology import Topology, build_topology
+from .topology import BfsTree, Topology, build_topology
 
 PLACEMENT_STRATEGIES = (*PLACEMENT_ALGORITHMS, "random", "shortest_ping_only")
 
@@ -42,14 +46,15 @@ class DelayParams:
     samples_per_probe: int = 10
 
     def __post_init__(self):
-        if self.propagation_speed_km_ms <= 0:
-            raise ValueError("propagation speed must be positive")
-        if self.per_hop_ms < 0:
-            raise ValueError("per-hop delay must be non-negative")
+        # NaN fails every comparison, so test for the valid range, not the invalid one.
+        if not 0 < self.propagation_speed_km_ms < math.inf:
+            raise ValueError("propagation speed must be positive and finite")
+        if not 0 <= self.per_hop_ms < math.inf:
+            raise ValueError("per-hop delay must be non-negative and finite")
         if self.samples_per_probe < 1:
             raise ValueError("need at least one sample per probe")
-        if self.stochastic_mean_ms is not None and self.stochastic_mean_ms <= 0:
-            raise ValueError("stochastic mean must be positive (or None)")
+        if self.stochastic_mean_ms is not None and not 0 < self.stochastic_mean_ms < math.inf:
+            raise ValueError("stochastic mean must be positive and finite (or None)")
 
 
 @dataclass(frozen=True)
@@ -110,35 +115,22 @@ def _derived_rng(world_seed: int, src: str, dst: str) -> random.Random:
     return random.Random(int.from_bytes(digest[:8], "big"))
 
 
-def shortest_hop_path(t: Topology, src: str, dst: str) -> list[str]:
-    """BFS shortest path, deterministic via sorted neighbor expansion."""
+def _tree_to(t: Topology, src: str, dst: str) -> tuple[BfsTree, int]:
+    """The cached BFS tree rooted at src and dst's node index in it."""
     if src not in t.positions or dst not in t.positions:
         raise SimulationError(f"unknown endpoint {src!r} or {dst!r}")
-    if src == dst:
-        return [src]
-    parent = {src: None}
-    queue = [src]
-    while queue:
-        next_queue = []
-        for u in queue:
-            for v in t.adjacency[u]:
-                if v not in parent:
-                    parent[v] = u
-                    if v == dst:
-                        path = [v]
-                        while parent[path[-1]] is not None:
-                            path.append(parent[path[-1]])
-                        return list(reversed(path))
-                    next_queue.append(v)
-        queue = next_queue
-    raise SimulationError(f"no path from {src!r} to {dst!r}")
+    g = t.graph
+    tree, j = g.tree(g.pos[src]), g.pos[dst]
+    if tree.hops[j] < 0:
+        raise SimulationError(f"no path from {src!r} to {dst!r}")
+    return tree, j
 
 
-def _path_length_km(t: Topology, path: list[str]) -> float:
-    return sum(
-        orthodromic_distance(t.positions[u], t.positions[v]) / 1000.0
-        for u, v in zip(path, path[1:])
-    )
+def shortest_hop_path(t: Topology, src: str, dst: str) -> list[str]:
+    """A shortest-hop path from src to dst: the path in the BFS tree rooted
+    at src, which expands neighbors in ascending id order."""
+    tree, j = _tree_to(t, src, dst)
+    return [t.graph.ids[i] for i in tree.path_to(j)]
 
 
 def _nearest_node(t: Topology, point: GeoPoint) -> tuple[str, float]:
@@ -166,9 +158,9 @@ def simulate_measurement(world: SimWorld, src: str,
         attach, extra_km, extra_hops = dst, 0.0, 0
         dst_key = dst
 
-    path = shortest_hop_path(t, src, attach)
-    hops = len(path) - 1 + extra_hops
-    length_km = _path_length_km(t, path) + extra_km
+    tree, j = _tree_to(t, src, attach)
+    hops = tree.hops[j] + extra_hops
+    length_km = tree.km[j] + extra_km
     delay = world.delay
     oneway_ms = length_km / delay.propagation_speed_km_ms + delay.per_hop_ms * hops
 
@@ -289,6 +281,9 @@ def run_experiment(world: SimWorld, k_landmarks: int, strategy: str,
         raise PlacementError("need k >= 5 (calibration requires >= 4 peers per landmark)")
     if n_targets < 1:
         raise SimulationError("need at least one target")
+    # Checked here too, or a non-finite gap would fail every target one by one.
+    if not math.isfinite(gap_max_km):
+        raise ValueError(f"gap_max_km must be finite, got {gap_max_km!r}")
 
     t = world.topology
     rng = random.Random(seed)

@@ -3,6 +3,11 @@
 A topology is an undirected, connected, simple graph whose nodes carry
 geographic coordinates. Hop counts (unweighted shortest paths) are the
 distance metric used by landmark placement.
+
+Loading builds only the dict form (positions and sorted adjacency lists).
+The array form, `Topology.graph`, is built on first use: a CSR adjacency
+over the sorted node ids, int hop rows from scipy's csgraph per source, and
+one BFS tree per source for path queries, each cached once computed.
 """
 
 from __future__ import annotations
@@ -10,12 +15,20 @@ from __future__ import annotations
 import json
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from functools import cached_property
+from typing import Iterable
+
+import numpy as np
+from scipy.sparse import csgraph, csr_array
 
 from .errors import TopologyError
-from .geodesy import GeoPoint
+from .geodesy import GeoPoint, orthodromic_distance
 
 HopMatrix = dict[str, dict[str, int]]
+
+# Sources per csgraph call when every node's hop row is needed once, so
+# memory stays O(block * n) rather than O(n^2).
+ROW_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -35,6 +48,105 @@ class Topology:
 
     def neighbors(self, node_id: str) -> tuple[str, ...]:
         return self.adjacency[node_id]
+
+    @cached_property
+    def graph(self) -> GraphIndex:
+        """The array form of this graph, built on first use and kept."""
+        return GraphIndex(self)
+
+
+@dataclass(frozen=True)
+class BfsTree:
+    """Hop-shortest paths from one source, as a FIFO BFS over ascending
+    neighbour ids finds them. Per node index: the BFS parent (-1 at the
+    source), the hop count (-1 where the source cannot reach), and the
+    great-circle length in km of the tree path, summed edge by edge from the
+    source outward."""
+
+    parent: list[int]
+    hops: list[int]
+    km: list[float]
+
+    def path_to(self, j: int) -> list[int]:
+        path = [j]
+        while self.parent[path[-1]] >= 0:
+            path.append(self.parent[path[-1]])
+        return path[::-1]
+
+
+class GraphIndex:
+    """Array view of a Topology. Node i is the i-th id in sorted order, so
+    index order is id order and first-wins argmin/argmax/lexsort break ties
+    toward the smallest id. Hop rows and BFS trees never change once
+    computed (a Topology is immutable), so each is computed once per source
+    and cached."""
+
+    def __init__(self, t: Topology):
+        self.ids = tuple(t.node_ids)
+        self.pos = {nid: i for i, nid in enumerate(self.ids)}
+        indices = [self.pos[v] for nid in self.ids for v in t.adjacency[nid]]
+        indptr = np.cumsum([0] + [len(t.adjacency[nid]) for nid in self.ids])
+        n = len(self.ids)
+        self.csr = csr_array(
+            (np.ones(len(indices)), np.array(indices, dtype=np.int32), indptr.astype(np.int32)),
+            shape=(n, n),
+        )
+        self._points = [t.positions[nid] for nid in self.ids]
+        self._rows: dict[int, np.ndarray] = {}
+        self._trees: dict[int, BfsTree] = {}
+
+    def index_of(self, node_id: str) -> int:
+        try:
+            return self.pos[node_id]
+        except KeyError:
+            raise TopologyError(f"unknown node {node_id!r}") from None
+
+    def _bfs(self, sources) -> np.ndarray:
+        """Hop counts from each source to every node, one int row per source."""
+        dist = csgraph.shortest_path(self.csr, method="D", directed=True,
+                                     unweighted=True, indices=sources)
+        return dist.astype(np.int32)
+
+    def hop_rows(self, sources: list[int]) -> np.ndarray:
+        """A (len(sources), n) array of hop rows; the uncached ones come from
+        one csgraph call."""
+        missing = [i for i in dict.fromkeys(sources) if i not in self._rows]
+        if missing:
+            fresh = self._bfs(missing)
+            fresh.setflags(write=False)
+            self._rows.update(zip(missing, fresh))
+        return np.array([self._rows[i] for i in sources], dtype=np.int32).reshape(-1, len(self.ids))
+
+    def eccentricities(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each node's largest and total hop count to all nodes, computed in
+        blocks of ROW_BLOCK sources and not cached."""
+        n = len(self.ids)
+        ecc = np.empty(n, dtype=np.int64)
+        total = np.empty(n, dtype=np.int64)
+        for start in range(0, n, ROW_BLOCK):
+            rows = self._bfs(np.arange(start, min(start + ROW_BLOCK, n)))
+            ecc[start:start + len(rows)] = rows.max(axis=1)
+            total[start:start + len(rows)] = rows.sum(axis=1, dtype=np.int64)
+        return ecc, total
+
+    def tree(self, i: int) -> BfsTree:
+        """The BFS tree rooted at node i."""
+        tree = self._trees.get(i)
+        if tree is None:
+            order, pred = csgraph.breadth_first_order(self.csr, i, directed=True,
+                                                      return_predecessors=True)
+            n = len(self.ids)
+            parent, hops, km = [-1] * n, [-1] * n, [0.0] * n
+            hops[i] = 0
+            points = self._points
+            pred = pred.tolist()
+            for v in order[1:].tolist():
+                u = pred[v]
+                parent[v] = u
+                hops[v] = hops[u] + 1
+                km[v] = km[u] + orthodromic_distance(points[u], points[v]) / 1000.0
+            tree = self._trees[i] = BfsTree(parent, hops, km)
+        return tree
 
 
 def build_topology(nodes: Iterable[tuple[str, GeoPoint]],
@@ -157,43 +269,28 @@ def topology_to_json(t: Topology) -> str:
 
 
 def hop_distances(t: Topology, sources: Iterable[str]) -> HopMatrix:
-    """BFS hop counts from each source to every node in the topology."""
-    result: HopMatrix = {}
-    for src in sources:
-        if src not in t.positions:
-            raise TopologyError(f"unknown source node {src!r}")
-        dist = {src: 0}
-        queue = deque([src])
-        while queue:
-            u = queue.popleft()
-            for v in t.adjacency[u]:
-                if v not in dist:
-                    dist[v] = dist[u] + 1
-                    queue.append(v)
-        result[src] = dist
-    return result
+    """Hop counts from each source to every node, as nested dicts (a view
+    of the cached hop rows)."""
+    g = t.graph
+    indices = [g.index_of(src) for src in sources]
+    return {g.ids[i]: dict(zip(g.ids, row.tolist()))
+            for i, row in zip(indices, g.hop_rows(indices))}
 
 
-def assign_to_closest(t: Topology, landmarks: Iterable[str],
-                      hops: HopMatrix | None = None) -> dict[str, str]:
+def assign_to_closest(t: Topology, landmarks: Iterable[str]) -> dict[str, str]:
     """Map every node to its closest landmark by hop count.
 
-    Ties break toward the lexicographically smallest landmark id. A
-    precomputed hop matrix covering the landmarks may be passed to avoid
-    repeating the BFS.
+    Ties break toward the lexicographically smallest landmark id.
     """
     landmark_ids = sorted(set(landmarks))
     if not landmark_ids:
         raise TopologyError("landmark set is empty")
-    if hops is None:
-        hops = hop_distances(t, landmark_ids)
-    assignment = {}
-    for node in t.node_ids:
-        best = min(landmark_ids, key=lambda lm: (hops[lm][node], lm))
-        assignment[node] = best
-    return assignment
+    g = t.graph
+    # Rows in ascending id order, so argmin's first-wins picks the smallest id.
+    closest = g.hop_rows([g.index_of(lm) for lm in landmark_ids]).argmin(axis=0)
+    return {node: landmark_ids[j] for node, j in zip(g.ids, closest.tolist())}
 
 
 def all_pairs_hops(t: Topology) -> HopMatrix:
-    """Hop counts between every pair of nodes (BFS from each node)."""
+    """Hop counts between every pair of nodes."""
     return hop_distances(t, t.node_ids)

@@ -77,9 +77,9 @@ def test_criterion_1_placement_optimality():
     ok = True
     for t, k in small_instances():
         hops = all_pairs_hops(t)
-        placed = dragoon_place(t, k, hops)
+        placed = dragoon_place(t, k)
         optimum = brute_force_max_hop(t, k, hops)
-        init = two_approx(t, k, t.node_ids[0], hops)
+        init = two_approx(t, k, t.node_ids[0])
         if placed.max_hop > 2 * optimum or placed.max_hop > init.max_hop:
             ok = False
     elapsed = time.time() - start
@@ -90,13 +90,12 @@ def test_criterion_1_placement_optimality():
 def test_criterion_2_refinement_monotonicity():
     ok = True
     for t, k in small_instances():
-        hops = all_pairs_hops(t)
         log = []
-        final = dragoon_place(t, k, hops, move_log=log)  # terminates by returning
-        mark = place_orientation_mark(t, hops)
-        initial = two_approx(t, k, mark, hops)
-        init_key = objective_key(t, initial.landmarks, hops)
-        final_key = objective_key(t, final.landmarks, hops)
+        final = dragoon_place(t, k, move_log=log)  # terminates by returning
+        mark = place_orientation_mark(t)
+        initial = two_approx(t, k, mark)
+        init_key = objective_key(t, initial.landmarks)
+        final_key = objective_key(t, final.landmarks)
         # every accepted move strictly decreases the key, the log chains
         # contiguously from the initialization, and the end never regresses
         keys = [init_key] + [after for _, after in log]

@@ -156,6 +156,31 @@ def test_simulate_reproducible_reports(tmp_path):
     assert outs[0] == outs[1]
 
 
+@pytest.mark.parametrize("flag", ["--eps0-m", "--eps-min-m", "--gap-max-km"])
+def test_locate_non_finite_grid_setting_rejected(world_files, tmp_path, capsys, flag):
+    models = tmp_path / "models.json"
+    assert run(["fit", "--topology", world_files / "topology.json",
+                "--landmarks", world_files / "landmarks.json",
+                "--measurements", world_files / "mesh.csv", "--out", models]) == 0
+    out = tmp_path / "estimate.json"
+    code = run(["locate", "--topology", world_files / "topology.json", "--models", models,
+                "--measurements", world_files / "target.csv", flag, "nan", "--out", out])
+    assert code == 1
+    assert "finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--noise-mean-ms", "--per-hop-ms", "--gap-max-km"])
+def test_simulate_non_finite_setting_rejected(tmp_path, capsys, flag):
+    # --noise-mean-ms nan used to run silently without noise.
+    out = tmp_path / "report.json"
+    code = run(["simulate", "--n-nodes", 25, "--radius-km", 5000, "--k", 6,
+                "--n-targets", 2, flag, "nan", "--out", out])
+    assert code == 1
+    assert "finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_simulate_zero_targets_usage_error(capsys):
     assert run(["simulate", "--n-targets", 0]) == 1
 

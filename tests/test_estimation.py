@@ -43,6 +43,14 @@ def test_config_validation():
         GridSearchConfig(eps_min_m=0.0)
 
 
+@pytest.mark.parametrize("field", ["eps0_m", "eps_min_m"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_config_rejects_non_finite_spacing(field, bad):
+    # NaN made every check false, and grid_center then ran zero steps.
+    with pytest.raises(ValueError, match="finite"):
+        GridSearchConfig(**{field: bad})
+
+
 def test_grid_center_single_point():
     p = GeoPoint(48.0, 11.0)
     center = grid_center([p], FAST_GRID)

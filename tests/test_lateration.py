@@ -21,6 +21,14 @@ from latloc.lateration import (
 from latloc.latency import LatencyModel, Measurement
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_all_candidates_rejects_non_finite_gap(bad):
+    # A NaN gap made every "gap > gap_max" test false, so no pair was dropped.
+    circles = [LandmarkCircle("a", km_circle(0, 0, 100)), LandmarkCircle("b", km_circle(0, 5, 100))]
+    with pytest.raises(ValueError, match="gap_max_km must be finite"):
+        all_candidates(circles, gap_max_km=bad)
+
+
 def km_circle(lat, lon, r_km) -> GeoCircle:
     return GeoCircle(GeoPoint(lat, lon), r_km * 1000.0)
 

@@ -18,10 +18,9 @@ from conftest import path_graph, random_connected_graph
 
 def brute_force_k_center(t, k):
     """Exhaustive minimum over all size-k landmark subsets of (max, total) hops."""
-    hops = all_pairs_hops(t)
     best = None
     for subset in combinations(t.node_ids, k):
-        key = objective_key(t, list(subset), hops)
+        key = objective_key(t, list(subset))
         if best is None or key < best:
             best = key
     return best

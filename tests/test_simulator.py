@@ -1,3 +1,4 @@
+import math
 import statistics
 
 import pytest
@@ -16,7 +17,7 @@ from latloc.simulator import (
     shortest_hop_path,
     simulate_measurement,
 )
-from latloc.topology import build_topology, hop_distances
+from latloc.topology import Topology, build_topology, hop_distances
 
 EUROPE_BBOX = (35.0, 60.0, -10.0, 30.0)
 
@@ -27,6 +28,18 @@ def two_node_world(d_km=1000.0, **delay_kwargs):
     b = destination_point(a, 90.0, d_km * 1000)
     t = build_topology([("a", a), ("b", b)], [("a", "b")])
     return SimWorld(t, rng_seed=1, delay=DelayParams(**delay_kwargs))
+
+
+@pytest.mark.parametrize("field", ["propagation_speed_km_ms", "per_hop_ms", "stochastic_mean_ms"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_delay_params_reject_non_finite(field, bad):
+    with pytest.raises(ValueError, match="finite"):
+        DelayParams(**{field: bad})
+
+
+def test_run_experiment_rejects_non_finite_gap():
+    with pytest.raises(ValueError, match="gap_max_km must be finite"):
+        run_experiment(noiseless_world(), 5, "dragoon", 3, seed=1, gap_max_km=math.nan)
 
 
 def test_generate_single_node():
@@ -229,3 +242,13 @@ def test_report_csv_shape():
     assert lines[0].startswith("target_id,")
     assert len(lines) == 5
     assert all(line.endswith(",two_approx") for line in lines[1:])
+
+
+def test_probe_without_path_rejected():
+    # build_topology refuses disconnected graphs; a hand-built Topology can still be one.
+    pos = {"a": GeoPoint(50.0, 8.0), "b": GeoPoint(51.0, 9.0)}
+    t = Topology(positions=pos, adjacency={"a": (), "b": ()})
+    with pytest.raises(SimulationError, match="no path"):
+        simulate_measurement(SimWorld(t, 1, DelayParams()), "a", "b")
+    with pytest.raises(SimulationError, match="no path"):
+        shortest_hop_path(t, "a", "b")
