@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from .errors import LatlocError, UsageError
-from .estimation import FilterConfig, GridSearchConfig, estimate_target
+from .estimation import GridSearchConfig, estimate_target
 from .geodesy import GeoPoint, orthodromic_distance
 from .geoformats import estimate_to_geojson
 from .lateration import DEFAULT_GAP_MAX_KM, LandmarkCircle, build_circle
@@ -175,7 +175,7 @@ def cmd_eval(args) -> int:
     doc = {
         "world_seed": args.world_seed,
         "experiment_seed": args.seed,
-        "methods": {s: json.loads(r.to_json()) for s, r in reports.items()},
+        "methods": {s: r.to_dict() for s, r in reports.items()},
     }
     _write(args.out, json.dumps(doc, indent=2, sort_keys=True) + "\n")
     if args.csv_out:

@@ -89,8 +89,12 @@ def effective_latency(m: Measurement, per_hop_ms: float = DEFAULT_PER_HOP_MS) ->
     """min(RTT)/2 minus the per-hop allowance, clamped below at zero.
 
     Noisy inputs can push the raw value negative; those are clamped and
-    flagged rather than rejected.
+    flagged rather than rejected. per_hop_ms must be finite and
+    non-negative, as DelayParams requires.
     """
+    # NaN fails every comparison, so test for the valid range, not the invalid one.
+    if not 0 <= per_hop_ms < math.inf:
+        raise ValueError(f"per-hop delay must be non-negative and finite, got {per_hop_ms!r}")
     raw = m.min_rtt_ms / 2.0 - per_hop_ms * m.hop_count
     if raw < 0:
         return EffectiveLatency(0.0, clamped=True)
@@ -112,6 +116,8 @@ def predict_distance(model: LatencyModel, latency_ms: float) -> float:
 # it is ln(latency) plus a constant. Fixed, so results are deterministic.
 _SCAN_DECADES = np.linspace(-9.0, 15.0, 241)
 _MIN_P = 1e-9
+# Evaluation cap for the one refining least-squares solve.
+_MAX_NFEV = 200
 
 
 def _project(x: np.ndarray, dist: np.ndarray):
@@ -125,7 +131,7 @@ def _project(x: np.ndarray, dist: np.ndarray):
     return p, m, dist - p[..., None] * x - m[..., None]
 
 
-def fit_model(samples: list[CalibrationSample], max_nfev: int = 200) -> LatencyModel:
+def fit_model(samples: list[CalibrationSample]) -> LatencyModel:
     """Fit the logarithmic curve to calibration samples.
 
     Requires at least 4 samples with at least 4 distinct latencies. The
@@ -134,8 +140,7 @@ def fit_model(samples: list[CalibrationSample], max_nfev: int = 200) -> LatencyM
     least-squares solve then refines log q between the neighbours of the
     best scan point, and the better of the two is kept. Because the scan
     reaches curves that are straight lines to within a part in 1e9, the
-    fit is as good as the linear abstraction. max_nfev caps the refining
-    solve.
+    fit is as good as the linear abstraction.
 
     The model stores n = 1 rather than q = 1: near-linear fits need
     q * latency << n, and p * ln(latency + n) with a huge n and p loses to
@@ -165,7 +170,7 @@ def fit_model(samples: list[CalibrationSample], max_nfev: int = 200) -> LatencyM
     # can stop at a flat minimum up to 1e-8 (relative) above its RSS.
     res = least_squares(residuals, [decades], bounds=([lo], [hi]), method="trf",
                         jac="3-point", ftol=1e-15, xtol=1e-15, gtol=1e-15,
-                        max_nfev=max_nfev)
+                        max_nfev=_MAX_NFEV)
     if float(np.sum(res.fun ** 2)) < rss[i]:
         decades = float(res.x[0])
 
@@ -250,11 +255,15 @@ def models_to_json(models: dict[str, LatencyModel]) -> str:
 
 
 def models_from_json(data: str) -> dict[str, LatencyModel]:
-    doc = json.loads(data)
-    return {
-        lm: LatencyModel(
+    """Parse a models file. json accepts NaN and Infinity literals, so a
+    non-finite parameter is rejected here, naming its landmark."""
+    models = {}
+    for lm, v in json.loads(data).items():
+        model = LatencyModel(
             p=float(v["p"]), q=float(v["q"]), n=float(v["n"]), m=float(v["m"]),
             fit_rss=float(v["fit_rss"]), sample_count=int(v["sample_count"]),
         )
-        for lm, v in doc.items()
-    }
+        if not all(math.isfinite(x) for x in (model.p, model.q, model.n, model.m, model.fit_rss)):
+            raise ValueError(f"model for landmark {lm!r} has non-finite parameters")
+        models[lm] = model
+    return models

@@ -6,10 +6,11 @@ over all nodes. Placement runs in three stages: an orientation mark (graph
 1-center) seeds a farthest-point initialization, which an iterative
 neighbor-move refinement then improves.
 
-Every stage works on the int hop rows of `Topology.graph` (rows indexed in
-sorted-id order), so ties that the objective leaves open break toward the
-smallest node id, and only the rows of landmarks, their neighbors and the
-seed are ever held; the 1-center scan streams all rows in blocks.
+Every stage works on the topology's int hop rows (`Topology.hop_rows`,
+indexed in sorted-id order), so ties that the objective leaves open break
+toward the smallest node id, and only the rows of landmarks, their
+neighbors and the seed are ever held; the 1-center scan streams all rows in
+blocks.
 """
 
 from __future__ import annotations
@@ -63,8 +64,7 @@ def _key(closest: np.ndarray) -> ObjectiveKey:
 
 def objective_key(t: Topology, landmarks: list[str] | tuple[str, ...]) -> ObjectiveKey:
     """(max hop, total hops) over all nodes to their closest landmark."""
-    g = t.graph
-    return _key(g.hop_rows([g.index_of(lm) for lm in landmarks]).min(axis=0))
+    return _key(t.hop_rows([t.index_of(lm) for lm in landmarks]).min(axis=0))
 
 
 def _make_set(t: Topology, landmarks: list[str]) -> LandmarkSet:
@@ -82,9 +82,9 @@ def place_orientation_mark(t: Topology) -> str:
 
     Ties break by smaller total hops, then smaller node id.
     """
-    ecc, total = t.graph.eccentricities()
+    ecc, total = t.eccentricities()
     # lexsort is stable, so among equal (ecc, total) the smallest index wins.
-    return t.graph.ids[int(np.lexsort((total, ecc))[0])]
+    return t.ids[int(np.lexsort((total, ecc))[0])]
 
 
 def two_approx(t: Topology, k: int, seed_node: str) -> LandmarkSet:
@@ -101,15 +101,14 @@ def two_approx(t: Topology, k: int, seed_node: str) -> LandmarkSet:
         raise PlacementError(f"k={k} outside [1, {n}]")
     if seed_node not in t.positions:
         raise PlacementError(f"unknown seed node {seed_node!r}")
-    g = t.graph
-    closest = g.hop_rows([g.index_of(seed_node)])[0]
+    closest = t.hop_rows([t.index_of(seed_node)])[0]
     landmarks: list[str] = []
     for _ in range(k):
         # argmax keeps the first maximum, and index order is id order, so
         # the smallest id among the farthest nodes wins.
         pick = int(closest.argmax())
-        landmarks.append(g.ids[pick])
-        np.minimum(closest, g.hop_rows([pick])[0], out=closest)
+        landmarks.append(t.ids[pick])
+        np.minimum(closest, t.hop_rows([pick])[0], out=closest)
     return _make_set(t, landmarks)
 
 
@@ -127,9 +126,8 @@ def refine(t: Topology, ls: LandmarkSet, *, move_log: list | None = None) -> Lan
     accepted move. It is keyword-only because perfbench's tracer supplies
     its own log by keyword.
     """
-    g = t.graph
     landmarks = list(ls.landmarks)
-    rows = g.hop_rows([g.index_of(lm) for lm in landmarks])
+    rows = t.hop_rows([t.index_of(lm) for lm in landmarks])
     current_key = _key(rows.min(axis=0))
     no_hop = np.iinfo(rows.dtype).max
 
@@ -143,7 +141,7 @@ def refine(t: Topology, ls: LandmarkSet, *, move_log: list | None = None) -> Lan
             # Hops to the closest of the other landmarks, then every trial
             # move of landmark i at once: one row per free neighbor.
             others = np.delete(rows, i, axis=0).min(axis=0, initial=no_hop)
-            trial_rows = g.hop_rows([g.index_of(c) for c in free])
+            trial_rows = t.hop_rows([t.index_of(c) for c in free])
             trials = np.minimum(others, trial_rows)
             max_hops = trials.max(axis=1)
             totals = trials.sum(axis=1, dtype=np.int64)

@@ -7,8 +7,8 @@ and runs full placement/calibration/localization experiments against known
 ground truth.
 
 A probe reads its hop count and path length from the topology's cached BFS
-tree rooted at the probing landmark, so each landmark costs one BFS however
-many targets it probes.
+tree rooted at the probing landmark (`Topology.tree`), so each landmark
+costs one BFS however many targets it probes.
 """
 
 from __future__ import annotations
@@ -18,7 +18,9 @@ import json
 import math
 import random
 import statistics
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+
+import numpy as np
 
 from .errors import LatlocError, PlacementError, SimulationError, TopologyError
 from .estimation import FilterConfig, GridSearchConfig, estimate_target
@@ -26,7 +28,7 @@ from .geodesy import GeoPoint, orthodromic_distance
 from .lateration import DEFAULT_GAP_MAX_KM, LandmarkCircle, build_circle
 from .latency import Measurement, calibrate_all
 # perfbench's tracer patches simulator.dragoon_place, so the name stays importable here.
-from .placement import PLACEMENT_ALGORITHMS, LandmarkSet, dragoon_place, place_landmarks
+from .placement import PLACEMENT_ALGORITHMS, dragoon_place, place_landmarks
 from .topology import BfsTree, Topology, build_topology
 
 PLACEMENT_STRATEGIES = (*PLACEMENT_ALGORITHMS, "random", "shortest_ping_only")
@@ -80,7 +82,8 @@ def generate_topology(n_nodes: int, bbox: tuple[float, float, float, float],
     lon_min, lon_max), edges between nodes within the connection radius.
 
     If the graph comes out disconnected the radius grows by 30% and the
-    edges are rebuilt, up to max_growth_steps times.
+    edges are rebuilt, up to max_growth_steps times. Each pair's distance
+    is computed once; a growth only refilters them.
     """
     if n_nodes < 1:
         raise SimulationError("need at least one node")
@@ -93,14 +96,16 @@ def generate_topology(n_nodes: int, bbox: tuple[float, float, float, float],
         lon = rng.uniform(lon_min, lon_max)
         nodes.append((f"n{i:0{width}d}", GeoPoint(lat, lon)))
 
+    # Pair distances row by row (i < j), the order np.triu_indices lists them.
+    first, second = np.triu_indices(n_nodes, 1)
+    points = [pt for _, pt in nodes]
+    dist_m = np.fromiter((orthodromic_distance(u, v) for i, u in enumerate(points)
+                          for v in points[i + 1:]), dtype=float, count=len(first))
     radius_m = connection_radius_km * 1000.0
     for _ in range(max_growth_steps + 1):
-        edges = [
-            (u_id, v_id)
-            for i, (u_id, u_pt) in enumerate(nodes)
-            for v_id, v_pt in nodes[i + 1:]
-            if orthodromic_distance(u_pt, v_pt) <= radius_m
-        ]
+        close = dist_m <= radius_m
+        edges = [(nodes[i][0], nodes[j][0])
+                 for i, j in zip(first[close].tolist(), second[close].tolist())]
         try:
             return build_topology(nodes, edges)
         except TopologyError:
@@ -119,8 +124,7 @@ def _tree_to(t: Topology, src: str, dst: str) -> tuple[BfsTree, int]:
     """The cached BFS tree rooted at src and dst's node index in it."""
     if src not in t.positions or dst not in t.positions:
         raise SimulationError(f"unknown endpoint {src!r} or {dst!r}")
-    g = t.graph
-    tree, j = g.tree(g.pos[src]), g.pos[dst]
+    tree, j = t.tree(t.index_of(src)), t.index_of(dst)
     if tree.hops[j] < 0:
         raise SimulationError(f"no path from {src!r} to {dst!r}")
     return tree, j
@@ -130,7 +134,7 @@ def shortest_hop_path(t: Topology, src: str, dst: str) -> list[str]:
     """A shortest-hop path from src to dst: the path in the BFS tree rooted
     at src, which expands neighbors in ascending id order."""
     tree, j = _tree_to(t, src, dst)
-    return [t.graph.ids[i] for i in tree.path_to(j)]
+    return [t.ids[i] for i in tree.path_to(j)]
 
 
 def _nearest_node(t: Topology, point: GeoPoint) -> tuple[str, float]:
@@ -213,8 +217,8 @@ class ExperimentReport:
             "p90_km": p90,
         }
 
-    def to_json(self) -> str:
-        doc = {
+    def to_dict(self) -> dict:
+        return {
             "strategy": self.strategy,
             "landmarks": list(self.landmark_ids),
             "world_seed": self.world_seed,
@@ -232,7 +236,9 @@ class ExperimentReport:
                 for r in self.results
             ],
         }
-        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
 
     def to_csv(self) -> str:
         lines = ["target_id,true_lat,true_lon,est_lat,est_lon,error_km,method"]

@@ -4,18 +4,17 @@ A topology is an undirected, connected, simple graph whose nodes carry
 geographic coordinates. Hop counts (unweighted shortest paths) are the
 distance metric used by landmark placement.
 
-Loading builds only the dict form (positions and sorted adjacency lists).
-The array form, `Topology.graph`, is built on first use: a CSR adjacency
-over the sorted node ids, int hop rows from scipy's csgraph per source, and
+A Topology builds its array form once, at construction: the sorted node
+ids, a CSR adjacency over them, and the node positions in id order. Every
+graph query runs on it: int hop rows from scipy's csgraph per source, and
 one BFS tree per source for path queries, each cached once computed.
+build_topology checks connectivity on the same CSR.
 """
 
 from __future__ import annotations
 
 import json
-from collections import deque
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Iterable
 
 import numpy as np
@@ -29,30 +28,6 @@ HopMatrix = dict[str, dict[str, int]]
 # Sources per csgraph call when every node's hop row is needed once, so
 # memory stays O(block * n) rather than O(n^2).
 ROW_BLOCK = 256
-
-
-@dataclass(frozen=True)
-class Topology:
-    """Immutable validated graph: node positions plus sorted adjacency lists."""
-
-    positions: dict[str, GeoPoint]
-    adjacency: dict[str, tuple[str, ...]] = field(repr=False)
-
-    @property
-    def node_ids(self) -> list[str]:
-        return sorted(self.positions)
-
-    @property
-    def edge_count(self) -> int:
-        return sum(len(v) for v in self.adjacency.values()) // 2
-
-    def neighbors(self, node_id: str) -> tuple[str, ...]:
-        return self.adjacency[node_id]
-
-    @cached_property
-    def graph(self) -> GraphIndex:
-        """The array form of this graph, built on first use and kept."""
-        return GraphIndex(self)
 
 
 @dataclass(frozen=True)
@@ -74,30 +49,47 @@ class BfsTree:
         return path[::-1]
 
 
-class GraphIndex:
-    """Array view of a Topology. Node i is the i-th id in sorted order, so
-    index order is id order and first-wins argmin/argmax/lexsort break ties
-    toward the smallest id. Hop rows and BFS trees never change once
-    computed (a Topology is immutable), so each is computed once per source
-    and cached."""
+@dataclass(frozen=True)
+class Topology:
+    """Immutable graph: node positions plus sorted adjacency lists.
 
-    def __init__(self, t: Topology):
-        self.ids = tuple(t.node_ids)
-        self.pos = {nid: i for i, nid in enumerate(self.ids)}
-        indices = [self.pos[v] for nid in self.ids for v in t.adjacency[nid]]
-        indptr = np.cumsum([0] + [len(t.adjacency[nid]) for nid in self.ids])
-        n = len(self.ids)
-        self.csr = csr_array(
-            (np.ones(len(indices)), np.array(indices, dtype=np.int32), indptr.astype(np.int32)),
-            shape=(n, n),
-        )
-        self._points = [t.positions[nid] for nid in self.ids]
-        self._rows: dict[int, np.ndarray] = {}
-        self._trees: dict[int, BfsTree] = {}
+    Node i is the i-th id in sorted order (`ids`), so index order is id
+    order and first-wins argmin/argmax/lexsort break ties toward the
+    smallest id. `csr` is the adjacency over those indices. Hop rows and
+    BFS trees never change once computed, so each is computed once per
+    source and cached. The array form is plain attributes, not dataclass
+    fields, so == compares positions and adjacency only.
+    """
+
+    positions: dict[str, GeoPoint]
+    adjacency: dict[str, tuple[str, ...]] = field(repr=False)
+
+    def __post_init__(self):
+        ids = tuple(sorted(self.positions))
+        index = {nid: i for i, nid in enumerate(ids)}
+        indices = [index[v] for nid in ids for v in self.adjacency[nid]]
+        indptr = np.cumsum([0] + [len(self.adjacency[nid]) for nid in ids], dtype=np.int32)
+        csr = csr_array((np.ones(len(indices)), np.array(indices, dtype=np.int32), indptr),
+                        shape=(len(ids), len(ids)))
+        # Frozen: write the derived attributes past the dataclass __setattr__.
+        self.__dict__.update(ids=ids, csr=csr, _index=index,
+                             _points=[self.positions[nid] for nid in ids],
+                             _rows={}, _trees={})
+
+    @property
+    def node_ids(self) -> list[str]:
+        return list(self.ids)
+
+    @property
+    def edge_count(self) -> int:
+        return self.csr.nnz // 2
+
+    def neighbors(self, node_id: str) -> tuple[str, ...]:
+        return self.adjacency[node_id]
 
     def index_of(self, node_id: str) -> int:
         try:
-            return self.pos[node_id]
+            return self._index[node_id]
         except KeyError:
             raise TopologyError(f"unknown node {node_id!r}") from None
 
@@ -165,41 +157,31 @@ def build_topology(nodes: Iterable[tuple[str, GeoPoint]],
         raise TopologyError("topology has no nodes")
 
     adjacency: dict[str, set[str]] = {nid: set() for nid in positions}
-    seen: set[tuple[str, str]] = set()
     for u, v in edges:
         for endpoint in (u, v):
             if endpoint not in positions:
                 raise TopologyError(f"edge ({u!r}, {v!r}) references unknown node {endpoint!r}")
         if u == v:
             raise TopologyError(f"self-loop on node {u!r}")
-        key = (u, v) if u < v else (v, u)
-        if key in seen:
-            raise TopologyError(f"duplicate edge ({key[0]!r}, {key[1]!r})")
-        seen.add(key)
+        if v in adjacency[u]:
+            a, b = (u, v) if u < v else (v, u)
+            raise TopologyError(f"duplicate edge ({a!r}, {b!r})")
         adjacency[u].add(v)
         adjacency[v].add(u)
 
+    ids = sorted(positions)
     topo = Topology(
-        positions={nid: positions[nid] for nid in sorted(positions)},
-        adjacency={nid: tuple(sorted(adjacency[nid])) for nid in sorted(positions)},
+        positions={nid: positions[nid] for nid in ids},
+        adjacency={nid: tuple(sorted(adjacency[nid])) for nid in ids},
     )
-    _check_connected(topo)
+    # The adjacency is symmetric, so its strong components are its connected
+    # components, and the strong search skips the transpose an undirected one makes.
+    n_components, labels = csgraph.connected_components(topo.csr, connection="strong")
+    if n_components > 1:
+        first = labels[0]
+        missing = [nid for nid, label in zip(ids, labels.tolist()) if label != first]
+        raise TopologyError(f"graph is disconnected; unreachable from {ids[0]!r}: {missing[:5]}")
     return topo
-
-
-def _check_connected(t: Topology) -> None:
-    start = t.node_ids[0]
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        u = queue.popleft()
-        for v in t.adjacency[u]:
-            if v not in seen:
-                seen.add(v)
-                queue.append(v)
-    if len(seen) != len(t.positions):
-        missing = sorted(set(t.positions) - seen)
-        raise TopologyError(f"graph is disconnected; unreachable from {start!r}: {missing[:5]}")
 
 
 def load_topology_json(data: bytes | str) -> Topology:
@@ -271,10 +253,9 @@ def topology_to_json(t: Topology) -> str:
 def hop_distances(t: Topology, sources: Iterable[str]) -> HopMatrix:
     """Hop counts from each source to every node, as nested dicts (a view
     of the cached hop rows)."""
-    g = t.graph
-    indices = [g.index_of(src) for src in sources]
-    return {g.ids[i]: dict(zip(g.ids, row.tolist()))
-            for i, row in zip(indices, g.hop_rows(indices))}
+    indices = [t.index_of(src) for src in sources]
+    return {t.ids[i]: dict(zip(t.ids, row.tolist()))
+            for i, row in zip(indices, t.hop_rows(indices))}
 
 
 def assign_to_closest(t: Topology, landmarks: Iterable[str]) -> dict[str, str]:
@@ -285,10 +266,9 @@ def assign_to_closest(t: Topology, landmarks: Iterable[str]) -> dict[str, str]:
     landmark_ids = sorted(set(landmarks))
     if not landmark_ids:
         raise TopologyError("landmark set is empty")
-    g = t.graph
     # Rows in ascending id order, so argmin's first-wins picks the smallest id.
-    closest = g.hop_rows([g.index_of(lm) for lm in landmark_ids]).argmin(axis=0)
-    return {node: landmark_ids[j] for node, j in zip(g.ids, closest.tolist())}
+    closest = t.hop_rows([t.index_of(lm) for lm in landmark_ids]).argmin(axis=0)
+    return {node: landmark_ids[j] for node, j in zip(t.ids, closest.tolist())}
 
 
 def all_pairs_hops(t: Topology) -> HopMatrix:

@@ -1,10 +1,18 @@
 import json
+import math
 from pathlib import Path
 
 import pytest
 
 from latloc.cli import main
-from latloc.simulator import DelayParams, SimWorld, calibration_mesh, generate_topology, simulate_measurement
+from latloc.simulator import (
+    DelayParams,
+    SimWorld,
+    calibration_mesh,
+    generate_topology,
+    run_experiment,
+    simulate_measurement,
+)
 from latloc.latency import measurements_to_csv
 from latloc.placement import dragoon_place
 from latloc.topology import topology_to_json
@@ -181,6 +189,45 @@ def test_simulate_non_finite_setting_rejected(tmp_path, capsys, flag):
     assert not out.exists()
 
 
+def _fit_models(world_files, models, *extra):
+    return run(["fit", "--topology", world_files / "topology.json",
+                "--landmarks", world_files / "landmarks.json",
+                "--measurements", world_files / "mesh.csv", "--out", models, *extra])
+
+
+@pytest.mark.parametrize("value", ["nan", "-5", "inf"])
+def test_fit_and_locate_reject_bad_per_hop_ms(world_files, tmp_path, capsys, value):
+    # NaN used to reach predict_distance as max(0.0, nan) = 0 km circles.
+    models = tmp_path / "models.json"
+    assert _fit_models(world_files, models, "--per-hop-ms", value) == 1
+    assert not models.exists()
+    assert _fit_models(world_files, models) == 0
+    out = tmp_path / "estimate.json"
+    code = run(["locate", "--topology", world_files / "topology.json", "--models", models,
+                "--measurements", world_files / "target.csv", "--per-hop-ms", value,
+                "--out", out])
+    assert code == 1
+    assert "per-hop delay" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("param", ["p", "q", "n", "m", "fit_rss"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_locate_rejects_non_finite_model_file(world_files, tmp_path, capsys, param, value):
+    models = tmp_path / "models.json"
+    assert _fit_models(world_files, models) == 0
+    doc = json.loads(models.read_text())
+    landmark = sorted(doc)[-1]
+    doc[landmark][param] = value
+    models.write_text(json.dumps(doc))  # json writes the NaN/Infinity literals
+    out = tmp_path / "estimate.json"
+    code = run(["locate", "--topology", world_files / "topology.json", "--models", models,
+                "--measurements", world_files / "target.csv", "--out", out])
+    assert code == 1
+    assert f"landmark {landmark!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_simulate_zero_targets_usage_error(capsys):
     assert run(["simulate", "--n-targets", 0]) == 1
 
@@ -198,6 +245,25 @@ def test_eval_compares_methods(tmp_path, capsys):
         assert len(method["targets"]) == 4
     csv_lines = (tmp_path / "eval.csv").read_text().strip().splitlines()
     assert len(csv_lines) == 1 + 2 * 4
+
+
+def test_eval_output_is_one_dump_of_the_reports(tmp_path):
+    # The bytes the old decode-and-re-encode of each report's JSON gave.
+    out = tmp_path / "eval.json"
+    code = run(["eval", "--n-nodes", 25, "--radius-km", 5000, "--world-seed", 4, "--seed", 5,
+                "--k", 6, "--n-targets", 4, "--noise-mean-ms", 1.5,
+                "--algorithms", "dragoon,random,shortest_ping_only", "--out", out])
+    assert code == 0
+    world = SimWorld(generate_topology(25, EUROPE, 5000, 4), 4, DelayParams(stochastic_mean_ms=1.5))
+    methods = {}
+    for strategy in ("dragoon", "random", "shortest_ping_only"):
+        report = run_experiment(world, 6, strategy, 4, 5)
+        methods[strategy] = json.loads(report.to_json())
+        assert methods[strategy] == report.to_dict()
+        assert set(methods[strategy]) == {"strategy", "landmarks", "world_seed",
+                                          "experiment_seed", "summary", "targets"}
+    want = {"world_seed": 4, "experiment_seed": 5, "methods": methods}
+    assert out.read_text() == json.dumps(want, indent=2, sort_keys=True) + "\n"
 
 
 def test_eval_unknown_algorithm(capsys):

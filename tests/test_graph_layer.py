@@ -1,9 +1,11 @@
 """The array graph layer against the dict-BFS code it replaced.
 
 The reference functions below are the placement pipeline and probe path
-code as they were before `Topology.graph` existed: a dict-of-dicts hop
-matrix from one Python BFS per source, and one fresh BFS per probe. The
-array code must give exactly their results, ties included.
+code as they were before the topology had an array form: a dict-of-dicts
+hop matrix from one Python BFS per source, and one fresh BFS per probe. The
+array code must give exactly their results, ties included. The array form
+itself (sorted ids, CSR rows) is checked against the dict form it is built
+from.
 """
 
 import hashlib
@@ -36,7 +38,13 @@ from latloc.simulator import (
     shortest_hop_path,
     simulate_measurement,
 )
-from latloc.topology import all_pairs_hops, assign_to_closest, build_topology, topology_to_json
+from latloc.topology import (
+    Topology,
+    all_pairs_hops,
+    assign_to_closest,
+    build_topology,
+    topology_to_json,
+)
 from conftest import path_graph, random_connected_graph
 
 EUROPE = (35.0, 60.0, -10.0, 30.0)
@@ -258,6 +266,44 @@ def tie_graphs(draw):
                           max_size=3 * n))
     k = draw(st.one_of(st.just(1), st.just(n), st.integers(1, n)))
     return _graph(kind, n, ids, coords, extra), k
+
+
+def assert_array_form_matches_dicts(t):
+    assert t.ids == tuple(sorted(t.positions))
+    assert t.node_ids == sorted(t.positions)
+    for i, nid in enumerate(t.ids):
+        assert t.index_of(nid) == i
+        row = t.csr.indices[t.csr.indptr[i]:t.csr.indptr[i + 1]]
+        assert [t.ids[j] for j in row.tolist()] == list(t.adjacency[nid])
+    assert t.csr.shape == (len(t.ids), len(t.ids))
+    assert t.edge_count == sum(len(nbrs) for nbrs in t.adjacency.values()) // 2
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(tie_graphs())
+def test_csr_rows_match_adjacency_on_tie_graphs(graph_k):
+    t, _ = graph_k
+    assert_array_form_matches_dicts(t)
+
+
+def test_csr_rows_match_adjacency_on_hand_built_disconnected_topology():
+    # Ids in neither sorted nor padded order, and an isolated node.
+    pos = {nid: GeoPoint(50.0, float(i)) for i, nid in enumerate(["n2", "n10", "n1", "n3"])}
+    adjacency = {"n2": ("n10", "n3"), "n10": ("n2",), "n1": (), "n3": ("n2",)}
+    t = Topology(positions=pos, adjacency=adjacency)
+    assert t.ids == ("n1", "n10", "n2", "n3")
+    assert_array_form_matches_dicts(t)
+    assert t.tree(t.index_of("n10")).hops == [-1, 0, 1, 2]
+
+
+def test_topology_equality_ignores_array_form():
+    a = random_connected_graph(12, 0.2, seed=3)
+    b = build_topology(list(reversed(a.positions.items())),
+                       [(u, v) for u in a.adjacency for v in a.adjacency[u] if u < v])
+    a.hop_rows([0, 5])
+    a.tree(2)
+    assert a == b
+    assert "csr" not in repr(a)
 
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])

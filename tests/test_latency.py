@@ -53,6 +53,12 @@ def test_effective_latency_clamps_negative():
     assert eff.clamped
 
 
+@pytest.mark.parametrize("per_hop_ms", [math.nan, -5.0, -1e-12, math.inf])
+def test_effective_latency_rejects_bad_per_hop(per_hop_ms):
+    with pytest.raises(ValueError, match="per-hop delay"):
+        effective_latency(Measurement("l1", "t1", (25.0,), hop_count=3), per_hop_ms)
+
+
 def test_effective_latency_min_policy():
     base = Measurement("l1", "t1", (10.0, 12.0), hop_count=2)
     extended = Measurement("l1", "t1", (10.0, 12.0, 50.0), hop_count=2)
@@ -270,6 +276,16 @@ def test_measurement_csv_rejects_non_finite_rtt(field):
 def test_models_json_roundtrip():
     models = {"l1": LatencyModel(1.5, 0.25, 1.0, -2.0, 0.5, 9)}
     assert models_from_json(models_to_json(models)) == models
+
+
+@pytest.mark.parametrize("param", ["p", "q", "n", "m", "fit_rss"])
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+def test_models_json_rejects_non_finite(param, literal):
+    doc = {"p": 1.5, "q": 0.25, "n": 1.0, "m": -2.0, "fit_rss": 0.5, "sample_count": 9}
+    text = json.dumps({"ok": doc, "bad": {**doc, param: float(literal)}})
+    assert literal in text
+    with pytest.raises(ValueError, match="landmark 'bad'"):
+        models_from_json(text)
 
 
 # ---------------------------------------------------------------------------

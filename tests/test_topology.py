@@ -177,3 +177,42 @@ def test_load_invariant_under_node_order():
     t1 = load_topology_json(topo_json(nodes, edges))
     t2 = load_topology_json(topo_json(list(reversed(nodes)), edges))
     assert t1 == t2
+
+
+# Each input's TopologyError text, recorded from the build_topology that
+# checked connectivity with a Python BFS and duplicates with a separate set.
+# Multi-fault inputs pin the check order: per edge, unknown endpoint, then
+# self-loop, then duplicate; connectivity once all edges are in.
+_P = GeoPoint(0.0, 0.0)
+INVALID_TOPOLOGIES = [
+    ([], [], "topology has no nodes"),
+    ([("a", _P), ("a", _P)], [], "duplicate node id 'a'"),
+    ([("a", _P), ("b", _P)], [("a", "x9")], "edge ('a', 'x9') references unknown node 'x9'"),
+    ([("a", _P), ("b", _P)], [("x1", "a")], "edge ('x1', 'a') references unknown node 'x1'"),
+    ([("a", _P)], [("y", "x")], "edge ('y', 'x') references unknown node 'y'"),
+    ([("a", _P), ("b", _P)], [("a", "a"), ("a", "b")], "self-loop on node 'a'"),
+    ([("a", _P)], [("z", "z")], "edge ('z', 'z') references unknown node 'z'"),
+    ([("a", _P), ("b", _P)], [("a", "a"), ("a", "q")], "self-loop on node 'a'"),
+    ([("a", _P), ("b", _P)], [("a", "q"), ("a", "a")], "edge ('a', 'q') references unknown node 'q'"),
+    ([("a", _P), ("b", _P)], [("b", "a"), ("a", "a"), ("a", "b")], "self-loop on node 'a'"),
+    ([("a", _P), ("b", _P)], [("a", "b"), ("b", "a")], "duplicate edge ('a', 'b')"),
+    ([("a", _P), ("b", _P)], [("b", "a"), ("b", "a")], "duplicate edge ('a', 'b')"),
+    ([("a", _P), ("b", _P), ("c", _P)], [("b", "a"), ("a", "b")], "duplicate edge ('a', 'b')"),
+    ([("a", _P), ("b", _P)], [("a", "b"), ("a", "b"), ("b", "b")], "duplicate edge ('a', 'b')"),
+    ([("a", _P), ("b", _P)], [], "graph is disconnected; unreachable from 'a': ['b']"),
+    ([(f"n{i}", _P) for i in range(12)], [("n3", "n7"), ("n0", "n11")],
+     "graph is disconnected; unreachable from 'n0': ['n1', 'n10', 'n2', 'n3', 'n4']"),
+    ([("b", _P), ("a", _P), ("c", _P)], [("b", "c")],
+     "graph is disconnected; unreachable from 'a': ['b', 'c']"),
+    ([(f"n{i}", _P) for i in range(11, -1, -1)], [("n10", "n2"), ("n1", "n10"), ("n5", "n6")],
+     "graph is disconnected; unreachable from 'n0': ['n1', 'n10', 'n11', 'n2', 'n3']"),
+    ([(x, _P) for x in "edcba"], [("a", "c"), ("e", "c"), ("d", "b")],
+     "graph is disconnected; unreachable from 'a': ['b', 'd']"),
+]
+
+
+@pytest.mark.parametrize("nodes, edges, message", INVALID_TOPOLOGIES)
+def test_invalid_topology_messages(nodes, edges, message):
+    with pytest.raises(TopologyError) as exc:
+        build_topology(nodes, edges)
+    assert str(exc.value) == message

@@ -3,8 +3,9 @@
     python3 tools/setup_split.py [--root CHECKOUT] [--seed N]
 
 The steps are the ones perfbench's LocateWorkload.setup runs, on its world:
-world (generate_topology), dragoon_place, calibration_mesh, calibrate_all,
-and probes (simulate_measurement for every landmark and target). perfbench
+world (generate_topology, which also builds the topology's CSR adjacency),
+dragoon_place, calibration_mesh, calibrate_all, and probes
+(simulate_measurement for every landmark and target). perfbench
 times the set-up as one number; this split shows which step a change moved.
 Times are unscaled wall seconds, in a fresh interpreter per run. --root
 selects the checkout whose src/ and perfbench/ are imported, so two commits
