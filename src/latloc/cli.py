@@ -19,6 +19,7 @@ from .geodesy import GeoPoint, orthodromic_distance
 from .geoformats import estimate_to_geojson
 from .lateration import DEFAULT_GAP_MAX_KM, LandmarkCircle, build_circle
 from .latency import (
+    DEFAULT_PER_HOP_MS,
     calibrate_all,
     measurements_from_csv,
     models_from_json,
@@ -79,7 +80,7 @@ def cmd_fit(args) -> int:
     t = _load_topology(args)
     ls = landmark_set_from_json(_read(args.landmarks))
     measurements = measurements_from_csv(_read(args.measurements))
-    models = calibrate_all(ls, measurements, t.positions, per_hop_ms=args.per_hop_ms)
+    models = calibrate_all(ls.landmarks, measurements, t.positions, per_hop_ms=args.per_hop_ms)
     _write(args.out, models_to_json(models))
     if args.out is not None:
         print(f"fitted {len(models)} landmark models")
@@ -199,8 +200,10 @@ def _add_topology_args(p) -> None:
 
 
 def _add_grid_args(p) -> None:
-    p.add_argument("--eps0-m", type=float, default=100_000.0, help="initial grid spacing")
-    p.add_argument("--eps-min-m", type=float, default=500.0, help="terminal grid spacing")
+    p.add_argument("--eps0-m", type=float, default=GridSearchConfig.eps0_m,
+                   help="initial grid spacing")
+    p.add_argument("--eps-min-m", type=float, default=GridSearchConfig.eps_min_m,
+                   help="terminal grid spacing")
     p.add_argument("--gap-max-km", type=float, default=DEFAULT_GAP_MAX_KM,
                    help="drop non-overlapping pairs with larger perimeter gap")
 
@@ -216,8 +219,9 @@ def _add_world_args(p) -> None:
     p.add_argument("--n-targets", type=int, default=20)
     p.add_argument("--noise-mean-ms", type=float, default=0.0,
                    help="exponential stochastic delay mean; 0 disables noise")
-    p.add_argument("--samples", type=int, default=10, help="RTT samples per probe")
-    p.add_argument("--per-hop-ms", type=float, default=0.1)
+    p.add_argument("--samples", type=int, default=DelayParams.samples_per_probe,
+                   help="RTT samples per probe")
+    p.add_argument("--per-hop-ms", type=float, default=DEFAULT_PER_HOP_MS)
     p.add_argument("--csv-out", help="also write a per-target CSV")
 
 
@@ -236,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_topology_args(p)
     p.add_argument("--landmarks", required=True, help="landmark set JSON")
     p.add_argument("--measurements", required=True, help="inter-landmark CSV")
-    p.add_argument("--per-hop-ms", type=float, default=0.1)
+    p.add_argument("--per-hop-ms", type=float, default=DEFAULT_PER_HOP_MS)
     p.add_argument("--out")
     p.set_defaults(func=cmd_fit)
 
@@ -244,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_topology_args(p)
     p.add_argument("--models", required=True, help="fitted models JSON")
     p.add_argument("--measurements", required=True, help="target probe CSV")
-    p.add_argument("--per-hop-ms", type=float, default=0.1)
+    p.add_argument("--per-hop-ms", type=float, default=DEFAULT_PER_HOP_MS)
     _add_grid_args(p)
     p.add_argument("--truth", help="known target 'lat,lon' for error reporting")
     p.add_argument("--out")

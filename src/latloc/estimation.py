@@ -1,9 +1,9 @@
 """Collapse a candidate point cloud into one location estimate.
 
-A local grid search minimizes the mean great-circle distance to the cloud,
-halving the grid spacing whenever no neighboring grid point improves, and an
-iterative filter discards the candidates farthest from the running center
-(false branches of two-point intersections, mostly) before the final search.
+A local search on a fixed 7 x 7 grid minimizes the mean great-circle distance
+to the cloud, halving its spacing whenever no grid point improves. Two filter
+rounds first each discard the farthest 25% of the candidates from the running
+center (false branches of two-point intersections, mostly).
 """
 
 from __future__ import annotations
@@ -18,6 +18,12 @@ from .errors import EstimationError
 from .geodesy import EARTH_RADIUS_M, GeoPoint, normalize_lon
 from .lateration import DEFAULT_GAP_MAX_KM, CandidatePoint, LandmarkCircle, all_candidates
 
+# Filter schedule: rounds, each dropping this share of the kept candidates.
+FILTER_ROUNDS = 2
+DROP_FRACTION = 0.25
+# Grid offsets run to +-EXTENT spacings in each axis: a 7 x 7 grid.
+EXTENT = 3
+
 
 @dataclass(frozen=True)
 class GridSearchConfig:
@@ -25,20 +31,11 @@ class GridSearchConfig:
 
     eps0_m: float = 100_000.0
     eps_min_m: float = 500.0
-    extent: int = 3  # offsets up to +-extent * eps in each axis
 
     def __post_init__(self):
         # NaN fails every comparison, so test for the valid range, not the invalid one.
         if not (0 < self.eps_min_m <= self.eps0_m < math.inf):
             raise ValueError("need finite eps0_m >= eps_min_m > 0")
-        if self.extent < 1:
-            raise ValueError("grid extent must be >= 1")
-
-
-@dataclass(frozen=True)
-class FilterConfig:
-    rounds: int = 2
-    drop_fraction: float = 0.25
 
 
 @dataclass(frozen=True)
@@ -120,24 +117,23 @@ def spherical_centroid(points: list[GeoPoint]) -> GeoPoint:
     return GeoPoint(math.degrees(math.asin(z / norm)), math.degrees(math.atan2(y, x)))
 
 
-def _grid_axes(center: GeoPoint, eps_m: float, extent: int
-               ) -> tuple[list[int], list[float], list[float]]:
+def _grid_axes(center: GeoPoint, eps_m: float) -> tuple[list[int], list[float], list[float]]:
     """Row offsets and latitudes (rows past +-90 degrees skipped) and column
     longitudes of the search grid around center."""
     dlat_deg = math.degrees(eps_m / EARTH_RADIUS_M)
     cos_lat = math.cos(math.radians(center.lat))
     dlon_deg = math.degrees(eps_m / (EARTH_RADIUS_M * max(cos_lat, 1e-6)))
-    steps = range(-extent, extent + 1)
+    steps = range(-EXTENT, EXTENT + 1)
     rows = [(i, center.lat + i * dlat_deg) for i in steps]
     rows = [(i, lat) for i, lat in rows if -90.0 <= lat <= 90.0]
     lons = [normalize_lon(center.lon + j * dlon_deg) for j in steps]
     return [i for i, _ in rows], [lat for _, lat in rows], lons
 
 
-def grid_center(points: list[GeoPoint], cfg: GridSearchConfig | None = None,
-                seed: GeoPoint | None = None) -> GeoPoint:
+def grid_center(points: list[GeoPoint], cfg: GridSearchConfig = GridSearchConfig()) -> GeoPoint:
     """Point minimizing the mean great-circle distance to the cloud, found by
-    local grid search with spacing halved whenever no grid point improves.
+    local grid search from the spherical centroid, with spacing halved
+    whenever no grid point improves.
 
     Each step scores the whole grid around the current best point in one
     array. Ties between equally good grid points break north-most, then
@@ -145,17 +141,16 @@ def grid_center(points: list[GeoPoint], cfg: GridSearchConfig | None = None,
     """
     if not points:
         raise EstimationError("cannot center an empty point cloud")
-    cfg = cfg or GridSearchConfig()
     cloud = _Cloud(points)
-    best = seed if seed is not None else spherical_centroid(points)
+    best = spherical_centroid(points)
     best_obj = float(cloud.mean_distance_m(best.lat, best.lon))
 
     eps = cfg.eps0_m
     while eps >= cfg.eps_min_m:
-        row_steps, lats, lons = _grid_axes(best, eps, cfg.extent)
+        row_steps, lats, lons = _grid_axes(best, eps)
         obj = cloud.mean_distance_m(np.array(lats)[:, None], lons)
         # Every grid point but the center, in row-major order.
-        idx = np.delete(np.arange(obj.size), row_steps.index(0) * len(lons) + cfg.extent)
+        idx = np.delete(np.arange(obj.size), row_steps.index(0) * len(lons) + EXTENT)
         grid_lat = np.repeat(lats, len(lons))[idx]
         grid_lon = np.tile(lons, len(lats))[idx]
         k = idx[np.lexsort((grid_lon, -grid_lat, obj.ravel()[idx]))[0]]
@@ -168,27 +163,23 @@ def grid_center(points: list[GeoPoint], cfg: GridSearchConfig | None = None,
     return best
 
 
-def filter_outliers(points: list[CandidatePoint], cfg: FilterConfig | None = None,
-                    grid_cfg: GridSearchConfig | None = None,
+def filter_outliers(points: list[CandidatePoint],
+                    grid_cfg: GridSearchConfig = GridSearchConfig(),
                     ) -> tuple[list[CandidatePoint], list[CandidatePoint]]:
-    """Repeatedly center the cloud and drop the farthest candidates.
+    """Center the cloud and drop the farthest candidates, FILTER_ROUNDS times.
 
-    Each round drops ceil(drop_fraction * kept) points, never going below 3
+    Each round drops ceil(DROP_FRACTION * kept) points, never going below 3
     kept points. Returns (kept, dropped) with kept in original input order.
     """
     if not points:
         raise EstimationError("cannot filter an empty point cloud")
-    cfg = cfg or FilterConfig()
     kept = list(points)
     dropped: list[CandidatePoint] = []
-    for _ in range(cfg.rounds):
+    for _ in range(FILTER_ROUNDS):
         if len(kept) <= 3:
             break
         center = grid_center([c.point for c in kept], grid_cfg)
-        n_drop = math.ceil(cfg.drop_fraction * len(kept))
-        n_drop = min(n_drop, len(kept) - 3)
-        if n_drop <= 0:
-            break
+        n_drop = min(math.ceil(DROP_FRACTION * len(kept)), len(kept) - 3)
         # The center stays on the cloud side: the atan2 form is not bitwise symmetric.
         dist = _Cloud([center]).mean_distance_m(
             [c.point.lat for c in kept], [c.point.lon for c in kept])
@@ -201,17 +192,15 @@ def filter_outliers(points: list[CandidatePoint], cfg: FilterConfig | None = Non
 
 
 def estimate_target(circles: list[LandmarkCircle],
-                    grid_cfg: GridSearchConfig | None = None,
-                    filter_cfg: FilterConfig | None = None,
+                    grid_cfg: GridSearchConfig = GridSearchConfig(),
                     gap_max_km: float = DEFAULT_GAP_MAX_KM) -> EstimatedLocation:
     """Full estimation pipeline: pairwise candidates, outlier filter, grid center."""
     if len(circles) < 2:
         raise EstimationError(f"need at least 2 circles, got {len(circles)}")
-    grid_cfg = grid_cfg or GridSearchConfig()
     candidates = all_candidates(circles, gap_max_km=gap_max_km)
     if not candidates:
         raise EstimationError("every landmark pair was dropped; no candidate points")
-    kept, dropped = filter_outliers(candidates, filter_cfg, grid_cfg)
+    kept, dropped = filter_outliers(candidates, grid_cfg)
     point = grid_center([c.point for c in kept], grid_cfg)
     cloud = _Cloud([c.point for c in kept])
     return EstimatedLocation(

@@ -55,10 +55,12 @@ class GeoCircle:
     radius_m: float
 
     def __post_init__(self):
-        if self.radius_m < 0:
-            raise ValueError(f"negative radius {self.radius_m}")
-        if self.radius_m > math.pi * EARTH_RADIUS_M:
-            raise ValueError(f"radius {self.radius_m} wraps past the antipode")
+        r = self.radius_m
+        # NaN fails every comparison, so test for the valid range, not the invalid one.
+        if not 0 <= r <= math.pi * EARTH_RADIUS_M:
+            raise ValueError(f"negative radius {r}" if r < 0 else
+                             f"radius {r} wraps past the antipode" if r > 0 else
+                             f"radius {r} is not a number")
 
 
 @dataclass(frozen=True)

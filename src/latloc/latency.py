@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 from scipy.optimize import least_squares
@@ -182,15 +183,15 @@ def fit_model(samples: list[CalibrationSample]) -> LatencyModel:
     return LatencyModel(p=p, q=q, n=1.0, m=m, fit_rss=fit_rss, sample_count=len(samples))
 
 
-def calibrate_all(landmark_ids, measurements: list[Measurement],
+def calibrate_all(landmark_ids: Iterable[str], measurements: list[Measurement],
                   positions: dict[str, GeoPoint],
                   per_hop_ms: float = DEFAULT_PER_HOP_MS) -> dict[str, LatencyModel]:
     """Fit one model per landmark from its measurements to the other landmarks.
 
-    landmark_ids may be a LandmarkSet or any iterable of ids. Distances come
-    from the known landmark positions.
+    Models come out in landmark_ids order. Distances come from the known
+    landmark positions.
     """
-    ids = list(getattr(landmark_ids, "landmarks", landmark_ids))
+    ids = list(landmark_ids)
     id_set = set(ids)
     models: dict[str, LatencyModel] = {}
     for lm in ids:

@@ -1,10 +1,10 @@
 """Synthetic measurement world for end-to-end evaluation.
 
 Generates random geometric topologies with real coordinates, simulates RTT
-probes with a deterministic delay floor (propagation along the shortest-hop
-path plus per-hop processing) and optional exponential stochastic excess,
-and runs full placement/calibration/localization experiments against known
-ground truth.
+probes with a deterministic delay floor (propagation at a fixed 200 km/ms
+along the shortest-hop path plus per-hop processing) and optional
+exponential stochastic excess, and runs full placement/calibration/
+localization experiments against known ground truth.
 
 A probe reads its hop count and path length from the topology's cached BFS
 tree rooted at the probing landmark (`Topology.tree`), so each landmark
@@ -23,34 +23,33 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import LatlocError, PlacementError, SimulationError, TopologyError
-from .estimation import FilterConfig, GridSearchConfig, estimate_target
+from .estimation import GridSearchConfig, estimate_target
 from .geodesy import GeoPoint, orthodromic_distance
 from .lateration import DEFAULT_GAP_MAX_KM, LandmarkCircle, build_circle
-from .latency import Measurement, calibrate_all
+from .latency import DEFAULT_PER_HOP_MS, Measurement, calibrate_all
 # perfbench's tracer patches simulator.dragoon_place, so the name stays importable here.
 from .placement import PLACEMENT_ALGORITHMS, dragoon_place, place_landmarks
 from .topology import BfsTree, Topology, build_topology
 
 PLACEMENT_STRATEGIES = (*PLACEMENT_ALGORITHMS, "random", "shortest_ping_only")
 
+# Signal speed in fiber, about 2/3 of lightspeed.
+PROPAGATION_SPEED_KM_MS = 200.0
+# Radius growths generate_topology tries before giving up on connectivity.
+MAX_GROWTH_STEPS = 12
+
 
 @dataclass(frozen=True)
 class DelayParams:
-    """Delay composition for simulated probes.
+    """Delay composition for simulated probes, on top of propagation at
+    PROPAGATION_SPEED_KM_MS. A stochastic_mean_ms of None disables noise."""
 
-    propagation_speed_km_ms defaults to ~2/3 of lightspeed in fiber. A
-    stochastic_mean_ms of None disables the stochastic component.
-    """
-
-    propagation_speed_km_ms: float = 200.0
-    per_hop_ms: float = 0.1
+    per_hop_ms: float = DEFAULT_PER_HOP_MS
     stochastic_mean_ms: float | None = None
     samples_per_probe: int = 10
 
     def __post_init__(self):
         # NaN fails every comparison, so test for the valid range, not the invalid one.
-        if not 0 < self.propagation_speed_km_ms < math.inf:
-            raise ValueError("propagation speed must be positive and finite")
         if not 0 <= self.per_hop_ms < math.inf:
             raise ValueError("per-hop delay must be non-negative and finite")
         if self.samples_per_probe < 1:
@@ -76,13 +75,12 @@ class OffGraphTarget:
 
 
 def generate_topology(n_nodes: int, bbox: tuple[float, float, float, float],
-                      connection_radius_km: float, seed: int,
-                      max_growth_steps: int = 12) -> Topology:
+                      connection_radius_km: float, seed: int) -> Topology:
     """Random geometric graph: nodes uniform in bbox (lat_min, lat_max,
     lon_min, lon_max), edges between nodes within the connection radius.
 
     If the graph comes out disconnected the radius grows by 30% and the
-    edges are rebuilt, up to max_growth_steps times. Each pair's distance
+    edges are rebuilt, up to MAX_GROWTH_STEPS times. Each pair's distance
     is computed once; a growth only refilters them.
     """
     if n_nodes < 1:
@@ -102,7 +100,7 @@ def generate_topology(n_nodes: int, bbox: tuple[float, float, float, float],
     dist_m = np.fromiter((orthodromic_distance(u, v) for i, u in enumerate(points)
                           for v in points[i + 1:]), dtype=float, count=len(first))
     radius_m = connection_radius_km * 1000.0
-    for _ in range(max_growth_steps + 1):
+    for _ in range(MAX_GROWTH_STEPS + 1):
         close = dist_m <= radius_m
         edges = [(nodes[i][0], nodes[j][0])
                  for i, j in zip(first[close].tolist(), second[close].tolist())]
@@ -111,7 +109,7 @@ def generate_topology(n_nodes: int, bbox: tuple[float, float, float, float],
         except TopologyError:
             radius_m *= 1.3
     raise SimulationError(
-        f"could not build a connected graph within {max_growth_steps} radius growths"
+        f"could not build a connected graph within {MAX_GROWTH_STEPS} radius growths"
     )
 
 
@@ -166,7 +164,7 @@ def simulate_measurement(world: SimWorld, src: str,
     hops = tree.hops[j] + extra_hops
     length_km = tree.km[j] + extra_km
     delay = world.delay
-    oneway_ms = length_km / delay.propagation_speed_km_ms + delay.per_hop_ms * hops
+    oneway_ms = length_km / PROPAGATION_SPEED_KM_MS + delay.per_hop_ms * hops
 
     rng = _derived_rng(world.rng_seed, src, dst_key)
     samples = []
@@ -271,8 +269,7 @@ def calibration_mesh(world: SimWorld, landmark_ids: list[str]) -> list[Measureme
 
 def run_experiment(world: SimWorld, k_landmarks: int, strategy: str,
                    n_targets: int, seed: int,
-                   grid_cfg: GridSearchConfig | None = None,
-                   filter_cfg: FilterConfig | None = None,
+                   grid_cfg: GridSearchConfig = GridSearchConfig(),
                    gap_max_km: float = DEFAULT_GAP_MAX_KM) -> ExperimentReport:
     """Place landmarks, calibrate models from the inter-landmark mesh, then
     locate random target nodes and score against ground truth.
@@ -325,7 +322,7 @@ def run_experiment(world: SimWorld, k_landmarks: int, strategy: str,
                                                 per_hop_ms=world.delay.per_hop_ms))
                     for m in probes
                 ]
-                est = estimate_target(circles, grid_cfg, filter_cfg, gap_max_km).point
+                est = estimate_target(circles, grid_cfg, gap_max_km).point
         except (LatlocError, ValueError) as exc:
             results.append(TargetResult(target, true_point, None, None, failure=str(exc)))
             continue

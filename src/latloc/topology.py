@@ -97,6 +97,12 @@ class Topology:
         """Hop counts from each source to every node, one int row per source."""
         dist = csgraph.shortest_path(self.csr, method="D", directed=True,
                                      unweighted=True, indices=sources)
+        unreachable = np.isinf(dist)
+        if unreachable.any():  # rather than cast inf to int32's minimum
+            row = int(unreachable.any(axis=1).argmax())
+            missing = [self.ids[j] for j in np.flatnonzero(unreachable[row])[:5].tolist()]
+            raise TopologyError(f"graph is disconnected; unreachable from "
+                                f"{self.ids[sources[row]]!r}: {missing}")
         return dist.astype(np.int32)
 
     def hop_rows(self, sources: list[int]) -> np.ndarray:

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from latloc.errors import EstimationError
 from latloc.estimation import (
     EstimatedLocation,
-    FilterConfig,
     GridSearchConfig,
     estimate_target,
     filter_outliers,
@@ -106,14 +105,6 @@ def test_grid_center_matches_dense_grid_oracle():
     assert found_obj <= best * 1.01
 
 
-def test_grid_center_objective_never_worse_than_seed():
-    rng = random.Random(4)
-    points = [GeoPoint(rng.uniform(40, 50), rng.uniform(0, 10)) for _ in range(20)]
-    seed = GeoPoint(70.0, -30.0)
-    center = grid_center(points, FAST_GRID, seed=seed)
-    assert mean_distance(center, points) <= mean_distance(seed, points)
-
-
 def test_grid_center_deterministic():
     rng = random.Random(12)
     points = [GeoPoint(rng.uniform(40, 50), rng.uniform(0, 10)) for _ in range(15)]
@@ -128,7 +119,7 @@ def test_spherical_centroid_symmetric_pair():
 
 def test_filter_identical_points_keeps_center():
     points = [cand(45.0, 7.0) for _ in range(6)]
-    kept, dropped = filter_outliers(points, FilterConfig(), FAST_GRID)
+    kept, dropped = filter_outliers(points, FAST_GRID)
     assert len(kept) >= 3
     center = grid_center([c.point for c in kept], FAST_GRID)
     assert orthodromic_distance(center, GeoPoint(45.0, 7.0)) <= 2 * FAST_GRID.eps_min_m
@@ -137,33 +128,41 @@ def test_filter_identical_points_keeps_center():
 def test_filter_drops_far_outlier():
     cluster = [cand(45.0 + 0.01 * i, 7.0) for i in range(9)]
     outlier = cand(30.0, -20.0)
-    kept, dropped = filter_outliers(cluster + [outlier], FilterConfig(rounds=1), FAST_GRID)
-    assert outlier in dropped
-    assert len(kept) + len(dropped) == 10
+    kept, dropped = filter_outliers(cluster + [outlier], FAST_GRID)
+    # Round one drops ceil(10 / 4) = 3 farthest, round two ceil(7 / 4) = 2.
+    assert outlier in dropped[:3]
+    assert (len(kept), len(dropped)) == (5, 5)
 
 
 def test_filter_never_drops_below_three():
-    points = [cand(40.0 + i, 5.0 * i) for i in range(4)]
-    kept, _ = filter_outliers(points, FilterConfig(rounds=5, drop_fraction=0.9), FAST_GRID)
-    assert len(kept) == 3
+    # 4 to 7 points reach 3 in the first round or the second; 8 stop at 4.
+    for n, n_kept in [(3, 3), (4, 3), (5, 3), (6, 3), (7, 3), (8, 4)]:
+        points = [cand(40.0 + i, 5.0 * i) for i in range(n)]
+        kept, dropped = filter_outliers(points, FAST_GRID)
+        assert (len(kept), len(dropped)) == (n_kept, n - n_kept)
 
 
 def test_filter_drop_order_respects_distance():
     points = [cand(45.0, 7.0 + 0.5 * i) for i in range(8)]
-    kept, dropped = filter_outliers(points, FilterConfig(rounds=1), FAST_GRID)
-    center = grid_center([c.point for c in kept], FAST_GRID)
-    max_kept = max(orthodromic_distance(center, c.point) for c in kept)
-    # Points dropped in the single round are farther from that round's
-    # center than every kept point is; re-centering shifts distances by at
-    # most the move, so allow slack of one grid step.
-    for d in dropped:
-        assert orthodromic_distance(center, d.point) >= max_kept - FAST_GRID.eps0_m
+    kept, dropped = filter_outliers(points, FAST_GRID)
+    # Each round drops the quarter of its input farthest from that input's
+    # grid center, in input order: 2 of 8, then 2 of 6.
+    assert len(dropped) == 4
+    remaining = points
+    for round_dropped in (dropped[:2], dropped[2:]):
+        center = grid_center([c.point for c in remaining], FAST_GRID)
+        stay = [c for c in remaining if c not in round_dropped]
+        assert [c for c in remaining if c in round_dropped] == round_dropped
+        assert min(orthodromic_distance(center, c.point) for c in round_dropped) > \
+            max(orthodromic_distance(center, c.point) for c in stay)
+        remaining = stay
+    assert remaining == kept
 
 
 def test_filter_partition_is_complete():
     rng = random.Random(6)
     points = [cand(rng.uniform(40, 50), rng.uniform(0, 10)) for i in range(12)]
-    kept, dropped = filter_outliers(points, FilterConfig(), FAST_GRID)
+    kept, dropped = filter_outliers(points, FAST_GRID)
     assert sorted(kept + dropped, key=lambda c: (c.point.lat, c.point.lon)) == \
         sorted(points, key=lambda c: (c.point.lat, c.point.lon))
 
@@ -260,12 +259,12 @@ class _ScalarCloud:
         return float(np.mean(np.arctan2(num, den))) * EARTH_RADIUS_M
 
 
-def _scalar_grid_offsets(center, eps_m, extent):
+def _scalar_grid_offsets(center, eps_m):
     dlat_deg = math.degrees(eps_m / EARTH_RADIUS_M)
     cos_lat = math.cos(math.radians(center.lat))
     dlon_deg = math.degrees(eps_m / (EARTH_RADIUS_M * max(cos_lat, 1e-6)))
     offsets = []
-    steps = range(-extent, extent + 1)
+    steps = range(-3, 4)  # the 7 x 7 grid
     for i in steps:
         for j in steps:
             if i == 0 and j == 0:
@@ -277,15 +276,15 @@ def _scalar_grid_offsets(center, eps_m, extent):
     return offsets
 
 
-def scalar_grid_center(points, cfg, seed=None):
+def scalar_grid_center(points, cfg):
     cloud = _ScalarCloud(points)
-    best = seed if seed is not None else spherical_centroid(points)
+    best = spherical_centroid(points)
     best_obj = cloud.mean_distance_m(best)
     eps = cfg.eps0_m
     while eps >= cfg.eps_min_m:
         winner = None
         winner_key = None
-        for cand_pt in _scalar_grid_offsets(best, eps, cfg.extent):
+        for cand_pt in _scalar_grid_offsets(best, eps):
             key = (cloud.mean_distance_m(cand_pt), -cand_pt.lat, cand_pt.lon)
             if winner_key is None or key < winner_key:
                 winner_key = key
@@ -298,17 +297,15 @@ def scalar_grid_center(points, cfg, seed=None):
     return best
 
 
-def scalar_filter_outliers(points, cfg, grid_cfg):
+def scalar_filter_outliers(points, grid_cfg):
     kept = list(points)
     dropped = []
-    for _ in range(cfg.rounds):
+    for _ in range(2):  # two rounds, each dropping the farthest 25%
         if len(kept) <= 3:
             break
         center = scalar_grid_center([c.point for c in kept], grid_cfg)
         cloud = _ScalarCloud([center])
-        n_drop = min(math.ceil(cfg.drop_fraction * len(kept)), len(kept) - 3)
-        if n_drop <= 0:
-            break
+        n_drop = min(math.ceil(0.25 * len(kept)), len(kept) - 3)
         ranked = sorted(range(len(kept)),
                         key=lambda i: (-cloud.mean_distance_m(kept[i].point), i))
         drop_idx = set(ranked[:n_drop])
@@ -325,7 +322,6 @@ ORACLE_GRIDS = st.builds(
     GridSearchConfig,
     eps0_m=st.sampled_from([8_000.0, 20_000.0, 60_000.0]),
     eps_min_m=st.sampled_from([500.0, 2_000.0]),
-    extent=st.integers(1, 3),
 )
 
 
@@ -379,20 +375,12 @@ def test_grid_center_matches_scalar_oracle(points, cfg):
     assert bits(grid_center(points, cfg)) == bits(scalar_grid_center(points, cfg))
 
 
-@settings(max_examples=30, deadline=None)
-@given(points=ORACLE_CLOUDS, cfg=ORACLE_GRIDS, seed=st.one_of(ANYWHERE, NEAR_POLE))
-def test_grid_center_from_seed_matches_scalar_oracle(points, cfg, seed):
-    assert bits(grid_center(points, cfg, seed)) == bits(scalar_grid_center(points, cfg, seed))
-
-
 @settings(max_examples=40, deadline=None)
-@given(points=ORACLE_CLOUDS, cfg=ORACLE_GRIDS,
-       filter_cfg=st.builds(FilterConfig, rounds=st.integers(1, 3),
-                            drop_fraction=st.sampled_from([0.1, 0.25, 0.5])))
-def test_filter_outliers_matches_scalar_oracle(points, cfg, filter_cfg):
+@given(points=ORACLE_CLOUDS, cfg=ORACLE_GRIDS)
+def test_filter_outliers_matches_scalar_oracle(points, cfg):
     cands = [cand(p.lat, p.lon, pair=(f"a{i}", "b")) for i, p in enumerate(points)]
-    kept, dropped = filter_outliers(cands, filter_cfg, cfg)
-    ref_kept, ref_dropped = scalar_filter_outliers(cands, filter_cfg, cfg)
+    kept, dropped = filter_outliers(cands, cfg)
+    ref_kept, ref_dropped = scalar_filter_outliers(cands, cfg)
     # Identity, not equality: duplicate points must keep their input order.
     assert [id(c) for c in kept] == [id(c) for c in ref_kept]
     assert [id(c) for c in dropped] == [id(c) for c in ref_dropped]

@@ -87,10 +87,15 @@ def test_initial_bearing_due_east():
 
 
 def test_circle_radius_bounds():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="negative radius"):
         GeoCircle(GeoPoint(0, 0), -1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="past the antipode"):
         GeoCircle(GeoPoint(0, 0), math.pi * EARTH_RADIUS_M * 1.01)
+    # NaN passed both range tests when they tested for the invalid range.
+    with pytest.raises(ValueError, match="not a number"):
+        GeoCircle(GeoPoint(0, 0), math.nan)
+    GeoCircle(GeoPoint(0, 0), 0.0)
+    GeoCircle(GeoPoint(0, 0), math.pi * EARTH_RADIUS_M)
 
 
 def km_apart_circles(d_km, r1_km, r2_km):

@@ -29,6 +29,7 @@ from latloc.placement import (
     two_approx,
 )
 from latloc.simulator import (
+    PROPAGATION_SPEED_KM_MS,
     DelayParams,
     OffGraphTarget,
     SimWorld,
@@ -181,7 +182,7 @@ def ref_simulate_measurement(world, src, dst):
     hops = len(path) - 1 + extra_hops
     length_km = ref_path_length_km(t, path) + extra_km
     delay = world.delay
-    oneway_ms = length_km / delay.propagation_speed_km_ms + delay.per_hop_ms * hops
+    oneway_ms = length_km / PROPAGATION_SPEED_KM_MS + delay.per_hop_ms * hops
     rng = _derived_rng(world.rng_seed, src, dst_key)
     samples = []
     for _ in range(delay.samples_per_probe):

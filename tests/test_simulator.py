@@ -30,7 +30,7 @@ def two_node_world(d_km=1000.0, **delay_kwargs):
     return SimWorld(t, rng_seed=1, delay=DelayParams(**delay_kwargs))
 
 
-@pytest.mark.parametrize("field", ["propagation_speed_km_ms", "per_hop_ms", "stochastic_mean_ms"])
+@pytest.mark.parametrize("field", ["per_hop_ms", "stochastic_mean_ms"])
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_delay_params_reject_non_finite(field, bad):
     with pytest.raises(ValueError, match="finite"):
@@ -72,7 +72,7 @@ def test_generate_grows_radius_until_connected():
     assert len(t.positions) == 30
 
     with pytest.raises(SimulationError, match="radius growths"):
-        generate_topology(30, EUROPE_BBOX, 1.0, seed=2, max_growth_steps=3)
+        generate_topology(30, EUROPE_BBOX, 1.0, seed=2)
 
 
 def test_generate_rejects_zero_nodes():

@@ -4,7 +4,9 @@ import pytest
 
 from latloc.errors import TopologyError
 from latloc.geodesy import GeoPoint
+from latloc.placement import objective_key, place_orientation_mark
 from latloc.topology import (
+    Topology,
     all_pairs_hops,
     assign_to_closest,
     build_topology,
@@ -137,6 +139,25 @@ def test_triangle_inequality_over_sampled_graphs():
             for v in t.node_ids:
                 for w in t.node_ids:
                     assert hops[u][v] <= hops[u][w] + hops[w][v]
+
+
+def test_hop_queries_reject_unreachable_nodes():
+    # Topology() itself skips build_topology's connectivity check. csgraph
+    # reports an unreachable node as inf, which cast to int32 as -2**31 and
+    # made a's closest landmark c.
+    t = Topology(
+        positions={nid: GeoPoint(0.0, float(i)) for i, nid in enumerate("abcd")},
+        adjacency={"a": ("b",), "b": ("a",), "c": ("d",), "d": ("c",)},
+    )
+    message = r"unreachable from 'a': \['c', 'd'\]"
+    with pytest.raises(TopologyError, match=message):
+        t.hop_rows([0])
+    with pytest.raises(TopologyError, match=message):
+        objective_key(t, ["a"])
+    with pytest.raises(TopologyError, match="disconnected"):
+        assign_to_closest(t, ["a", "c"])
+    with pytest.raises(TopologyError, match="disconnected"):
+        place_orientation_mark(t)
 
 
 def test_unknown_source_rejected():
