@@ -16,7 +16,6 @@ from pathlib import Path
 from .errors import LatlocError, UsageError
 from .estimation import GridSearchConfig, estimate_target
 from .geodesy import GeoPoint, orthodromic_distance
-from .geoformats import estimate_to_geojson
 from .lateration import DEFAULT_GAP_MAX_KM, LandmarkCircle, build_circle
 from .latency import (
     DEFAULT_PER_HOP_MS,
@@ -79,6 +78,9 @@ def cmd_place(args) -> int:
 def cmd_fit(args) -> int:
     t = _load_topology(args)
     ls = landmark_set_from_json(_read(args.landmarks))
+    for lm in ls.landmarks:
+        if lm not in t.positions:
+            raise UsageError(f"landmark {lm!r} not in topology")
     measurements = measurements_from_csv(_read(args.measurements))
     models = calibrate_all(ls.landmarks, measurements, t.positions, per_hop_ms=args.per_hop_ms)
     _write(args.out, models_to_json(models))
@@ -117,7 +119,7 @@ def cmd_locate(args) -> int:
         doc["error_km"] = orthodromic_distance(truth, estimate.point) / 1000.0
     _write(args.out, json.dumps(doc, indent=2, sort_keys=True) + "\n")
     if args.geojson:
-        _write(args.geojson, estimate_to_geojson(estimate))
+        _write(args.geojson, estimate.to_geojson())
     return 0
 
 

@@ -46,12 +46,14 @@ class EstimatedLocation:
     mean_residual_km: float
 
     def to_dict(self) -> dict:
-        """The JSON document of to_json, as plain dicts, lists and floats."""
+        """The estimate and its kept and dropped candidates as plain dicts,
+        lists and floats: the document `latloc locate` writes. Every
+        candidate counts equally, so each carries weight 1.0."""
         def cand(c: CandidatePoint) -> dict:
             return {
                 "lat": c.point.lat, "lon": c.point.lon,
                 "source_pair": list(c.source_pair), "case_tag": c.case_tag,
-                "weight": c.weight,
+                "weight": 1.0,
             }
         return {
             "estimate": {"lat": self.point.lat, "lon": self.point.lon},
@@ -60,8 +62,24 @@ class EstimatedLocation:
             "mean_residual_km": self.mean_residual_km,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
+    def to_geojson(self) -> str:
+        """A FeatureCollection any map viewer can render: the estimate, then
+        the kept and the dropped candidates, as Point features."""
+        def feature(point: GeoPoint, properties: dict) -> dict:
+            return {
+                "type": "Feature",
+                "geometry": {"type": "Point", "coordinates": [point.lon, point.lat]},
+                "properties": properties,
+            }
+        features = [feature(self.point, {"kind": "estimate",
+                                         "mean_residual_km": self.mean_residual_km})]
+        for status, points in (("kept", self.kept_points), ("dropped", self.dropped_points)):
+            features.extend(feature(c.point, {
+                "kind": "candidate", "status": status,
+                "case_tag": c.case_tag, "source_pair": list(c.source_pair),
+            }) for c in points)
+        doc = {"type": "FeatureCollection", "features": features}
+        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 class _Cloud:

@@ -256,14 +256,23 @@ def models_to_json(models: dict[str, LatencyModel]) -> str:
 
 
 def models_from_json(data: str) -> dict[str, LatencyModel]:
-    """Parse a models file. json accepts NaN and Infinity literals, so a
-    non-finite parameter is rejected here, naming its landmark."""
+    """Parse a models file, naming the landmark of a missing or malformed
+    entry. json accepts NaN and Infinity literals, so a non-finite
+    parameter is rejected here too."""
+    doc = json.loads(data)
+    if not isinstance(doc, dict):
+        raise ValueError(f"models JSON must be an object, got {type(doc).__name__}")
     models = {}
-    for lm, v in json.loads(data).items():
-        model = LatencyModel(
-            p=float(v["p"]), q=float(v["q"]), n=float(v["n"]), m=float(v["m"]),
-            fit_rss=float(v["fit_rss"]), sample_count=int(v["sample_count"]),
-        )
+    for lm, v in doc.items():
+        try:
+            model = LatencyModel(
+                p=float(v["p"]), q=float(v["q"]), n=float(v["n"]), m=float(v["m"]),
+                fit_rss=float(v["fit_rss"]), sample_count=int(v["sample_count"]),
+            )
+        except KeyError as exc:
+            raise ValueError(f"model for landmark {lm!r} has no entry {exc}") from None
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ValueError(f"model for landmark {lm!r} is malformed: {exc}") from None
         if not all(math.isfinite(x) for x in (model.p, model.q, model.n, model.m, model.fit_rss)):
             raise ValueError(f"model for landmark {lm!r} has non-finite parameters")
         models[lm] = model

@@ -40,7 +40,6 @@ class CandidatePoint:
     point: GeoPoint
     source_pair: tuple[str, str]
     case_tag: str  # midpoint_gap | contained_tangent | tangent | pair_branch
-    weight: float = 1.0
 
 
 @dataclass(frozen=True)

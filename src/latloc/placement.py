@@ -49,13 +49,25 @@ class LandmarkSet:
 
 
 def landmark_set_from_json(data: str) -> LandmarkSet:
+    """Parse a landmark set file, naming a missing or malformed entry."""
     doc = json.loads(data)
-    return LandmarkSet(
-        landmarks=tuple(doc["landmarks"]),
-        assignment=dict(doc["assignment"]),
-        max_hop=int(doc["objective"]["max_hop"]),
-        mean_hop=float(doc["objective"]["mean_hop"]),
-    )
+    if not isinstance(doc, dict):
+        raise ValueError(f"landmark set JSON must be an object, got {type(doc).__name__}")
+    try:
+        ls = LandmarkSet(
+            landmarks=tuple(doc["landmarks"]),
+            assignment=dict(doc["assignment"]),
+            max_hop=int(doc["objective"]["max_hop"]),
+            mean_hop=float(doc["objective"]["mean_hop"]),
+        )
+    except KeyError as exc:
+        raise ValueError(f"landmark set JSON has no entry {exc}") from None
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"landmark set JSON has a malformed entry: {exc}") from None
+    for lm in ls.landmarks:
+        if not isinstance(lm, str):
+            raise ValueError(f"landmark set JSON has a non-string landmark {lm!r}")
+    return ls
 
 
 def _key(closest: np.ndarray) -> ObjectiveKey:
@@ -135,7 +147,7 @@ def refine(t: Topology, ls: LandmarkSet, *, move_log: list | None = None) -> Lan
         moved = False
         for i in range(len(landmarks)):
             occupied = set(landmarks)
-            free = [c for c in t.neighbors(landmarks[i]) if c not in occupied]
+            free = [c for c in t.adjacency[landmarks[i]] if c not in occupied]
             if not free:
                 continue
             # Hops to the closest of the other landmarks, then every trial
@@ -161,11 +173,9 @@ def refine(t: Topology, ls: LandmarkSet, *, move_log: list | None = None) -> Lan
     return _make_set(t, landmarks)
 
 
-def dragoon_place(t: Topology, k: int, move_log: list | None = None) -> LandmarkSet:
+def dragoon_place(t: Topology, k: int) -> LandmarkSet:
     """Full placement pipeline: orientation mark, farthest-point init, refinement."""
-    mark = place_orientation_mark(t)
-    initial = two_approx(t, k, mark)
-    return refine(t, initial, move_log=move_log)
+    return refine(t, two_approx(t, k, place_orientation_mark(t)))
 
 
 PLACEMENT_ALGORITHMS = ("dragoon", "two_approx")

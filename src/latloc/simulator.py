@@ -6,9 +6,10 @@ along the shortest-hop path plus per-hop processing) and optional
 exponential stochastic excess, and runs full placement/calibration/
 localization experiments against known ground truth.
 
-A probe reads its hop count and path length from the topology's cached BFS
-tree rooted at the probing landmark (`Topology.tree`), so each landmark
-costs one BFS however many targets it probes.
+A probe runs between two graph nodes and reads its hop count and path
+length from the topology's cached BFS tree rooted at the probing landmark
+(`Topology.tree`), so each landmark costs one BFS however many targets it
+probes.
 """
 
 from __future__ import annotations
@@ -63,15 +64,6 @@ class SimWorld:
     topology: Topology
     rng_seed: int
     delay: DelayParams = field(default_factory=DelayParams)
-
-
-@dataclass(frozen=True)
-class OffGraphTarget:
-    """A target not on the graph; it attaches to the nearest node through a
-    virtual last-mile hop."""
-
-    target_id: str
-    point: GeoPoint
 
 
 def generate_topology(n_nodes: int, bbox: tuple[float, float, float, float],
@@ -135,38 +127,19 @@ def shortest_hop_path(t: Topology, src: str, dst: str) -> list[str]:
     return [t.ids[i] for i in tree.path_to(j)]
 
 
-def _nearest_node(t: Topology, point: GeoPoint) -> tuple[str, float]:
-    best = min(
-        t.node_ids,
-        key=lambda nid: (orthodromic_distance(t.positions[nid], point), nid),
-    )
-    return best, orthodromic_distance(t.positions[best], point) / 1000.0
-
-
-def simulate_measurement(world: SimWorld, src: str,
-                         dst: str | OffGraphTarget) -> Measurement:
+def simulate_measurement(world: SimWorld, src: str, dst: str) -> Measurement:
     """One probe: samples_per_probe RTT draws plus the traced hop count.
 
     Each RTT sample is twice the deterministic one-way delay plus one
     stochastic draw per direction, so every sample is at least the
     deterministic floor.
     """
-    t = world.topology
-    if isinstance(dst, OffGraphTarget):
-        attach, extra_km = _nearest_node(t, dst.point)
-        extra_hops = 1
-        dst_key = dst.target_id
-    else:
-        attach, extra_km, extra_hops = dst, 0.0, 0
-        dst_key = dst
-
-    tree, j = _tree_to(t, src, attach)
-    hops = tree.hops[j] + extra_hops
-    length_km = tree.km[j] + extra_km
+    tree, j = _tree_to(world.topology, src, dst)
+    hops = tree.hops[j]
     delay = world.delay
-    oneway_ms = length_km / PROPAGATION_SPEED_KM_MS + delay.per_hop_ms * hops
+    oneway_ms = tree.km[j] / PROPAGATION_SPEED_KM_MS + delay.per_hop_ms * hops
 
-    rng = _derived_rng(world.rng_seed, src, dst_key)
+    rng = _derived_rng(world.rng_seed, src, dst)
     samples = []
     for _ in range(delay.samples_per_probe):
         noise = 0.0
@@ -177,7 +150,7 @@ def simulate_measurement(world: SimWorld, src: str,
     # Measurement requires positive samples; a zero-delay self-probe still
     # carries an epsilon of processing time.
     samples = [max(s, 1e-9) for s in samples]
-    return Measurement(landmark_id=src, target_id=dst_key,
+    return Measurement(landmark_id=src, target_id=dst,
                        rtt_samples_ms=tuple(samples), hop_count=hops)
 
 

@@ -23,8 +23,6 @@ from scipy.sparse import csgraph, csr_array
 from .errors import TopologyError
 from .geodesy import GeoPoint, orthodromic_distance
 
-HopMatrix = dict[str, dict[str, int]]
-
 # Sources per csgraph call when every node's hop row is needed once, so
 # memory stays O(block * n) rather than O(n^2).
 ROW_BLOCK = 256
@@ -79,13 +77,6 @@ class Topology:
     @property
     def node_ids(self) -> list[str]:
         return list(self.ids)
-
-    @property
-    def edge_count(self) -> int:
-        return self.csr.nnz // 2
-
-    def neighbors(self, node_id: str) -> tuple[str, ...]:
-        return self.adjacency[node_id]
 
     def index_of(self, node_id: str) -> int:
         try:
@@ -202,6 +193,10 @@ def load_topology_json(data: bytes | str) -> Topology:
         raise TopologyError(f"topology JSON parse error: {exc}") from exc
     if not isinstance(doc, dict) or "nodes" not in doc or "edges" not in doc:
         raise TopologyError("topology JSON must contain 'nodes' and 'edges'")
+    for key in ("nodes", "edges"):
+        if not isinstance(doc[key], list):
+            raise TopologyError(f"topology JSON {key!r} must be a list, "
+                                f"got {type(doc[key]).__name__}")
     nodes = []
     for i, entry in enumerate(doc["nodes"]):
         try:
@@ -256,7 +251,7 @@ def topology_to_json(t: Topology) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def hop_distances(t: Topology, sources: Iterable[str]) -> HopMatrix:
+def hop_distances(t: Topology, sources: Iterable[str]) -> dict[str, dict[str, int]]:
     """Hop counts from each source to every node, as nested dicts (a view
     of the cached hop rows)."""
     indices = [t.index_of(src) for src in sources]
@@ -275,8 +270,3 @@ def assign_to_closest(t: Topology, landmarks: Iterable[str]) -> dict[str, str]:
     # Rows in ascending id order, so argmin's first-wins picks the smallest id.
     closest = t.hop_rows([t.index_of(lm) for lm in landmark_ids]).argmin(axis=0)
     return {node: landmark_ids[j] for node, j in zip(t.ids, closest.tolist())}
-
-
-def all_pairs_hops(t: Topology) -> HopMatrix:
-    """Hop counts between every pair of nodes."""
-    return hop_distances(t, t.node_ids)

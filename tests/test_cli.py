@@ -98,6 +98,58 @@ def test_fit_malformed_csv_names_line(world_files, tmp_path, capsys):
     assert "line 2" in capsys.readouterr().err
 
 
+MALFORMED_INPUTS = [
+    ("place", "--topology", '{"nodes": 5, "edges": []}', "'nodes' must be a list, got int"),
+    ("place", "--topology", '{"nodes": [{"id": "a", "lat": 0, "lon": 0}], "edges": 7}',
+     "'edges' must be a list, got int"),
+    ("fit", "--landmarks", '{"foo": 1}', "landmark set JSON has no entry 'landmarks'"),
+    ("fit", "--landmarks", "[1, 2]", "landmark set JSON must be an object, got list"),
+    ("fit", "--landmarks", '{"landmarks": [7], "assignment": {}, '
+     '"objective": {"max_hop": 0, "mean_hop": 0}}', "non-string landmark 7"),
+    ("locate", "--models", '{"a": {"p": 1}}', "model for landmark 'a' has no entry 'q'"),
+    ("locate", "--models", "[]", "models JSON must be an object, got list"),
+]
+
+
+@pytest.mark.parametrize("command, flag, content, message", MALFORMED_INPUTS, ids=[
+    "nodes-not-list", "edges-not-list", "no-landmarks-entry", "landmarks-not-object",
+    "non-string-landmark", "model-missing-q", "models-not-object"])
+def test_malformed_input_file_is_error_not_traceback(world_files, tmp_path, capsys,
+                                                      command, flag, content, message):
+    bad = tmp_path / "bad.json"
+    bad.write_text(content)
+    files = {
+        "--topology": world_files / "topology.json",
+        "--landmarks": world_files / "landmarks.json",
+        "--measurements": world_files / ("mesh.csv" if command == "fit" else "target.csv"),
+        flag: bad,
+    }
+    needed = {"place": ["--topology"], "fit": ["--topology", "--landmarks", "--measurements"],
+              "locate": ["--topology", "--models", "--measurements"]}[command]
+    argv = [command, "--k", 3] if command == "place" else [command]
+    for f in needed:
+        argv += [f, files[f]]
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert message in err
+    assert "Traceback" not in err
+
+
+def test_fit_rejects_landmark_not_in_topology(world_files, tmp_path, capsys):
+    doc = json.loads((world_files / "landmarks.json").read_text())
+    doc["landmarks"].append("ghost")
+    landmarks = tmp_path / "landmarks.json"
+    landmarks.write_text(json.dumps(doc))
+    mesh = tmp_path / "mesh.csv"
+    first = doc["landmarks"][0]
+    mesh.write_text((world_files / "mesh.csv").read_text() + f"ghost,{first},3,10.0\n")
+    code = run(["fit", "--topology", world_files / "topology.json",
+                "--landmarks", landmarks, "--measurements", mesh])
+    assert code == 1
+    assert capsys.readouterr().err == "error: landmark 'ghost' not in topology\n"
+
+
 def test_locate_end_to_end_error_under_5km(world_files, tmp_path):
     models = tmp_path / "models.json"
     assert run(["fit", "--topology", world_files / "topology.json",

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 
@@ -230,9 +231,9 @@ def test_estimate_serializes():
     target = GeoPoint(50.0, 12.0)
     circles = exact_circles(target, [GeoPoint(45, 5), GeoPoint(55, 15), GeoPoint(45, 20)])
     result = estimate_target(circles, FAST_GRID)
-    import json
-    doc = json.loads(result.to_json())
+    doc = result.to_dict()
     assert set(doc) == {"estimate", "kept_points", "dropped_points", "mean_residual_km"}
+    assert json.loads(json.dumps(doc)) == doc
 
 
 # ---------------------------------------------------------------------------

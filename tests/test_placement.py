@@ -12,7 +12,7 @@ from latloc.placement import (
     refine,
     two_approx,
 )
-from latloc.topology import all_pairs_hops, build_topology, load_topology_json
+from latloc.topology import build_topology, hop_distances, load_topology_json
 from conftest import path_graph, random_connected_graph
 
 
@@ -27,7 +27,7 @@ def brute_force_k_center(t, k):
 
 
 def brute_force_one_center(t):
-    hops = all_pairs_hops(t)
+    hops = hop_distances(t, t.node_ids)
     return min(
         t.node_ids,
         key=lambda u: (max(hops[u].values()), sum(hops[u].values()), u),
@@ -114,7 +114,7 @@ def test_refine_moves_strictly_decrease():
     for seed in range(6):
         t = random_connected_graph(13, 0.2, seed=seed)
         log = []
-        dragoon_place(t, 3, move_log=log)
+        refine(t, two_approx(t, 3, place_orientation_mark(t)), move_log=log)
         for before, after in log:
             assert after < before
 
@@ -156,7 +156,7 @@ def test_dragoon_within_factor_two_of_optimum():
 def test_objective_consistent_with_assignment():
     t = random_connected_graph(12, 0.2, seed=3)
     ls = dragoon_place(t, 3)
-    hops = all_pairs_hops(t)
+    hops = hop_distances(t, t.node_ids)
     dists = [hops[ls.assignment[node]][node] for node in t.node_ids]
     assert ls.max_hop == max(dists)
     assert ls.mean_hop == pytest.approx(sum(dists) / len(dists))

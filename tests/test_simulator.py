@@ -9,7 +9,6 @@ from latloc import simulator
 from latloc.geodesy import GeoPoint, orthodromic_distance
 from latloc.simulator import (
     DelayParams,
-    OffGraphTarget,
     SimWorld,
     calibration_mesh,
     generate_topology,
@@ -45,7 +44,7 @@ def test_run_experiment_rejects_non_finite_gap():
 def test_generate_single_node():
     t = generate_topology(1, EUROPE_BBOX, 400, seed=1)
     assert len(t.positions) == 1
-    assert t.edge_count == 0
+    assert t.adjacency == {t.node_ids[0]: ()}
 
 
 def test_generate_deterministic():
@@ -59,7 +58,7 @@ def test_generate_connected_europe_fixture():
     assert len(t.positions) == 100
     # Degree profile locked after first generation; a change means the
     # generator's determinism broke.
-    mean_degree = 2 * t.edge_count / 100
+    mean_degree = sum(len(nbrs) for nbrs in t.adjacency.values()) / 100
     assert mean_degree == pytest.approx(8.12, abs=0.01)
     for p in t.positions.values():
         assert 35 <= p.lat <= 60
@@ -146,23 +145,13 @@ def test_hop_count_consistent_with_bfs():
         assert m.hop_count == hops[dst]
 
 
-def test_off_graph_target_attaches_last_mile():
-    w = two_node_world(d_km=1000.0)
-    off = OffGraphTarget("tgt", GeoPoint(50.0, 8.2))  # near node a
-    m = simulate_measurement(w, "b", off)
-    assert m.target_id == "tgt"
-    assert m.hop_count == 2  # b->a plus the virtual last-mile hop
-    direct = simulate_measurement(w, "b", "a")
-    assert m.min_rtt_ms > direct.min_rtt_ms
-
-
 def test_shortest_hop_path_endpoints():
     t = generate_topology(30, EUROPE_BBOX, 800, seed=3)
     src, dst = t.node_ids[0], t.node_ids[-1]
     path = shortest_hop_path(t, src, dst)
     assert path[0] == src and path[-1] == dst
     for u, v in zip(path, path[1:]):
-        assert v in t.neighbors(u)
+        assert v in t.adjacency[u]
 
 
 def noiseless_world(n=40, radius=6000, seed=4):

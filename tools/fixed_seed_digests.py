@@ -17,7 +17,9 @@ outputs are, with S running over SEEDS:
 - fit/locate_k16: `latloc fit` on the locate_k16 world (the place world,
   k=16 dragoon landmarks, 2 ms noise, world seed 0) and its calibration mesh;
 - locate_k16/seed{S}: all 200 `latloc locate` outputs on that world and
-  those models, with probe-noise seed S, hashed in target order.
+  those models, with probe-noise seed S, hashed in target order;
+- locate_k16_geojson/seed{S}: the `--geojson` outputs of the same 200 calls,
+  hashed in target order.
 
 CLI commands run in process through latloc.cli.main, with their summary
 lines on stdout discarded. --root selects the checkout whose src/ is
@@ -117,21 +119,23 @@ def main(argv=None) -> int:
                           out="")["out"]
         free = [nid for nid in t300.node_ids if nid not in set(landmarks)]
         targets = sorted(random.Random(0).sample(free, 200))
-        csv_path, out_path = d / "probes.csv", d / "locate.json"
+        csv_path, out_path, geo_path = d / "probes.csv", d / "locate.json", d / "locate.geojson"
         for s in SEEDS:
             probe_world = SimWorld(t300, s, world.delay)
-            h = hashlib.sha256()
+            h, h_geo = hashlib.sha256(), hashlib.sha256()
             for target in targets:
                 probes = [simulate_measurement(probe_world, lm, target) for lm in landmarks]
                 csv_path.write_text(measurements_to_csv(probes), encoding="utf-8")
                 p = t300.positions[target]
                 argv = ["locate", "--topology", str(topo_path), "--models", str(models_path),
                         "--measurements", str(csv_path), "--truth", f"{p.lat!r},{p.lon!r}",
-                        "--out", str(out_path)]
+                        "--out", str(out_path), "--geojson", str(geo_path)]
                 if cli(argv) != 0:
                     raise SystemExit(f"latloc locate failed for {target}")
                 h.update(out_path.read_bytes())
+                h_geo.update(geo_path.read_bytes())
             digests[f"locate_k16/seed{s}"] = h.hexdigest()
+            digests[f"locate_k16_geojson/seed{s}"] = h_geo.hexdigest()
 
     print(json.dumps(digests, sort_keys=True))
     return 0
