@@ -4,17 +4,23 @@ Subcommands: place, fit, locate, simulate, eval. Exit codes: 0 on success,
 1 on validation/usage failure, 2 on I/O failure. All randomness comes from
 explicit --seed flags with fixed defaults, so repeated runs are
 byte-identical.
+
+`locate` reads only the node positions from the topology file: a node fault
+fails it as it fails `place`, but the edges are not parsed. Graph validation
+(dangling, duplicate and self-loop edges, connectivity) happens in `place`
+and `fit`. `main` builds its parser once per process, on its first call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
 
 from .errors import LatlocError, UsageError
-from .estimation import GridSearchConfig, estimate_target
+from .estimation import GridSearchConfig, estimate_document_json, estimate_target
 from .geodesy import GeoPoint, orthodromic_distance
 from .lateration import DEFAULT_GAP_MAX_KM, LandmarkCircle, build_circle
 from .latency import (
@@ -32,7 +38,13 @@ from .simulator import (
     generate_topology,
     run_experiment,
 )
-from .topology import load_topology_edgelist, load_topology_json, topology_to_json
+from .topology import (
+    load_positions_edgelist,
+    load_positions_json,
+    load_topology_edgelist,
+    load_topology_json,
+    topology_to_json,
+)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -51,12 +63,24 @@ def _write(path: str | None, content: str) -> None:
         Path(path).write_text(content, encoding="utf-8")
 
 
+def _topology_texts(args) -> tuple[str, str | None]:
+    """The topology file's text, and its node sidecar's in the edge-list format."""
+    if args.format != "edge-list":
+        return _read(args.topology), None
+    if not args.nodes:
+        raise UsageError("edge-list format requires --nodes sidecar file")
+    return _read(args.topology), _read(args.nodes)
+
+
 def _load_topology(args) -> "Topology":
-    if args.format == "edge-list":
-        if not args.nodes:
-            raise UsageError("edge-list format requires --nodes sidecar file")
-        return load_topology_edgelist(_read(args.topology), _read(args.nodes))
-    return load_topology_json(_read(args.topology))
+    text, nodes = _topology_texts(args)
+    return load_topology_json(text) if nodes is None else load_topology_edgelist(text, nodes)
+
+
+def _load_positions(args) -> dict[str, GeoPoint]:
+    """The topology's node positions, its edges left unread."""
+    text, nodes = _topology_texts(args)
+    return load_positions_json(text) if nodes is None else load_positions_edgelist(nodes)
 
 
 def _grid_cfg(args) -> GridSearchConfig:
@@ -90,18 +114,25 @@ def cmd_fit(args) -> int:
 
 
 def cmd_locate(args) -> int:
-    t = _load_topology(args)
+    truth = None
+    if args.truth:
+        try:
+            lat_s, lon_s = args.truth.split(",")
+            truth = GeoPoint(float(lat_s), float(lon_s))
+        except ValueError as exc:
+            raise UsageError(f"--truth must be 'lat,lon': {exc}") from exc
+    positions = _load_positions(args)
     models = models_from_json(_read(args.models))
     measurements = measurements_from_csv(_read(args.measurements))
     circles = []
     for m in measurements:
         if m.landmark_id not in models:
             raise UsageError(f"no model for landmark {m.landmark_id!r}")
-        if m.landmark_id not in t.positions:
+        if m.landmark_id not in positions:
             raise UsageError(f"landmark {m.landmark_id!r} not in topology")
         circles.append(LandmarkCircle(
             m.landmark_id,
-            build_circle(t.positions[m.landmark_id], models[m.landmark_id], m,
+            build_circle(positions[m.landmark_id], models[m.landmark_id], m,
                          per_hop_ms=args.per_hop_ms),
         ))
     if len(circles) < 2:
@@ -109,15 +140,10 @@ def cmd_locate(args) -> int:
     estimate = estimate_target(circles, _grid_cfg(args), gap_max_km=args.gap_max_km)
 
     doc = estimate.to_dict()
-    if args.truth:
-        try:
-            lat_s, lon_s = args.truth.split(",")
-            truth = GeoPoint(float(lat_s), float(lon_s))
-        except ValueError as exc:
-            raise UsageError(f"--truth must be 'lat,lon': {exc}") from exc
+    if truth is not None:
         doc["truth"] = {"lat": truth.lat, "lon": truth.lon}
         doc["error_km"] = orthodromic_distance(truth, estimate.point) / 1000.0
-    _write(args.out, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    _write(args.out, estimate_document_json(doc))
     if args.geojson:
         _write(args.geojson, estimate.to_geojson())
     return 0
@@ -228,7 +254,8 @@ def _add_world_args(p) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="latloc", description=__doc__)
+    # The first two paragraphs of the module docstring are the help text.
+    parser = _Parser(prog="latloc", description="\n\n".join(__doc__.split("\n\n")[:2]))
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("place", help="choose landmark positions on a topology")
@@ -236,7 +263,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--algorithm", choices=list(PLACEMENT_ALGORITHMS), default="dragoon")
     p.add_argument("--out")
-    p.set_defaults(func=cmd_place)
 
     p = sub.add_parser("fit", help="fit per-landmark latency-distance models")
     _add_topology_args(p)
@@ -244,7 +270,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--measurements", required=True, help="inter-landmark CSV")
     p.add_argument("--per-hop-ms", type=float, default=DEFAULT_PER_HOP_MS)
     p.add_argument("--out")
-    p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("locate", help="estimate a target location from probes")
     _add_topology_args(p)
@@ -255,7 +280,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--truth", help="known target 'lat,lon' for error reporting")
     p.add_argument("--out")
     p.add_argument("--geojson", help="also write the cloud as GeoJSON")
-    p.set_defaults(func=cmd_locate)
 
     p = sub.add_parser("simulate", help="run one simulated experiment")
     _add_world_args(p)
@@ -263,7 +287,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_grid_args(p)
     p.add_argument("--topology-out", help="also write the generated topology JSON")
     p.add_argument("--out")
-    p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("eval", help="compare placement strategies on one world")
     _add_world_args(p)
@@ -271,16 +294,24 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated strategies to compare")
     _add_grid_args(p)
     p.add_argument("--out")
-    p.set_defaults(func=cmd_eval)
 
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser main uses: built on the first call, then reused, since
+    parse_args keeps no state between calls."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        return args.func(args)
+        args = _parser().parse_args(argv)
+        # Looked up by name when it runs rather than bound into the cached
+        # parser, so a wrapper set on a cmd_* global later (perfbench's
+        # tracer) still sees the call.
+        return globals()[f"cmd_{args.command}"](args)
     except (LatlocError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

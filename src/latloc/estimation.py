@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _string
 
 import numpy as np
 
@@ -80,6 +81,60 @@ class EstimatedLocation:
             }) for c in points)
         doc = {"type": "FeatureCollection", "features": features}
         return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def estimate_document_json(doc: dict) -> str:
+    """json.dumps(doc, indent=2, sort_keys=True) and a newline, byte for
+    byte, for the document `latloc locate` writes: EstimatedLocation.to_dict(),
+    plus "error_km" and "truth" when the target's position is known.
+
+    json's indent-2 encoder is pure Python, so this one schema has its own
+    writer. Every number in it is a float, written as json writes floats;
+    strings go through json's own ASCII escaper.
+    """
+    body = ",\n".join(f'  "{key}": {_DOCUMENT_FIELDS[key](doc[key])}' for key in sorted(doc))
+    return "{\n" + body + "\n}\n"
+
+
+def _number(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x == math.inf:
+        return "Infinity"
+    if x == -math.inf:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _latlon(p: dict) -> str:
+    return f'{{\n    "lat": {_number(p["lat"])},\n    "lon": {_number(p["lon"])}\n  }}'
+
+
+def _candidates(cands: list[dict]) -> str:
+    if not cands:
+        return "[]"
+    return "[\n" + ",\n".join(
+        f'    {{\n      "case_tag": {_string(c["case_tag"])},\n'
+        f'      "lat": {_number(c["lat"])},\n      "lon": {_number(c["lon"])},\n'
+        f'      "source_pair": {_strings(c["source_pair"])},\n'
+        f'      "weight": {_number(c["weight"])}\n    }}'
+        for c in cands) + "\n  ]"
+
+
+def _strings(items: list[str]) -> str:
+    if not items:
+        return "[]"
+    return "[\n" + ",\n".join("        " + _string(s) for s in items) + "\n      ]"
+
+
+_DOCUMENT_FIELDS = {
+    "dropped_points": _candidates,
+    "error_km": _number,
+    "estimate": _latlon,
+    "kept_points": _candidates,
+    "mean_residual_km": _number,
+    "truth": _latlon,
+}
 
 
 class _Cloud:

@@ -77,6 +77,10 @@ def generate_topology(n_nodes: int, bbox: tuple[float, float, float, float],
     """
     if n_nodes < 1:
         raise SimulationError("need at least one node")
+    # NaN fails every comparison, so test for the valid range, not the invalid one.
+    if not 0 < connection_radius_km < math.inf:
+        raise SimulationError(f"connection radius must be positive and finite, "
+                              f"got {connection_radius_km!r} km")
     lat_min, lat_max, lon_min, lon_max = bbox
     rng = random.Random(seed)
     nodes = []

@@ -9,6 +9,10 @@ ids, a CSR adjacency over them, and the node positions in id order. Every
 graph query runs on it: int hop rows from scipy's csgraph per source, and
 one BFS tree per source for path queries, each cached once computed.
 build_topology checks connectivity on the same CSR.
+
+load_positions_json and load_positions_edgelist read only the node
+positions, with the node checks of the full loaders, for a caller that never
+queries the graph.
 """
 
 from __future__ import annotations
@@ -145,13 +149,7 @@ def build_topology(nodes: Iterable[tuple[str, GeoPoint]],
     Rejects duplicate node ids, self-loops, duplicate edges, edges with
     unknown endpoints, and disconnected graphs.
     """
-    positions: dict[str, GeoPoint] = {}
-    for node_id, point in nodes:
-        if node_id in positions:
-            raise TopologyError(f"duplicate node id {node_id!r}")
-        positions[node_id] = point
-    if not positions:
-        raise TopologyError("topology has no nodes")
+    positions = _positions(nodes)
 
     adjacency: dict[str, set[str]] = {nid: set() for nid in positions}
     for u, v in edges:
@@ -181,10 +179,20 @@ def build_topology(nodes: Iterable[tuple[str, GeoPoint]],
     return topo
 
 
-def load_topology_json(data: bytes | str) -> Topology:
-    """Load the JSON topology format:
-    {"nodes": [{"id": ..., "lat": ..., "lon": ...}], "edges": [[u, v], ...]}
-    """
+def _positions(nodes: Iterable[tuple[str, GeoPoint]]) -> dict[str, GeoPoint]:
+    """Node positions by id, rejecting duplicate ids and an empty node list."""
+    positions: dict[str, GeoPoint] = {}
+    for node_id, point in nodes:
+        if node_id in positions:
+            raise TopologyError(f"duplicate node id {node_id!r}")
+        positions[node_id] = point
+    if not positions:
+        raise TopologyError("topology has no nodes")
+    return positions
+
+
+def _json_document(data: bytes | str) -> tuple[list, list]:
+    """The node and edge lists of a JSON topology, checked for shape only."""
     if isinstance(data, bytes):
         data = data.decode("utf-8")
     try:
@@ -197,24 +205,20 @@ def load_topology_json(data: bytes | str) -> Topology:
         if not isinstance(doc[key], list):
             raise TopologyError(f"topology JSON {key!r} must be a list, "
                                 f"got {type(doc[key]).__name__}")
+    return doc["nodes"], doc["edges"]
+
+
+def _json_nodes(entries: list) -> list[tuple[str, GeoPoint]]:
     nodes = []
-    for i, entry in enumerate(doc["nodes"]):
+    for i, entry in enumerate(entries):
         try:
             nodes.append((str(entry["id"]), GeoPoint(float(entry["lat"]), float(entry["lon"]))))
         except (KeyError, TypeError, ValueError) as exc:
             raise TopologyError(f"invalid node entry #{i}: {exc}") from exc
-    edges = []
-    for i, entry in enumerate(doc["edges"]):
-        if not isinstance(entry, (list, tuple)) or len(entry) != 2:
-            raise TopologyError(f"invalid edge entry #{i}: expected [u, v]")
-        edges.append((str(entry[0]), str(entry[1])))
-    return build_topology(nodes, edges)
+    return nodes
 
 
-def load_topology_edgelist(edge_text: str, node_text: str) -> Topology:
-    """Load the edge-list format: one 'u v' pair per line, with a sidecar
-    node file of 'id lat lon' lines. Blank lines and '#' comments allowed.
-    """
+def _sidecar_nodes(node_text: str) -> list[tuple[str, GeoPoint]]:
     nodes = []
     for lineno, line in enumerate(node_text.splitlines(), start=1):
         line = line.strip()
@@ -227,6 +231,28 @@ def load_topology_edgelist(edge_text: str, node_text: str) -> Topology:
             nodes.append((parts[0], GeoPoint(float(parts[1]), float(parts[2]))))
         except ValueError as exc:
             raise TopologyError(f"node file line {lineno}: {exc}") from exc
+    return nodes
+
+
+def load_topology_json(data: bytes | str) -> Topology:
+    """Load the JSON topology format:
+    {"nodes": [{"id": ..., "lat": ..., "lon": ...}], "edges": [[u, v], ...]}
+    """
+    node_entries, edge_entries = _json_document(data)
+    nodes = _json_nodes(node_entries)
+    edges = []
+    for i, entry in enumerate(edge_entries):
+        if not isinstance(entry, (list, tuple)) or len(entry) != 2:
+            raise TopologyError(f"invalid edge entry #{i}: expected [u, v]")
+        edges.append((str(entry[0]), str(entry[1])))
+    return build_topology(nodes, edges)
+
+
+def load_topology_edgelist(edge_text: str, node_text: str) -> Topology:
+    """Load the edge-list format: one 'u v' pair per line, with a sidecar
+    node file of 'id lat lon' lines. Blank lines and '#' comments allowed.
+    """
+    nodes = _sidecar_nodes(node_text)
     edges = []
     for lineno, line in enumerate(edge_text.splitlines(), start=1):
         line = line.strip()
@@ -237,6 +263,24 @@ def load_topology_edgelist(edge_text: str, node_text: str) -> Topology:
             raise TopologyError(f"edge file line {lineno}: expected 'u v'")
         edges.append((parts[0], parts[1]))
     return build_topology(nodes, edges)
+
+
+def load_positions_json(data: bytes | str) -> dict[str, GeoPoint]:
+    """The node positions of a JSON topology, without its graph.
+
+    The document shape and the node entries are checked as
+    load_topology_json checks them, with the same messages, and so are
+    duplicate ids and an empty node list. The edge entries are not read:
+    no Topology is built, so nothing checks that the graph is simple and
+    connected.
+    """
+    return _positions(_json_nodes(_json_document(data)[0]))
+
+
+def load_positions_edgelist(node_text: str) -> dict[str, GeoPoint]:
+    """The node positions of an edge-list topology, read from its sidecar
+    node file only, checked as load_topology_edgelist checks them."""
+    return _positions(_sidecar_nodes(node_text))
 
 
 def topology_to_json(t: Topology) -> str:

@@ -335,3 +335,157 @@ def test_edge_list_format(tmp_path):
                 "--k", 1, "--out", out])
     assert code == 0
     assert json.loads(out.read_text())["landmarks"] == ["b"]
+
+
+@pytest.mark.parametrize("command", ["simulate", "eval"])
+@pytest.mark.parametrize("radius", ["nan", "-5", "0", "inf"])
+def test_simulate_and_eval_reject_bad_radius(tmp_path, capsys, command, radius):
+    # It used to fail only after 12 radius growths, with a misleading message.
+    out = tmp_path / "out.json"
+    code = run([command, "--n-nodes", 10, "--k", 3, "--n-targets", 2,
+                "--radius-km", radius, "--out", out])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"error: connection radius must be positive and finite, got {float(radius)!r} km\n")
+    assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def models_file(world_files):
+    models = world_files / "models.json"
+    assert _fit_models(world_files, models) == 0
+    return models
+
+
+def _topology_args(doc: dict, root: Path, fmt: str) -> list:
+    """--topology flags for doc, written in the given format under root."""
+    if fmt == "json":
+        (root / "topology.json").write_text(json.dumps(doc))
+        return ["--topology", root / "topology.json"]
+    (root / "nodes.txt").write_text(
+        "".join(" ".join(str(n[key]) for key in ("id", "lat", "lon") if key in n) + "\n"
+                for n in doc["nodes"]))
+    (root / "edges.txt").write_text("".join(f"{u} {v}\n" for u, v in doc["edges"]))
+    return ["--topology", root / "edges.txt", "--format", "edge-list",
+            "--nodes", root / "nodes.txt"]
+
+
+def _locate(world_files, models, topology_args, out):
+    return run(["locate", *topology_args, "--models", models,
+                "--measurements", world_files / "target.csv", "--out", out])
+
+
+def _topology_doc(world_files) -> dict:
+    return json.loads((world_files / "topology.json").read_text())
+
+
+def _edge_faults(doc: dict) -> dict:
+    first = doc["nodes"][0]["id"]
+    return {
+        "disconnected": {**doc, "edges": [e for e in doc["edges"] if first not in e]},
+        "dangling": {**doc, "edges": doc["edges"] + [[first, "ghost"]]},
+        "duplicated": {**doc, "edges": doc["edges"] + [doc["edges"][0]]},
+    }
+
+
+def _node_faults(doc: dict) -> dict:
+    nodes = doc["nodes"]
+    no_lon = {k: v for k, v in nodes[0].items() if k != "lon"}
+    return {
+        "duplicate-id": {**doc, "nodes": nodes + [nodes[0]]},
+        "lat-91": {**doc, "nodes": [{**nodes[0], "lat": 91}] + nodes[1:]},
+        "missing-lon": {**doc, "nodes": [no_lon] + nodes[1:]},
+        "nodes-not-list": {**doc, "nodes": 5},
+        "no-nodes": {**doc, "nodes": []},
+    }
+
+
+@pytest.mark.parametrize("fmt", ["json", "edge-list"])
+@pytest.mark.parametrize("fault", ["disconnected", "dangling", "duplicated"])
+def test_locate_does_not_read_topology_edges(world_files, models_file, tmp_path, capsys,
+                                             fmt, fault):
+    # locate reads node positions only; place and fit validate the graph.
+    doc = _topology_doc(world_files)
+    (tmp_path / "valid").mkdir()
+    (tmp_path / "faulty").mkdir()
+    valid = _topology_args(doc, tmp_path / "valid", fmt)
+    faulty = _topology_args(_edge_faults(doc)[fault], tmp_path / "faulty", fmt)
+    assert run(["place", *faulty, "--k", 3]) == 1
+    capsys.readouterr()
+    assert _locate(world_files, models_file, valid, tmp_path / "valid.json") == 0
+    assert _locate(world_files, models_file, faulty, tmp_path / "faulty.json") == 0
+    assert (tmp_path / "faulty.json").read_bytes() == (tmp_path / "valid.json").read_bytes()
+
+
+# The node sidecar of the edge-list format has no JSON shape to get wrong.
+NODE_FAULTS = [(fmt, fault) for fmt in ("json", "edge-list")
+               for fault in ("duplicate-id", "lat-91", "missing-lon", "nodes-not-list", "no-nodes")
+               if (fmt, fault) != ("edge-list", "nodes-not-list")]
+
+
+@pytest.mark.parametrize("fmt, fault", NODE_FAULTS)
+def test_locate_rejects_node_faults_as_place_does(world_files, models_file, tmp_path, capsys,
+                                                  fmt, fault):
+    topology = _topology_args(_node_faults(_topology_doc(world_files))[fault], tmp_path, fmt)
+    assert run(["place", *topology, "--k", 3]) == 1
+    place_err = capsys.readouterr().err
+    out = tmp_path / "estimate.json"
+    assert _locate(world_files, models_file, topology, out) == 1
+    assert capsys.readouterr().err == place_err
+    assert place_err.startswith("error: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("fmt", ["json", "edge-list"])
+def test_locate_landmark_missing_from_nodes(world_files, models_file, tmp_path, capsys, fmt):
+    doc = _topology_doc(world_files)
+    landmark = (world_files / "target.csv").read_text().splitlines()[1].split(",")[0]
+    doc["nodes"] = [n for n in doc["nodes"] if n["id"] != landmark]
+    doc["edges"] = [e for e in doc["edges"] if landmark not in e]
+    topology = _topology_args(doc, tmp_path, fmt)
+    assert _locate(world_files, models_file, topology, tmp_path / "estimate.json") == 1
+    assert capsys.readouterr().err == f"error: landmark {landmark!r} not in topology\n"
+
+
+def test_main_reuses_one_parser(world_files, models_file, tmp_path):
+    from latloc import cli
+
+    def fresh(argv):  # a run with a parser of its own
+        args = cli.build_parser().parse_args([str(a) for a in argv])
+        return getattr(cli, f"cmd_{args.command}")(args)
+
+    truth = (world_files / "truth.txt").read_text()
+    base = ["locate", "--topology", world_files / "topology.json",
+            "--measurements", world_files / "target.csv"]
+    # A usage error first (no --models), then a run with --truth, then one without.
+    assert run(base + ["--truth", truth, "--out", tmp_path / "usage.json"]) == 1
+    assert not (tmp_path / "usage.json").exists()
+    for name, extra in (("truth", ["--truth", truth]), ("plain", [])):
+        argv = base + ["--models", models_file, *extra]
+        assert run(argv + ["--out", tmp_path / f"{name}.json"]) == 0
+        assert fresh(argv + ["--out", tmp_path / f"{name}.fresh.json"]) == 0
+        assert (tmp_path / f"{name}.json").read_bytes() == \
+            (tmp_path / f"{name}.fresh.json").read_bytes()
+    assert "error_km" in json.loads((tmp_path / "truth.json").read_text())
+    assert set(json.loads((tmp_path / "plain.json").read_text())).isdisjoint({"truth", "error_km"})
+    assert cli._parser() is cli._parser()
+    assert cli.build_parser() is not cli.build_parser()
+
+
+def test_main_finds_commands_when_they_run(monkeypatch):
+    # A wrapper set on a command after the parser was built still sees the call.
+    from latloc import cli
+
+    cli._parser()
+    seen = []
+    monkeypatch.setattr(cli, "cmd_eval", lambda args: seen.append(args.command) or 0)
+    assert run(["eval"]) == 0
+    assert seen == ["eval"]
+
+
+def test_locate_checks_truth_before_reading_inputs(world_files, tmp_path, capsys):
+    code = run(["locate", "--topology", world_files / "topology.json",
+                "--models", tmp_path / "missing.json",
+                "--measurements", world_files / "target.csv", "--truth", "50;8"])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: --truth must be 'lat,lon'")

@@ -11,6 +11,7 @@ from latloc.errors import EstimationError
 from latloc.estimation import (
     EstimatedLocation,
     GridSearchConfig,
+    estimate_document_json,
     estimate_target,
     filter_outliers,
     grid_center,
@@ -234,6 +235,38 @@ def test_estimate_serializes():
     doc = result.to_dict()
     assert set(doc) == {"estimate", "kept_points", "dropped_points", "mean_residual_km"}
     assert json.loads(json.dumps(doc)) == doc
+
+
+def test_document_writer_matches_json_on_an_estimate():
+    target = GeoPoint(50.0, 12.0)
+    circles = exact_circles(target, [GeoPoint(45, 5), GeoPoint(55, 15), GeoPoint(45, 20)])
+    doc = estimate_target(circles, FAST_GRID).to_dict()
+    assert estimate_document_json(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+# Floats json spells its own way, and the edges of float.__repr__'s formats.
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e-5, 9.999999999999999e-06,
+               1e-7, 1e16, 1.2345678901234567e16, 1e300, math.nan, math.inf, -math.inf]
+DOC_FLOATS = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats())
+DOC_STRINGS = st.text(st.one_of(st.sampled_from(['"', "\\", "\x00", "\x1f", "\x7f", "\u00e9",
+                                                 "\u2028", "\U0001f600"]),
+                                st.characters()), max_size=6)
+LATLON = st.fixed_dictionaries({"lat": DOC_FLOATS, "lon": DOC_FLOATS})
+CANDIDATES = st.lists(st.fixed_dictionaries({
+    "lat": DOC_FLOATS, "lon": DOC_FLOATS, "case_tag": DOC_STRINGS,
+    "source_pair": st.lists(DOC_STRINGS, max_size=3), "weight": DOC_FLOATS,
+}), max_size=4)
+DOCUMENTS = st.fixed_dictionaries(
+    {"estimate": LATLON, "kept_points": CANDIDATES, "dropped_points": CANDIDATES,
+     "mean_residual_km": DOC_FLOATS},
+    optional={"truth": LATLON, "error_km": DOC_FLOATS},
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=DOCUMENTS)
+def test_document_writer_is_byte_identical_to_json(doc):
+    assert estimate_document_json(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 # ---------------------------------------------------------------------------

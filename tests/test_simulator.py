@@ -74,6 +74,16 @@ def test_generate_grows_radius_until_connected():
         generate_topology(30, EUROPE_BBOX, 1.0, seed=2)
 
 
+@pytest.mark.parametrize("radius", [math.nan, -5.0, 0.0, math.inf])
+def test_generate_rejects_bad_radius_before_any_distance(monkeypatch, radius):
+    def no_distances(*args):
+        raise AssertionError("pair distance computed")
+
+    monkeypatch.setattr(simulator, "orthodromic_distance", no_distances)
+    with pytest.raises(SimulationError, match=f"got {radius!r} km"):
+        generate_topology(30, EUROPE_BBOX, radius, seed=2)
+
+
 def test_generate_rejects_zero_nodes():
     with pytest.raises(SimulationError):
         generate_topology(0, EUROPE_BBOX, 400, seed=1)

@@ -10,6 +10,8 @@ from latloc.topology import (
     assign_to_closest,
     build_topology,
     hop_distances,
+    load_positions_edgelist,
+    load_positions_json,
     load_topology_edgelist,
     load_topology_json,
 )
@@ -92,6 +94,22 @@ def test_edgelist_format():
     t = load_topology_edgelist("a b\nb c\n", "a 0 0\nb 0 1\nc 0 2\n")
     assert edge_count(t) == 2
     assert t.adjacency["b"] == ("a", "c")
+
+
+def test_positions_loaders_read_nodes_only():
+    nodes = [{"id": "b", "lat": 3.0, "lon": 4.0}, {"id": "a", "lat": 1.0, "lon": 270.0}]
+    want = load_topology_json(topo_json(nodes, [["a", "b"]])).positions
+    # Dangling, duplicate and self-loop edges and a malformed entry are not read.
+    assert load_positions_json(topo_json(nodes, [["a", "x"], ["a", "a"], [1, 2, 3]])) == want
+    assert load_positions_edgelist("b 3.0 4.0\na 1.0 270.0\n") == want
+    for bad, message in ((topo_json(nodes + nodes[:1], []), "duplicate node id 'b'"),
+                         (topo_json([], []), "no nodes"),
+                         ('{"nodes": []}', "must contain 'nodes' and 'edges'"),
+                         (topo_json(nodes, 7), "'edges' must be a list, got int")):
+        with pytest.raises(TopologyError, match=message):
+            load_positions_json(bad)
+    with pytest.raises(TopologyError, match="duplicate node id 'a'"):
+        load_positions_edgelist("a 0 0\na 1 1\n")
 
 
 def test_hop_distances_path():

@@ -1,6 +1,6 @@
 """Print one JSON line of SHA-256 digests of latloc's fixed-seed outputs.
 
-    python3 tools/fixed_seed_digests.py [--root CHECKOUT]
+    python3 tools/fixed_seed_digests.py [--root CHECKOUT] [--against FILE]
 
 Two checkouts whose lines are equal produce byte-identical outputs. The
 outputs are, with S running over SEEDS:
@@ -23,7 +23,9 @@ outputs are, with S running over SEEDS:
 
 CLI commands run in process through latloc.cli.main, with their summary
 lines on stdout discarded. --root selects the checkout whose src/ is
-imported, so one script compares two commits.
+imported, so one script compares two commits. --against FILE compares the
+digests with a line this script printed before, e.g. for another commit,
+and exits 1 naming every key whose digest differs.
 """
 
 import argparse
@@ -49,6 +51,7 @@ def sha(data: bytes) -> str:
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--root", default=str(Path(__file__).resolve().parent.parent))
+    p.add_argument("--against", help="a digest line to compare with")
     args = p.parse_args(argv)
     sys.path.insert(0, str(Path(args.root).resolve() / "src"))
 
@@ -138,6 +141,12 @@ def main(argv=None) -> int:
             digests[f"locate_k16_geojson/seed{s}"] = h_geo.hexdigest()
 
     print(json.dumps(digests, sort_keys=True))
+    if args.against:
+        want = json.loads(Path(args.against).read_text(encoding="utf-8"))
+        differ = sorted(k for k in want.keys() | digests.keys() if want.get(k) != digests.get(k))
+        for key in differ:
+            print(f"differs: {key}", file=sys.stderr)
+        return 1 if differ else 0
     return 0
 
 
