@@ -7,10 +7,11 @@ over all nodes. Placement runs in three stages: an orientation mark (graph
 neighbor-move refinement then improves.
 
 Every stage works on the topology's int hop rows (`Topology.hop_rows`,
-indexed in sorted-id order), so ties that the objective leaves open break
-toward the smallest node id, and only the rows of landmarks, their
-neighbors and the seed are ever held; the 1-center scan streams all rows in
-blocks.
+indexed in sorted-id order, one BFS per source), so ties that the objective
+leaves open break toward the smallest node id, and only the rows of
+landmarks, their neighbors and the seed are ever held; the 1-center scan
+runs one uncached BFS per node. A k outside [1, n] is rejected before that
+scan.
 """
 
 from __future__ import annotations
@@ -89,6 +90,12 @@ def _make_set(t: Topology, landmarks: list[str]) -> LandmarkSet:
     )
 
 
+def _check_k(t: Topology, k: int) -> None:
+    n = len(t.positions)
+    if not 1 <= k <= n:
+        raise PlacementError(f"k={k} outside [1, {n}]")
+
+
 def place_orientation_mark(t: Topology) -> str:
     """The graph 1-center under hop distance.
 
@@ -108,9 +115,7 @@ def two_approx(t: Topology, k: int, seed_node: str) -> LandmarkSet:
     (though it may still be selected on its own merit). All ties break
     toward the smaller node id.
     """
-    n = len(t.positions)
-    if not 1 <= k <= n:
-        raise PlacementError(f"k={k} outside [1, {n}]")
+    _check_k(t, k)
     if seed_node not in t.positions:
         raise PlacementError(f"unknown seed node {seed_node!r}")
     closest = t.hop_rows([t.index_of(seed_node)])[0]
@@ -175,6 +180,7 @@ def refine(t: Topology, ls: LandmarkSet, *, move_log: list | None = None) -> Lan
 
 def dragoon_place(t: Topology, k: int) -> LandmarkSet:
     """Full placement pipeline: orientation mark, farthest-point init, refinement."""
+    _check_k(t, k)
     return refine(t, two_approx(t, k, place_orientation_mark(t)))
 
 
@@ -188,6 +194,7 @@ def place_landmarks(t: Topology, k: int, algorithm: str) -> LandmarkSet:
     if algorithm == "dragoon":
         return dragoon_place(t, k)
     if algorithm == "two_approx":
+        _check_k(t, k)
         return two_approx(t, k, place_orientation_mark(t))
     raise PlacementError(
         f"unknown placement algorithm {algorithm!r}; choose from {PLACEMENT_ALGORITHMS}"

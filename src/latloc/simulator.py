@@ -276,7 +276,8 @@ def run_experiment(world: SimWorld, k_landmarks: int, strategy: str,
         models = calibrate_all(landmark_ids, mesh, positions,
                                per_hop_ms=world.delay.per_hop_ms)
 
-    candidates = [nid for nid in t.node_ids if nid not in set(landmark_ids)]
+    placed = set(landmark_ids)
+    candidates = [nid for nid in t.node_ids if nid not in placed]
     if len(candidates) < n_targets:
         raise SimulationError(
             f"only {len(candidates)} non-landmark nodes for {n_targets} targets"

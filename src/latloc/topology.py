@@ -6,9 +6,10 @@ distance metric used by landmark placement.
 
 A Topology builds its array form once, at construction: the sorted node
 ids, a CSR adjacency over them, and the node positions in id order. Every
-graph query runs on it: int hop rows from scipy's csgraph per source, and
-one BFS tree per source for path queries, each cached once computed.
-build_topology checks connectivity on the same CSR.
+graph query rests on one scipy csgraph breadth_first_order per source,
+cached once run: its hop row, read off the predecessors, serves hop rows
+and the 1-center scan, and its tree serves path queries. build_topology
+checks connectivity with the search from the first node.
 
 load_positions_json and load_positions_edgelist read only the node
 positions, with the node checks of the full loaders, for a caller that never
@@ -26,11 +27,6 @@ from scipy.sparse import csgraph, csr_array
 
 from .errors import TopologyError
 from .geodesy import GeoPoint, orthodromic_distance
-
-# Sources per csgraph call when every node's hop row is needed once, so
-# memory stays O(block * n) rather than O(n^2).
-ROW_BLOCK = 256
-
 
 @dataclass(frozen=True)
 class BfsTree:
@@ -57,9 +53,9 @@ class Topology:
 
     Node i is the i-th id in sorted order (`ids`), so index order is id
     order and first-wins argmin/argmax/lexsort break ties toward the
-    smallest id. `csr` is the adjacency over those indices. Hop rows and
-    BFS trees never change once computed, so each is computed once per
-    source and cached. The array form is plain attributes, not dataclass
+    smallest id. `csr` is the adjacency over those indices. A search never
+    changes once run, so each source's search, and its BFS tree, is made
+    once and cached. The array form is plain attributes, not dataclass
     fields, so == compares positions and adjacency only.
     """
 
@@ -76,7 +72,7 @@ class Topology:
         # Frozen: write the derived attributes past the dataclass __setattr__.
         self.__dict__.update(ids=ids, csr=csr, _index=index,
                              _points=[self.positions[nid] for nid in ids],
-                             _rows={}, _trees={})
+                             _searches={}, _trees={})
 
     @property
     def node_ids(self) -> list[str]:
@@ -88,57 +84,66 @@ class Topology:
         except KeyError:
             raise TopologyError(f"unknown node {node_id!r}") from None
 
-    def _bfs(self, sources) -> np.ndarray:
-        """Hop counts from each source to every node, one int row per source."""
-        dist = csgraph.shortest_path(self.csr, method="D", directed=True,
-                                     unweighted=True, indices=sources)
-        unreachable = np.isinf(dist)
-        if unreachable.any():  # rather than cast inf to int32's minimum
-            row = int(unreachable.any(axis=1).argmax())
-            missing = [self.ids[j] for j in np.flatnonzero(unreachable[row])[:5].tolist()]
+    def _search(self, i: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """One BFS from node i: the visit order, the predecessors (negative
+        at i and wherever i cannot reach), and the int32 hop row (-1 where i
+        cannot reach)."""
+        order, pred = csgraph.breadth_first_order(self.csr, i, directed=True,
+                                                  return_predecessors=True)
+        unreached = pred < 0
+        # Pointer jumping: hops[v] counts the edges from v up to up[v], and each
+        # pass doubles the jump. The order ends at a deepest node: once its
+        # pointer reaches i, so has every other. Unreached nodes point at i.
+        up = np.where(unreached, i, pred)
+        hops = (~unreached).astype(np.int32)
+        while up[order[-1]] != i:
+            hops += hops[up]
+            up = up[up]
+        hops[unreached] = -1
+        hops[i] = 0
+        hops.setflags(write=False)
+        return order, pred, hops
+
+    def _cached(self, i: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        if i not in self._searches:
+            self._searches[i] = self._search(i)
+        return self._searches[i]
+
+    def _reached(self, i: int, search: tuple[np.ndarray, np.ndarray, np.ndarray]) -> np.ndarray:
+        """The hop row of node i's search, which must reach every node."""
+        order, _, hops = search
+        if len(order) < len(self.ids):
+            missing = [self.ids[j] for j in np.flatnonzero(hops < 0)[:5].tolist()]
             raise TopologyError(f"graph is disconnected; unreachable from "
-                                f"{self.ids[sources[row]]!r}: {missing}")
-        return dist.astype(np.int32)
+                                f"{self.ids[i]!r}: {missing}")
+        return hops
 
     def hop_rows(self, sources: list[int]) -> np.ndarray:
-        """A (len(sources), n) array of hop rows; the uncached ones come from
-        one csgraph call."""
-        missing = [i for i in dict.fromkeys(sources) if i not in self._rows]
-        if missing:
-            fresh = self._bfs(missing)
-            fresh.setflags(write=False)
-            self._rows.update(zip(missing, fresh))
-        return np.array([self._rows[i] for i in sources], dtype=np.int32).reshape(-1, len(self.ids))
+        """A (len(sources), n) array of hop rows, one cached search per source."""
+        rows = [self._reached(i, self._cached(i)) for i in sources]
+        return np.array(rows, dtype=np.int32).reshape(-1, len(self.ids))
 
     def eccentricities(self) -> tuple[np.ndarray, np.ndarray]:
-        """Each node's largest and total hop count to all nodes, computed in
-        blocks of ROW_BLOCK sources and not cached."""
-        n = len(self.ids)
-        ecc = np.empty(n, dtype=np.int64)
-        total = np.empty(n, dtype=np.int64)
-        for start in range(0, n, ROW_BLOCK):
-            rows = self._bfs(np.arange(start, min(start + ROW_BLOCK, n)))
-            ecc[start:start + len(rows)] = rows.max(axis=1)
-            total[start:start + len(rows)] = rows.sum(axis=1, dtype=np.int64)
+        """Each node's largest and total hop count to all nodes, from one
+        uncached search per node."""
+        ecc, total = np.empty((2, len(self.ids)), dtype=np.int64)
+        for i in range(len(self.ids)):
+            row = self._reached(i, self._search(i))
+            ecc[i], total[i] = row.max(), row.sum(dtype=np.int64)
         return ecc, total
 
     def tree(self, i: int) -> BfsTree:
-        """The BFS tree rooted at node i."""
+        """The BFS tree rooted at node i, on its cached search."""
         tree = self._trees.get(i)
         if tree is None:
-            order, pred = csgraph.breadth_first_order(self.csr, i, directed=True,
-                                                      return_predecessors=True)
-            n = len(self.ids)
-            parent, hops, km = [-1] * n, [-1] * n, [0.0] * n
-            hops[i] = 0
+            order, pred, hops = self._cached(i)
+            parent = np.maximum(pred, -1).tolist()
+            km = [0.0] * len(parent)
             points = self._points
-            pred = pred.tolist()
             for v in order[1:].tolist():
-                u = pred[v]
-                parent[v] = u
-                hops[v] = hops[u] + 1
+                u = parent[v]
                 km[v] = km[u] + orthodromic_distance(points[u], points[v]) / 1000.0
-            tree = self._trees[i] = BfsTree(parent, hops, km)
+            tree = self._trees[i] = BfsTree(parent, hops.tolist(), km)
         return tree
 
 
@@ -169,13 +174,7 @@ def build_topology(nodes: Iterable[tuple[str, GeoPoint]],
         positions={nid: positions[nid] for nid in ids},
         adjacency={nid: tuple(sorted(adjacency[nid])) for nid in ids},
     )
-    # The adjacency is symmetric, so its strong components are its connected
-    # components, and the strong search skips the transpose an undirected one makes.
-    n_components, labels = csgraph.connected_components(topo.csr, connection="strong")
-    if n_components > 1:
-        first = labels[0]
-        missing = [nid for nid, label in zip(ids, labels.tolist()) if label != first]
-        raise TopologyError(f"graph is disconnected; unreachable from {ids[0]!r}: {missing[:5]}")
+    topo._reached(0, topo._search(0))
     return topo
 
 

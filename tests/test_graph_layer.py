@@ -303,6 +303,16 @@ def test_placement_matches_dict_bfs_reference_on_tie_graphs(graph_k):
     assert_placement_matches_reference(t, k)
 
 
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(tie_graphs())
+def test_eccentricities_match_dict_bfs_reference_on_tie_graphs(graph_k):
+    t, _ = graph_k
+    hops = ref_hop_distances(t, t.node_ids)
+    ecc, total = t.eccentricities()
+    assert ecc.tolist() == [max(hops[nid].values()) for nid in t.ids]
+    assert total.tolist() == [sum(hops[nid].values()) for nid in t.ids]
+
+
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(tie_graphs(), st.integers(0, 2**31), st.sampled_from([None, 0.5, 3.0]))
 def test_probes_match_per_probe_bfs_reference_on_tie_graphs(graph_k, seed, noise_ms):

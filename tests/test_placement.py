@@ -5,6 +5,7 @@ import pytest
 from latloc.errors import PlacementError
 from latloc.geodesy import GeoPoint
 from latloc.placement import (
+    PLACEMENT_ALGORITHMS,
     dragoon_place,
     objective_key,
     place_landmarks,
@@ -12,7 +13,7 @@ from latloc.placement import (
     refine,
     two_approx,
 )
-from latloc.topology import build_topology, hop_distances, load_topology_json
+from latloc.topology import Topology, build_topology, hop_distances, load_topology_json
 from conftest import path_graph, random_connected_graph
 
 
@@ -68,6 +69,22 @@ def test_two_approx_k_too_large():
     t = path_graph(["a", "b"])
     with pytest.raises(PlacementError):
         two_approx(t, 3, "a")
+
+
+@pytest.mark.parametrize("k", [0, -1, 6, 7])
+def test_out_of_range_k_rejected_before_the_center_scan(k, monkeypatch):
+    t = random_connected_graph(5, 0.3, seed=1)
+
+    def scan(self):
+        raise AssertionError("1-center scan ran for an out-of-range k")
+
+    monkeypatch.setattr(Topology, "eccentricities", scan)
+    message = rf"^k={k} outside \[1, 5\]$"
+    with pytest.raises(PlacementError, match=message):
+        dragoon_place(t, k)
+    for algorithm in PLACEMENT_ALGORITHMS:
+        with pytest.raises(PlacementError, match=message):
+            place_landmarks(t, k, algorithm)
 
 
 def test_two_approx_within_factor_two_of_optimum():
