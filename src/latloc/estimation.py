@@ -4,6 +4,13 @@ A local search on a fixed 7 x 7 grid minimizes the mean great-circle distance
 to the cloud, halving its spacing whenever no grid point improves. Two filter
 rounds first each discard the farthest 25% of the candidates from the running
 center (false branches of two-point intersections, mostly).
+
+Each step scores the whole grid in one array, masks the current center with
++inf and takes the minimum. When that minimum does not beat the center, the
+step halves the spacing and needs no winner. Otherwise the search moves to
+the minimum; only grid points whose scores are exactly equal to it count as
+ties, and those break north-most, then west-most, then first in row-major
+order.
 """
 
 from __future__ import annotations
@@ -146,19 +153,18 @@ class _Cloud:
         self.sin_lat = np.sin(self.lat)
         self.cos_lat = np.cos(self.lat)
 
-    def mean_distance_m(self, lat, lon) -> np.ndarray:
+    def mean_distance_m(self, sin_phi, cos_phi, lam) -> np.ndarray:
         """Mean great-circle distance in meters from each query point to the cloud.
 
-        lat and lon are degrees that broadcast together; the result has their
-        broadcast shape. A grid passes a column of latitudes and a row of
+        Query points come as the sines and cosines of their latitudes and
+        their longitudes, in radians, as _query_trig gives them. The three
+        broadcast together against a trailing cloud axis, which the mean
+        removes: a grid passes rows of latitude terms and a column of
         longitudes, so the longitude terms are computed once per column.
-        Query-point sin/cos come from math, point by point, and cloud terms
-        from numpy, in the atan2 form of geodesy.orthodromic_distance.
+        Cloud terms come from numpy, in the atan2 form of
+        geodesy.orthodromic_distance.
         """
-        phi = _per_point(math.radians, lat)
-        sin_phi = _per_point(math.sin, phi)[..., None]
-        cos_phi = _per_point(math.cos, phi)[..., None]
-        dlon = self.lon - _per_point(math.radians, lon)[..., None]
+        dlon = self.lon - lam
         sin_dlon = np.sin(dlon)
         cos_dlon = np.cos(dlon)
         num = np.hypot(
@@ -166,13 +172,23 @@ class _Cloud:
             cos_phi * self.sin_lat - sin_phi * self.cos_lat * cos_dlon,
         )
         den = sin_phi * self.sin_lat + cos_phi * self.cos_lat * cos_dlon
-        return np.mean(np.arctan2(num, den), axis=-1) * EARTH_RADIUS_M
+        # The sum and the division np.mean would make, without its overhead.
+        return np.add.reduce(np.arctan2(num, den), axis=-1) / len(self.lat) * EARTH_RADIUS_M
+
+    def mean_at_m(self, point: GeoPoint) -> float:
+        """Mean great-circle distance in meters from one point to the cloud."""
+        return float(self.mean_distance_m(*_query_trig([point.lat], [point.lon]))[0])
 
 
-def _per_point(f, values) -> np.ndarray:
-    """f applied to each value; math and numpy may round differently."""
-    a = np.asarray(values, dtype=float)
-    return np.array([f(v) for v in a.ravel().tolist()]).reshape(a.shape)
+def _query_trig(lats: list[float],
+                lons: list[float]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """sin and cos of each latitude and the radians of each longitude, given in
+    degrees, as arrays with a trailing axis for the cloud. The values come from
+    math, point by point: math and numpy may round differently."""
+    phi = [math.radians(x) for x in lats]
+    return (np.array([math.sin(x) for x in phi])[:, None],
+            np.array([math.cos(x) for x in phi])[:, None],
+            np.array([math.radians(x) for x in lons])[:, None])
 
 
 def spherical_centroid(points: list[GeoPoint]) -> GeoPoint:
@@ -209,31 +225,50 @@ def grid_center(points: list[GeoPoint], cfg: GridSearchConfig = GridSearchConfig
     whenever no grid point improves.
 
     Each step scores the whole grid around the current best point in one
-    array. Ties between equally good grid points break north-most, then
-    west-most, so the search is deterministic.
+    array and moves to the winner _step_winner picks, if any.
     """
     if not points:
         raise EstimationError("cannot center an empty point cloud")
     cloud = _Cloud(points)
     best = spherical_centroid(points)
-    best_obj = float(cloud.mean_distance_m(best.lat, best.lon))
+    best_obj = cloud.mean_at_m(best)
 
     eps = cfg.eps0_m
     while eps >= cfg.eps_min_m:
         row_steps, lats, lons = _grid_axes(best, eps)
-        obj = cloud.mean_distance_m(np.array(lats)[:, None], lons)
-        # Every grid point but the center, in row-major order.
-        idx = np.delete(np.arange(obj.size), row_steps.index(0) * len(lons) + EXTENT)
-        grid_lat = np.repeat(lats, len(lons))[idx]
-        grid_lon = np.tile(lons, len(lats))[idx]
-        k = idx[np.lexsort((grid_lon, -grid_lat, obj.ravel()[idx]))[0]]
-        row, col = divmod(int(k), len(lons))
-        if obj[row, col] < best_obj:
+        sin_phi, cos_phi, lam = _query_trig(lats, lons)
+        obj = cloud.mean_distance_m(sin_phi[:, None], cos_phi[:, None], lam)
+        winner = _step_winner(obj, row_steps.index(0), lats, lons, best_obj)
+        if winner is None:
+            eps /= 2.0
+        else:
+            row, col = winner
             best = GeoPoint(lats[row], lons[col])
             best_obj = float(obj[row, col])
-        else:
-            eps /= 2.0
     return best
+
+
+def _step_winner(obj: np.ndarray, center_row: int, lats: list[float], lons: list[float],
+                 best_obj: float) -> tuple[int, int] | None:
+    """The (row, col) of obj a grid step moves to, or None when no grid point
+    scores below best_obj and the step halves its spacing instead.
+
+    obj holds the scores of the grid with row latitudes lats and column
+    longitudes lons; its center, at center_row and the middle column, is
+    masked out. The lowest score wins. Exact ties, and only those, break
+    north-most, then west-most, then first in row-major order.
+    """
+    ncols = len(lons)
+    scores = obj.ravel().tolist()
+    scores[center_row * ncols + EXTENT] = math.inf
+    low = min(scores)
+    if not low < best_obj:
+        return None
+    k = scores.index(low)
+    if scores.count(low) > 1:
+        ties = (i for i, score in enumerate(scores) if score == low)
+        k = min(ties, key=lambda i: (-lats[i // ncols], lons[i % ncols]))
+    return divmod(k, ncols)
 
 
 def filter_outliers(points: list[CandidatePoint],
@@ -255,7 +290,7 @@ def filter_outliers(points: list[CandidatePoint],
         n_drop = min(math.ceil(DROP_FRACTION * len(kept)), len(kept) - 3)
         # The center stays on the cloud side: the atan2 form is not bitwise symmetric.
         dist = _Cloud([center]).mean_distance_m(
-            [c.point.lat for c in kept], [c.point.lon for c in kept])
+            *_query_trig([c.point.lat for c in kept], [c.point.lon for c in kept]))
         # Farthest first; the stable sort keeps ties in index order.
         drop = np.zeros(len(kept), dtype=bool)
         drop[np.argsort(-dist, kind="stable")[:n_drop]] = True
@@ -275,10 +310,9 @@ def estimate_target(circles: list[LandmarkCircle],
         raise EstimationError("every landmark pair was dropped; no candidate points")
     kept, dropped = filter_outliers(candidates, grid_cfg)
     point = grid_center([c.point for c in kept], grid_cfg)
-    cloud = _Cloud([c.point for c in kept])
     return EstimatedLocation(
         point=point,
         kept_points=tuple(kept),
         dropped_points=tuple(dropped),
-        mean_residual_km=float(cloud.mean_distance_m(point.lat, point.lon)) / 1000.0,
+        mean_residual_km=_Cloud([c.point for c in kept]).mean_at_m(point) / 1000.0,
     )

@@ -18,6 +18,11 @@ EARTH_RADIUS_M = 6_371_008.8
 # Classification tolerance for circle intersections, in meters.
 INTERSECTION_TOLERANCE_M = 1.0
 
+# destination_point switches to its pole-safe form when the origin's cos(lat)
+# is below this, within about 6 m of a pole. Farther out the usual form is
+# off by at most R * 1e-16 / cos(lat), under a millimetre.
+POLE_COS = 1e-6
+
 
 @dataclass(frozen=True)
 class GeoPoint:
@@ -137,8 +142,15 @@ def destination_point(origin: GeoPoint, bearing_deg: float, distance_m: float) -
     sin_phi2 = math.sin(phi1) * math.cos(sigma) + math.cos(phi1) * math.sin(sigma) * math.cos(theta)
     sin_phi2 = max(-1.0, min(1.0, sin_phi2))
     phi2 = math.asin(sin_phi2)
-    y = math.sin(theta) * math.sin(sigma) * math.cos(phi1)
-    x = math.cos(sigma) - math.sin(phi1) * sin_phi2
+    cos_phi1 = math.cos(phi1)
+    y = math.sin(theta) * math.sin(sigma) * cos_phi1
+    if abs(cos_phi1) < POLE_COS:
+        # At a pole x = cos(sigma) - sin(phi1) * sin(phi2) cancels to rounding
+        # noise, and the longitude with it; this factored form does not.
+        x = cos_phi1 * (cos_phi1 * math.cos(sigma)
+                        - math.sin(phi1) * math.sin(sigma) * math.cos(theta))
+    else:
+        x = math.cos(sigma) - math.sin(phi1) * sin_phi2
     lam2 = lam1 + math.atan2(y, x)
     return GeoPoint(math.degrees(phi2), math.degrees(lam2))
 
@@ -150,16 +162,41 @@ def _order_pair(p1: GeoPoint, p2: GeoPoint) -> tuple[GeoPoint, GeoPoint]:
     return p2, p1
 
 
+def _antipodal(c: GeoCircle) -> GeoCircle:
+    """The same points as c, as a circle about c's antipode."""
+    center = GeoPoint(-c.center.lat, c.center.lon + 180.0)
+    return GeoCircle(center, math.pi * EARTH_RADIUS_M - c.radius_m)
+
+
+def classified_pair(c1: GeoCircle, c2: GeoCircle) -> tuple[GeoCircle, GeoCircle, float]:
+    """The two circles circle_intersections classifies for c1 and c2, and the
+    distance between their centers.
+
+    Two circles can meet only if d <= 2*pi*R - r1 - r2: a spherical triangle's
+    perimeter is at most 2*pi*R. Past that bound the pair is replaced by its
+    antipodal circles (the same point sets), whose radii sum to less than d,
+    so circle_intersections' cases hold for them. Otherwise c1 and c2 are
+    returned as they are.
+    """
+    d = orthodromic_distance(c1.center, c2.center)
+    if c1.radius_m + c2.radius_m + d <= 2.0 * math.pi * EARTH_RADIUS_M:
+        return c1, c2, d
+    c1, c2 = _antipodal(c1), _antipodal(c2)
+    return c1, c2, orthodromic_distance(c1.center, c2.center)
+
+
 def circle_intersections(c1: GeoCircle, c2: GeoCircle) -> IntersectionResult:
     """Classify and compute the intersection of two geodesic circles.
 
     Raises DegenerateCirclesError when the centers coincide and the radii are
     equal within tolerance; identical centers with distinct radii report the
-    smaller circle as contained.
+    smaller circle as contained. A pair past the wrap bound is classified as
+    its antipodal circles (see classified_pair), which hold the same points;
+    a NonOverlapping gap is then the gap between those.
     """
     tau = INTERSECTION_TOLERANCE_M
+    c1, c2, d = classified_pair(c1, c2)
     r1, r2 = c1.radius_m, c2.radius_m
-    d = orthodromic_distance(c1.center, c2.center)
 
     if d < 1e-9:
         if abs(r1 - r2) <= tau:
@@ -173,8 +210,10 @@ def circle_intersections(c1: GeoCircle, c2: GeoCircle) -> IntersectionResult:
     if d < abs(r1 - r2) - tau:
         return Contained(inner=1 if r1 < r2 else 2)
 
-    if abs(d - (r1 + r2)) <= tau:
+    if abs(d - (r1 + r2)) <= tau and d >= abs(r1 - r2):
         # External tangency: the touch point splits the center geodesic.
+        # (A circle under tau across is also within tau of internal tangency,
+        # and when d < |r1 - r2| that is the case that holds.)
         point = destination_point(c1.center, initial_bearing(c1.center, c2.center), (d + r1 - r2) / 2.0)
         return Tangent(point=point)
     if abs(d - abs(r1 - r2)) <= tau:

@@ -20,6 +20,7 @@ from .geodesy import (
     PairIntersection,
     Tangent,
     circle_intersections,
+    classified_pair,
     destination_point,
     initial_bearing,
     orthodromic_distance,
@@ -68,7 +69,10 @@ def pair_candidates(id1: str, c1: GeoCircle, id2: str, c2: GeoCircle,
     if isinstance(result, NonOverlapping):
         if result.gap_m > gap_max_km * 1000.0:
             return []
-        # Midpoint of the gap between the two perimeters, on the center geodesic.
+        # Midpoint of the gap between the two perimeters, on the center
+        # geodesic of the circles classified: past the wrap bound, the
+        # antipodal ones.
+        c1, c2, _ = classified_pair(c1, c2)
         bearing = initial_bearing(c1.center, c2.center)
         point = destination_point(c1.center, bearing, c1.radius_m + result.gap_m / 2.0)
         return [CandidatePoint(point=point, source_pair=pair, case_tag="midpoint_gap")]

@@ -6,9 +6,9 @@ distance metric used by landmark placement.
 
 A Topology builds its array form once, at construction: the sorted node
 ids, a CSR adjacency over them, and the node positions in id order. Every
-graph query rests on one scipy csgraph breadth_first_order per source,
-cached once run: its hop row, read off the predecessors, serves hop rows
-and the 1-center scan, and its tree serves path queries. build_topology
+graph query rests on one scipy csgraph breadth_first_order per source: its
+hop row, read off the predecessors, serves hop rows (cached) and the
+1-center scan, and its tree serves path queries (cached). build_topology
 checks connectivity with the search from the first node.
 
 load_positions_json and load_positions_edgelist read only the node
@@ -54,7 +54,7 @@ class Topology:
     Node i is the i-th id in sorted order (`ids`), so index order is id
     order and first-wins argmin/argmax/lexsort break ties toward the
     smallest id. `csr` is the adjacency over those indices. A search never
-    changes once run, so each source's search, and its BFS tree, is made
+    changes once run, so each source's hop row, and each BFS tree, is made
     once and cached. The array form is plain attributes, not dataclass
     fields, so == compares positions and adjacency only.
     """
@@ -72,7 +72,7 @@ class Topology:
         # Frozen: write the derived attributes past the dataclass __setattr__.
         self.__dict__.update(ids=ids, csr=csr, _index=index,
                              _points=[self.positions[nid] for nid in ids],
-                             _searches={}, _trees={})
+                             _rows={}, _trees={})
 
     @property
     def node_ids(self) -> list[str]:
@@ -104,10 +104,14 @@ class Topology:
         hops.setflags(write=False)
         return order, pred, hops
 
-    def _cached(self, i: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        if i not in self._searches:
-            self._searches[i] = self._search(i)
-        return self._searches[i]
+    def _hop_row(self, i: int) -> np.ndarray:
+        """Node i's hop row, which must reach every node, cached read-only.
+        The search's visit order and predecessors, which only tree() reads,
+        are not kept: they would triple the cache."""
+        row = self._rows.get(i)
+        if row is None:
+            row = self._rows[i] = self._reached(i, self._search(i))
+        return row
 
     def _reached(self, i: int, search: tuple[np.ndarray, np.ndarray, np.ndarray]) -> np.ndarray:
         """The hop row of node i's search, which must reach every node."""
@@ -119,8 +123,8 @@ class Topology:
         return hops
 
     def hop_rows(self, sources: list[int]) -> np.ndarray:
-        """A (len(sources), n) array of hop rows, one cached search per source."""
-        rows = [self._reached(i, self._cached(i)) for i in sources]
+        """A (len(sources), n) array of hop rows, one cached row per source."""
+        rows = [self._hop_row(i) for i in sources]
         return np.array(rows, dtype=np.int32).reshape(-1, len(self.ids))
 
     def eccentricities(self) -> tuple[np.ndarray, np.ndarray]:
@@ -133,10 +137,11 @@ class Topology:
         return ecc, total
 
     def tree(self, i: int) -> BfsTree:
-        """The BFS tree rooted at node i, on its cached search."""
+        """The BFS tree rooted at node i, from a search of its own; the tree
+        is cached."""
         tree = self._trees.get(i)
         if tree is None:
-            order, pred, hops = self._cached(i)
+            order, pred, hops = self._search(i)
             parent = np.maximum(pred, -1).tolist()
             km = [0.0] * len(parent)
             points = self._points

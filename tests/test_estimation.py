@@ -11,6 +11,7 @@ from latloc.errors import EstimationError
 from latloc.estimation import (
     EstimatedLocation,
     GridSearchConfig,
+    _step_winner,
     estimate_document_json,
     estimate_target,
     filter_outliers,
@@ -22,6 +23,7 @@ from latloc.geodesy import (
     GeoCircle,
     GeoPoint,
     destination_point,
+    normalize_lon,
     orthodromic_distance,
 )
 from latloc.lateration import CandidatePoint, LandmarkCircle
@@ -418,3 +420,48 @@ def test_filter_outliers_matches_scalar_oracle(points, cfg):
     # Identity, not equality: duplicate points must keep their input order.
     assert [id(c) for c in kept] == [id(c) for c in ref_kept]
     assert [id(c) for c in dropped] == [id(c) for c in ref_dropped]
+
+
+# ---------------------------------------------------------------------------
+# Reference: the step winner as np.delete + np.lexsort picked it. Every grid
+# point but the center, ordered by score, then north-most, then west-most,
+# then row-major; the first moves the search only if it beats best_obj.
+
+
+def lexsort_step_winner(obj, center_row, lats, lons, best_obj):
+    idx = np.delete(np.arange(obj.size), center_row * len(lons) + 3)
+    grid_lat = np.repeat(lats, len(lons))[idx]
+    grid_lon = np.tile(lons, len(lats))[idx]
+    k = idx[np.lexsort((grid_lon, -grid_lat, obj.ravel()[idx]))[0]]
+    row, col = divmod(int(k), len(lons))
+    return (row, col) if obj[row, col] < best_obj else None
+
+
+@st.composite
+def step_grids(draw):
+    """A step's scores on 4 to 7 rows of 7 (rows past a pole are skipped, so
+    the center may sit in any row), drawn from three values so that ties are
+    common, ties with best_obj included; grid-like row latitudes, and column
+    longitudes that wrap at the antimeridian or repeat, signed zeros included."""
+    n_rows = draw(st.integers(4, 7))
+    center_row = draw(st.integers(0, n_rows - 1))
+    values = draw(st.lists(st.floats(0.0, 1e7), min_size=3, max_size=3))
+    obj = np.array(draw(st.lists(st.sampled_from(values), min_size=7 * n_rows,
+                                 max_size=7 * n_rows))).reshape(n_rows, 7)
+    best_obj = draw(st.one_of(st.sampled_from(values), st.floats(0.0, 1e7)))
+    lat0, dlat = draw(st.floats(-90.0, 90.0)), draw(st.floats(1e-6, 10.0))
+    lats = [lat0 + i * dlat for i in range(n_rows)]
+    lon0, dlon = draw(st.floats(-180.0, 180.0)), draw(st.floats(1e-6, 1e6))
+    lons = draw(st.one_of(
+        st.just([normalize_lon(lon0 + j * dlon) for j in range(-3, 4)]),
+        st.lists(st.sampled_from([-179.5, -0.0, 0.0, 12.25, 180.0]), min_size=7, max_size=7),
+    ))
+    return obj, center_row, lats, lons, best_obj
+
+
+@settings(max_examples=500, deadline=None)
+@given(grid=step_grids())
+def test_step_winner_matches_lexsort_reference(grid):
+    obj, center_row, lats, lons, best_obj = grid
+    expected = lexsort_step_winner(obj, center_row, lats, lons, best_obj)
+    assert _step_winner(obj, center_row, lats, lons, best_obj) == expected

@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from latloc.errors import DegenerateCirclesError
 from latloc.geodesy import (
@@ -13,6 +15,7 @@ from latloc.geodesy import (
     PairIntersection,
     Tangent,
     circle_intersections,
+    classified_pair,
     destination_point,
     initial_bearing,
     orthodromic_distance,
@@ -223,3 +226,99 @@ def test_geopoint_validation():
 def test_geopoint_rejects_non_finite(lat, lon):
     with pytest.raises(ValueError):
         GeoPoint(lat, lon)
+
+
+def test_pair_past_the_wrap_bound_is_classified_on_its_antipodal_circles():
+    # r1 + r2 + d > 2*pi*R: no point can lie on both circles. Classified as
+    # given, the pair crossed, with points 1 334 km off the second circle.
+    r = 0.95 * math.pi * EARTH_RADIUS_M
+    c1, c2 = GeoCircle(GeoPoint(0, 0), r), GeoCircle(GeoPoint(0, 30), r)
+    result = circle_intersections(c1, c2)
+    assert isinstance(result, NonOverlapping)
+    d = orthodromic_distance(c1.center, c2.center)
+    assert result.gap_m == pytest.approx(d - (2 * math.pi * EARTH_RADIUS_M - 2 * r), abs=1e-3)
+    a1, a2, d_a = classified_pair(c1, c2)
+    assert (a1.center, a2.center) == (GeoPoint(0, 180), GeoPoint(0, -150))
+    assert a1.radius_m == a2.radius_m == pytest.approx(0.05 * math.pi * EARTH_RADIUS_M)
+    assert d_a == pytest.approx(d, abs=1e-6)
+    # A pair within the bound is classified as given.
+    assert classified_pair(c1, GeoCircle(c2.center, 1000.0))[:2] == (c1, GeoCircle(c2.center, 1000.0))
+
+
+def test_destination_point_from_a_pole():
+    target = GeoPoint(-60.0, 40.0)
+    for pole in (GeoPoint(-90.0, 0.0), GeoPoint(90.0, 0.0), GeoPoint(-89.99999999999999, 7.0)):
+        p = destination_point(pole, initial_bearing(pole, target), orthodromic_distance(pole, target))
+        # The longitude cancelled to rounding noise: 2 713 km off at the poles.
+        assert orthodromic_distance(p, target) < 1e-3
+
+
+# ---------------------------------------------------------------------------
+# Properties of circle_intersections on pairs anywhere on the sphere, with
+# radii up to pi * R, including pairs past the wrap bound d <= 2*pi*R - r1 - r2.
+
+PI_R = math.pi * EARTH_RADIUS_M
+TAU = 1.0  # the 1 m tolerance
+
+NEAR_POLE_CENTERS = st.builds(
+    GeoPoint, lat=st.one_of(st.floats(75.0, 90.0), st.floats(-90.0, -75.0)),
+    lon=st.floats(-180.0, 180.0))
+ANTIMERIDIAN_CENTERS = st.builds(
+    GeoPoint, lat=st.floats(-70.0, 70.0),
+    lon=st.one_of(st.floats(170.0, 180.0), st.floats(-180.0, -170.0)))
+ANY_CENTERS = st.builds(GeoPoint, lat=st.floats(-90.0, 90.0), lon=st.floats(-180.0, 180.0))
+RADII = st.one_of(st.floats(0.0, PI_R), st.floats(0.8 * PI_R, PI_R))
+
+
+@st.composite
+def circle_pairs(draw):
+    """Two circles whose centers both lie near a pole, both across the
+    antimeridian, or anywhere."""
+    centers = draw(st.sampled_from([NEAR_POLE_CENTERS, ANTIMERIDIAN_CENTERS, ANY_CENTERS]))
+    return (GeoCircle(draw(centers), draw(RADII)), GeoCircle(draw(centers), draw(RADII)))
+
+
+def result_points(result) -> list[GeoPoint]:
+    if isinstance(result, PairIntersection):
+        return [result.p1, result.p2]
+    if isinstance(result, Tangent):
+        return [result.point]
+    return []
+
+
+@settings(max_examples=1000, deadline=None)
+@given(pair=circle_pairs())
+def test_intersection_points_lie_on_both_circles(pair):
+    try:
+        result = circle_intersections(*pair)
+    except DegenerateCirclesError:
+        return
+    for p in result_points(result):
+        for c in pair:
+            assert abs(orthodromic_distance(c.center, p) - c.radius_m) <= TAU
+
+
+@settings(max_examples=1000, deadline=None)
+@given(pair=circle_pairs())
+def test_intersection_is_the_same_point_set_when_swapped(pair):
+    c1, c2 = pair
+    # Circles equal to within the tolerance are degenerate at its scale: each
+    # order reports a touch point on its own first circle's side.
+    assume(orthodromic_distance(c1.center, c2.center) > 2 * TAU
+           or abs(c1.radius_m - c2.radius_m) > 2 * TAU)
+    try:
+        r12 = circle_intersections(c1, c2)
+    except DegenerateCirclesError:
+        return
+    r21 = circle_intersections(c2, c1)
+    assert type(r21) is type(r12)
+    if isinstance(r12, NonOverlapping):
+        assert abs(r12.gap_m - r21.gap_m) <= TAU
+    elif isinstance(r12, Contained):
+        assert {r12.inner, r21.inner} == {1, 2}
+    # As sets: two points of equal latitude may swap places in the pair.
+    points12, points21 = result_points(r12), result_points(r21)
+    for p in points12:
+        assert min(orthodromic_distance(p, q) for q in points21) <= TAU
+    for q in points21:
+        assert min(orthodromic_distance(p, q) for p in points12) <= TAU

@@ -70,6 +70,16 @@ def test_gap_midpoint_candidate():
     assert orthodromic_distance(c1.center, cands[0].point) == pytest.approx(500_000, abs=2.0)
 
 
+def test_gap_midpoint_past_the_wrap_bound_is_on_the_antipodal_circles():
+    # Two circles of 0.95 pi R about (0, 0) and (0, 30) are the circles of
+    # 0.05 pi R about (0, 180) and (0, -150): their gap is centered on (0, -165).
+    r_km = 0.95 * math.pi * EARTH_RADIUS_M / 1000.0
+    (c,) = pair_candidates("a", km_circle(0, 0, r_km), "b", km_circle(0, 30, r_km),
+                           gap_max_km=2000.0)
+    assert c.case_tag == "midpoint_gap"
+    assert orthodromic_distance(c.point, GeoPoint(0.0, -165.0)) < 1.0
+
+
 def test_gap_beyond_threshold_dropped():
     c1, c2 = km_apart(3000, 400, 400)  # 2200 km perimeter gap
     assert pair_candidates("a", c1, "b", c2) == []
