@@ -14,7 +14,8 @@ class PlacementError(LatlocError):
 
 
 class DegenerateCirclesError(LatlocError):
-    """Two circles share a center and radius: infinitely many intersections."""
+    """Two circles share a center and radius within tolerance: infinitely many
+    intersections."""
 
 
 class ModelDomainError(LatlocError):

@@ -161,19 +161,30 @@ class _Cloud:
         broadcast together against a trailing cloud axis, which the mean
         removes: a grid passes rows of latitude terms and a column of
         longitudes, so the longitude terms are computed once per column.
-        Cloud terms come from numpy, in the atan2 form of
-        geodesy.orthodromic_distance.
+        Cloud terms come from numpy. The angle is the atan2 form of
+        geodesy.orthodromic_distance, except that its numerator is
+        sqrt(a² + b²) where geodesy uses math.hypot: the means agree with the
+        hypot form's to within four ulps of pi * R, about 1.5e-8 m.
+
+        Only two arrays of the full broadcast shape are allocated, the two
+        cos_lat * cos_dlon products; every later step writes into one of
+        them with the same ufunc on the same operands as the plain
+        expression, so the result is the same to the bit.
         """
         dlon = self.lon - lam
         sin_dlon = np.sin(dlon)
         cos_dlon = np.cos(dlon)
-        num = np.hypot(
-            self.cos_lat * sin_dlon,
-            cos_phi * self.sin_lat - sin_phi * self.cos_lat * cos_dlon,
-        )
-        den = sin_phi * self.sin_lat + cos_phi * self.cos_lat * cos_dlon
+        a = self.cos_lat * sin_dlon
+        num = sin_phi * self.cos_lat * cos_dlon
+        den = cos_phi * self.cos_lat * cos_dlon
+        np.subtract(cos_phi * self.sin_lat, num, out=num)  # b
+        num *= num
+        np.add(a * a, num, out=num)
+        np.sqrt(num, out=num)
+        np.add(sin_phi * self.sin_lat, den, out=den)
+        np.arctan2(num, den, out=num)
         # The sum and the division np.mean would make, without its overhead.
-        return np.add.reduce(np.arctan2(num, den), axis=-1) / len(self.lat) * EARTH_RADIUS_M
+        return np.add.reduce(num, axis=-1) / len(self.lat) * EARTH_RADIUS_M
 
     def mean_at_m(self, point: GeoPoint) -> float:
         """Mean great-circle distance in meters from one point to the cloud."""

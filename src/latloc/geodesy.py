@@ -188,9 +188,10 @@ def classified_pair(c1: GeoCircle, c2: GeoCircle) -> tuple[GeoCircle, GeoCircle,
 def circle_intersections(c1: GeoCircle, c2: GeoCircle) -> IntersectionResult:
     """Classify and compute the intersection of two geodesic circles.
 
-    Raises DegenerateCirclesError when the centers coincide and the radii are
-    equal within tolerance; identical centers with distinct radii report the
-    smaller circle as contained. A pair past the wrap bound is classified as
+    Raises DegenerateCirclesError when the circles are equal at the scale of
+    the tolerance: centers within 2*tau and radii differing by at most 2*tau.
+    Identical centers with radii further apart report the smaller circle as
+    contained. A pair past the wrap bound is classified as
     its antipodal circles (see classified_pair), which hold the same points;
     a NonOverlapping gap is then the gap between those.
     """
@@ -198,11 +199,13 @@ def circle_intersections(c1: GeoCircle, c2: GeoCircle) -> IntersectionResult:
     c1, c2, d = classified_pair(c1, c2)
     r1, r2 = c1.radius_m, c2.radius_m
 
+    if d <= 2.0 * tau and abs(r1 - r2) <= 2.0 * tau:
+        # Each argument order would put a touch point on its own first
+        # circle's side: the circles are one circle within the tolerance.
+        raise DegenerateCirclesError(
+            "circles share a center and radius within tolerance: infinite intersections"
+        )
     if d < 1e-9:
-        if abs(r1 - r2) <= tau:
-            raise DegenerateCirclesError(
-                "circles share a center and radius: infinite intersections"
-            )
         return Contained(inner=1 if r1 < r2 else 2)
 
     if d > r1 + r2 + tau:

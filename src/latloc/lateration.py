@@ -104,8 +104,8 @@ def all_candidates(circles: list[LandmarkCircle],
     """Candidates from every unordered circle pair, in deterministic order
     (pair ids ascending; within a crossing pair, northern point first).
 
-    Degenerate pairs (identical centers with equal radii) are skipped with a
-    log message instead of failing the whole cloud.
+    Degenerate pairs (circles equal within the intersection tolerance) are
+    skipped with a log message instead of failing the whole cloud.
     """
     if not math.isfinite(gap_max_km):
         raise ValueError(f"gap_max_km must be finite, got {gap_max_km!r}")

@@ -11,6 +11,8 @@ from latloc.errors import EstimationError
 from latloc.estimation import (
     EstimatedLocation,
     GridSearchConfig,
+    _Cloud,
+    _query_trig,
     _step_winner,
     estimate_document_json,
     estimate_target,
@@ -273,7 +275,9 @@ def test_document_writer_is_byte_identical_to_json(doc):
 
 # ---------------------------------------------------------------------------
 # Oracle: the scalar grid search and filter, one objective evaluation per grid
-# point and per candidate. The array code must reproduce them bit for bit.
+# point and per candidate. The array code must reproduce them bit for bit, so
+# the oracle's numerator has the kernel's sqrt(a*a + b*b) form: a near-tie
+# between two grid points must not flip between them.
 
 
 class _ScalarCloud:
@@ -287,10 +291,9 @@ class _ScalarCloud:
         phi = math.radians(p.lat)
         lam = math.radians(p.lon)
         dlon = self.lon - lam
-        num = np.hypot(
-            self.cos_lat * np.sin(dlon),
-            math.cos(phi) * self.sin_lat - math.sin(phi) * self.cos_lat * np.cos(dlon),
-        )
+        a = self.cos_lat * np.sin(dlon)
+        b = math.cos(phi) * self.sin_lat - math.sin(phi) * self.cos_lat * np.cos(dlon)
+        num = np.sqrt(a * a + b * b)
         den = math.sin(phi) * self.sin_lat + math.cos(phi) * self.cos_lat * np.cos(dlon)
         return float(np.mean(np.arctan2(num, den))) * EARTH_RADIUS_M
 
@@ -465,3 +468,56 @@ def test_step_winner_matches_lexsort_reference(grid):
     obj, center_row, lats, lons, best_obj = grid
     expected = lexsort_step_winner(obj, center_row, lats, lons, best_obj)
     assert _step_winner(obj, center_row, lats, lons, best_obj) == expected
+
+
+# ---------------------------------------------------------------------------
+# The kernel's declared tolerance. Its numerator is sqrt(a*a + b*b), not the
+# hypot of geodesy.orthodromic_distance. Per point the two angles differ by
+# an ulp or so; with the rounding of the sum and the mean, the two means agree
+# to within four ulps of the largest distance, pi * R (20 000 examples of
+# kernel_cases differed by 1.5 at most).
+
+ULPS_M = 4 * math.ulp(math.pi * EARTH_RADIUS_M)  # about 1.5e-8 m
+
+
+def hypot_mean_distances_m(points, queries) -> np.ndarray:
+    """Mean distance from each query to the cloud, with np.hypot as numerator."""
+    lat = np.radians([p.lat for p in points])
+    lon = np.radians([p.lon for p in points])
+    sin_phi, cos_phi, lam = _query_trig([q.lat for q in queries], [q.lon for q in queries])
+    dlon = lon - lam
+    num = np.hypot(np.cos(lat) * np.sin(dlon),
+                   cos_phi * np.sin(lat) - sin_phi * np.cos(lat) * np.cos(dlon))
+    den = sin_phi * np.sin(lat) + cos_phi * np.cos(lat) * np.cos(dlon)
+    return np.add.reduce(np.arctan2(num, den), axis=-1) / len(points) * EARTH_RADIUS_M
+
+
+def antipode(p: GeoPoint) -> GeoPoint:
+    return GeoPoint(-p.lat, normalize_lon(p.lon + 180.0))
+
+
+@st.composite
+def kernel_cases(draw):
+    """A cloud near a pole, across the antimeridian or anywhere, and one to
+    four query points, some of them on a cloud point or on its antipode."""
+    points = draw(st.one_of(
+        clouds(NEAR_POLE, 5.0), clouds(ANTIMERIDIAN, 300.0), clouds(ANYWHERE, 20_000.0),
+    ))
+    on_cloud = st.sampled_from(points)
+    queries = draw(st.lists(
+        st.one_of(on_cloud, on_cloud.map(antipode), NEAR_POLE, ANTIMERIDIAN, ANYWHERE),
+        min_size=1, max_size=4,
+    ))
+    return points, queries
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=kernel_cases())
+def test_kernel_is_within_declared_tolerance(case):
+    points, queries = case
+    got = _Cloud(points).mean_distance_m(
+        *_query_trig([q.lat for q in queries], [q.lon for q in queries]))
+    assert got.shape == (len(queries),)
+    assert np.all(np.abs(got - hypot_mean_distances_m(points, queries)) <= ULPS_M)
+    for q, value in zip(queries, got.tolist()):
+        assert abs(value - mean_distance(q, points)) <= 1e-6

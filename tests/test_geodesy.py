@@ -2,7 +2,7 @@ import math
 import random
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latloc.errors import DegenerateCirclesError
@@ -143,6 +143,16 @@ def test_identical_centers():
         circle_intersections(GeoCircle(center, 100_000), GeoCircle(center, 100_000))
     result = circle_intersections(GeoCircle(center, 100_000), GeoCircle(center, 300_000))
     assert result == Contained(inner=1)
+
+
+def test_circles_equal_within_tolerance_are_degenerate():
+    # Two 1 m circles 0.27 mm apart: as an internal tangency, each argument
+    # order put the touch point on its own first circle's side, 2 m apart.
+    c1 = GeoCircle(GeoPoint(45, 9), 1.0)
+    c2 = GeoCircle(destination_point(c1.center, 90.0, 0.00027), 1.0)
+    for pair in ((c1, c2), (c2, c1)):
+        with pytest.raises(DegenerateCirclesError):
+            circle_intersections(*pair)
 
 
 def latitude_scan_oracle(c1, c2, lon_deg):
@@ -302,10 +312,6 @@ def test_intersection_points_lie_on_both_circles(pair):
 @given(pair=circle_pairs())
 def test_intersection_is_the_same_point_set_when_swapped(pair):
     c1, c2 = pair
-    # Circles equal to within the tolerance are degenerate at its scale: each
-    # order reports a touch point on its own first circle's side.
-    assume(orthodromic_distance(c1.center, c2.center) > 2 * TAU
-           or abs(c1.radius_m - c2.radius_m) > 2 * TAU)
     try:
         r12 = circle_intersections(c1, c2)
     except DegenerateCirclesError:

@@ -9,9 +9,10 @@ locate_k16 calls (latloc locate, in process, on perfbench's set-up). For
 each workload the line gives the grid_center calls, their ε-steps (one
 mean-distance evaluation each, after the one at the centroid), the median
 cloud size, the unscaled wall time per call and per step (best of REPEATS
-replays of all its clouds), and the time np.hypot alone takes on one step's
-7 x 7 x n arrays at the median n. perfbench reports grid_center totals only;
-this shows what one step costs and how much of it hypot leaves. --root
+replays of all its clouds), and the time of one _Cloud.mean_distance_m call
+on a 7 x 7 grid around the centroid of a cloud of the median size.
+perfbench reports grid_center totals only; this shows what one step costs
+and how much of it the objective kernel takes. --root
 selects the checkout whose src/ and perfbench/ are imported, so two commits
 can be timed with the same script.
 """
@@ -35,7 +36,6 @@ def main(argv=None) -> int:
     root = Path(args.root).resolve()
     sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
 
-    import numpy as np
     from latloc import cli, estimation, simulator
     from speed import ScaledClock
     from workloads import SHAPES, ExperimentWorkload, LocateWorkload
@@ -96,13 +96,16 @@ def main(argv=None) -> int:
             best = min(best, time.perf_counter() - start)
         return best
 
-    def hypot_s(n: int) -> float:
-        x, y = np.random.default_rng(0).random((2, 7, 7, n))
+    def kernel_s(points) -> float:
+        """One mean-distance evaluation of a 7 x 7 grid step on points."""
+        cloud = estimation._Cloud(points)
+        _, lats, lons = estimation._grid_axes(estimation.spherical_centroid(points), 100_000.0)
+        sin_phi, cos_phi, lam = estimation._query_trig(lats, lons)
         best = float("inf")
         for _ in range(REPEATS):
             start = time.perf_counter()
             for _ in range(100):
-                np.hypot(x, y)
+                cloud.mean_distance_m(sin_phi[:, None], cos_phi[:, None], lam)
             best = min(best, (time.perf_counter() - start) / 100)
         return best
 
@@ -112,13 +115,14 @@ def main(argv=None) -> int:
         steps = evaluations(clouds) - len(clouds)
         total_s = replay_s(clouds)
         size = statistics.median(len(points) for points, _ in clouds)
+        median_cloud = min((points for points, _ in clouds), key=lambda p: abs(len(p) - size))
         out[name] = {
             "calls": len(clouds),
             "eps_steps": steps,
             "median_cloud_size": size,
             "ms_per_call": round(total_s / len(clouds) * 1e3, 4),
             "us_per_step": round(total_s / steps * 1e6, 2),
-            "hypot_us_per_step": round(hypot_s(int(size)) * 1e6, 2),
+            "kernel_us_per_step": round(kernel_s(median_cloud) * 1e6, 2),
         }
     print(json.dumps(out))
     return 0
