@@ -124,6 +124,9 @@ def cmd_locate(args) -> int:
     positions = _load_positions(args)
     models = models_from_json(_read(args.models))
     measurements = measurements_from_csv(_read(args.measurements))
+    targets = sorted({m.target_id for m in measurements})
+    if len(targets) > 1:
+        raise UsageError(f"measurements name more than one target: {', '.join(targets)}")
     circles = []
     for m in measurements:
         if m.landmark_id not in models:

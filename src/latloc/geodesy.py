@@ -1,15 +1,27 @@
 """Spherical-Earth geometry: great-circle distances, destination points, and
-intersections of two geodesic circles.
+intersections of geodesic circles.
 
 All public functions take and return degrees; radians are internal only.
 The sphere radius is the WGS84 mean radius.
+
+solve_circle_pairs classifies every pair of a set of circles in one loop
+and computes all their candidate points in one numpy pass, with each
+circle's trigonometry computed once. numpy does only arithmetic,
+comparisons and unit conversions, and the math module each sine, cosine,
+inverse and hypot, element by element, so the points carry the bits of the
+scalar formulas on any numpy build. circle_intersections and
+destination_point are batches of one for the solver; orthodromic_distance
+stays scalar for its many one-pair callers.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import combinations
 from dataclasses import dataclass
-from typing import Union
+from typing import Iterable, NamedTuple, Union
+
+import numpy as np
 
 from .errors import DegenerateCirclesError
 
@@ -42,14 +54,11 @@ class GeoPoint:
         object.__setattr__(self, "lon", normalize_lon(self.lon))
 
 
-def normalize_lon(lon: float) -> float:
-    """Longitude in degrees mapped into (-180, 180]."""
+def normalize_lon(lon):
+    """Longitude in degrees mapped into (-180, 180]: a float, or each element
+    of a float array. (lon % 360.0 lies in [0, 360], so -180 never results.)"""
     lon = lon % 360.0
-    if lon > 180.0:
-        lon -= 360.0
-    elif lon == -180.0:
-        lon = 180.0
-    return lon
+    return lon - 360.0 * (lon > 180.0)
 
 
 @dataclass(frozen=True)
@@ -121,123 +130,256 @@ def orthodromic_distance(a: GeoPoint, b: GeoPoint) -> float:
     return EARTH_RADIUS_M * math.atan2(num, den)
 
 
-def initial_bearing(a: GeoPoint, b: GeoPoint) -> float:
-    """Initial bearing from a toward b, degrees clockwise from north in [0, 360)."""
-    phi1 = math.radians(a.lat)
-    phi2 = math.radians(b.lat)
-    dlon = math.radians(b.lon - a.lon)
-    x = math.sin(dlon) * math.cos(phi2)
-    y = math.cos(phi1) * math.sin(phi2) - math.sin(phi1) * math.cos(phi2) * math.cos(dlon)
-    return math.degrees(math.atan2(x, y)) % 360.0
+def _each(f, *columns: np.ndarray) -> np.ndarray:
+    """f of the columns' elements, one math-module call per element.
+
+    numpy's arctan2, arcsin, arccos and hypot round some values differently
+    from math's, and by how much depends on the build; with math the array
+    forms here give the bits the scalar forms give."""
+    values = [c.tolist() for c in columns]
+    return np.fromiter(map(f, *values), dtype=float, count=len(values[0]))
 
 
-def destination_point(origin: GeoPoint, bearing_deg: float, distance_m: float) -> GeoPoint:
-    """Point reached by travelling distance_m along the given initial bearing."""
+def _sin_cos(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """_each(math.sin, x) and _each(math.cos, x), converting x once."""
+    values = x.tolist()
+    return (np.fromiter(map(math.sin, values), dtype=float, count=len(values)),
+            np.fromiter(map(math.cos, values), dtype=float, count=len(values)))
+
+
+def _valid_points(lat: Iterable[float], lon: Iterable[float]) -> list[GeoPoint]:
+    """GeoPoint(lat[k], lon[k]) for each k, for latitudes known to lie in
+    [-90, 90] and longitudes already normalized: the objects GeoPoint
+    builds, without its checks, at about half its cost. Fields are set as
+    the dataclass's own __init__ sets them; writing the instance __dict__
+    would be cheaper here but makes every later attribute read slower."""
+    new, set_attr = object.__new__, object.__setattr__
+    points = []
+    for phi, lam in zip(lat, lon):
+        p = new(GeoPoint)
+        set_attr(p, "lat", phi)
+        set_attr(p, "lon", lam)
+        points.append(p)
+    return points
+
+
+def _distance_bearing(sin1: float, cos1: float, lon1: float,
+                      sin2: float, cos2: float, lon2: float) -> tuple[float, float]:
+    """Great-circle distance in meters and initial bearing in degrees
+    [0, 360) from point 1 to point 2, given the sine and cosine of each
+    latitude: orthodromic_distance's arithmetic, in its order."""
+    dlon = math.radians(lon2 - lon1)
+    sin_dlon, cos_dlon = math.sin(dlon), math.cos(dlon)
+    x = cos2 * sin_dlon
+    y = cos1 * sin2 - sin1 * cos2 * cos_dlon
+    den = sin1 * sin2 + cos1 * cos2 * cos_dlon
+    return (EARTH_RADIUS_M * math.atan2(math.hypot(x, y), den),
+            math.degrees(math.atan2(x, y)) % 360.0)
+
+
+def _arc_trig(distance_m: float) -> tuple[float, float]:
+    """Sine and cosine of the arc distance_m / R, for a distance in [0, pi*R]."""
     if distance_m < 0 or distance_m > math.pi * EARTH_RADIUS_M + 1e-6:
         raise ValueError(f"distance {distance_m} outside [0, pi*R]")
     sigma = distance_m / EARTH_RADIUS_M
-    theta = math.radians(bearing_deg)
+    return math.sin(sigma), math.cos(sigma)
+
+
+def _destinations(sin_phi1: np.ndarray, cos_phi1: np.ndarray, lon1: np.ndarray,
+                  bearing_deg: np.ndarray, sin_sigma: np.ndarray,
+                  cos_sigma: np.ndarray) -> tuple[list[float], list[float]]:
+    """Latitudes and normalized longitudes, in degrees, of the points
+    reached from origins (sine and cosine of latitude, longitude in
+    degrees) along initial bearings after arcs sigma, elementwise: the
+    arithmetic of destination_point, in its order, with numpy for the
+    arithmetic and math for the rest."""
+    sin_theta, cos_theta = _sin_cos(np.radians(bearing_deg))
+    sin_phi2 = np.maximum(np.minimum(sin_phi1 * cos_sigma + cos_phi1 * sin_sigma * cos_theta,
+                                     1.0), -1.0)
+    y = sin_theta * sin_sigma * cos_phi1
+    x = cos_sigma - sin_phi1 * sin_phi2
+    pole = np.abs(cos_phi1) < POLE_COS
+    if pole.any():
+        # At a pole x = cos(sigma) - sin(phi1) * sin(phi2) cancels to
+        # rounding noise, and the longitude with it; this form does not.
+        c, s = cos_phi1[pole], sin_phi1[pole]
+        x[pole] = c * (c * cos_sigma[pole] - s * sin_sigma[pole] * cos_theta[pole])
+    lam2 = np.radians(lon1) + _each(math.atan2, y, x)
+    lat2 = np.degrees(_each(math.asin, sin_phi2))
+    return lat2.tolist(), normalize_lon(np.degrees(lam2)).tolist()
+
+
+def initial_bearing(a: GeoPoint, b: GeoPoint) -> float:
+    """Initial bearing from a toward b, degrees clockwise from north in [0, 360)."""
+    phi1, phi2 = math.radians(a.lat), math.radians(b.lat)
+    return _distance_bearing(math.sin(phi1), math.cos(phi1), a.lon,
+                             math.sin(phi2), math.cos(phi2), b.lon)[1]
+
+
+def destination_point(origin: GeoPoint, bearing_deg: float, distance_m: float) -> GeoPoint:
+    """Point reached by travelling distance_m along the given initial
+    bearing: a batch of one for the solver's destination pass."""
+    sin_sigma, cos_sigma = _arc_trig(distance_m)
     phi1 = math.radians(origin.lat)
-    lam1 = math.radians(origin.lon)
-    sin_phi2 = math.sin(phi1) * math.cos(sigma) + math.cos(phi1) * math.sin(sigma) * math.cos(theta)
-    sin_phi2 = max(-1.0, min(1.0, sin_phi2))
-    phi2 = math.asin(sin_phi2)
-    cos_phi1 = math.cos(phi1)
-    y = math.sin(theta) * math.sin(sigma) * cos_phi1
-    if abs(cos_phi1) < POLE_COS:
-        # At a pole x = cos(sigma) - sin(phi1) * sin(phi2) cancels to rounding
-        # noise, and the longitude with it; this factored form does not.
-        x = cos_phi1 * (cos_phi1 * math.cos(sigma)
-                        - math.sin(phi1) * math.sin(sigma) * math.cos(theta))
-    else:
-        x = math.cos(sigma) - math.sin(phi1) * sin_phi2
-    lam2 = lam1 + math.atan2(y, x)
-    return GeoPoint(math.degrees(phi2), math.degrees(lam2))
+    lat, lon = _destinations(np.array([math.sin(phi1)]), np.array([math.cos(phi1)]),
+                             np.array([origin.lon]), np.array([bearing_deg], dtype=float),
+                             np.array([sin_sigma]), np.array([cos_sigma]))
+    (point,) = _valid_points(lat, lon)
+    return point
 
 
-def _order_pair(p1: GeoPoint, p2: GeoPoint) -> tuple[GeoPoint, GeoPoint]:
-    # Northern point first; tie broken by smaller longitude.
-    if (p1.lat, -p1.lon) >= (p2.lat, -p2.lon):
-        return p1, p2
-    return p2, p1
+class PairSolutions(NamedTuple):
+    """What solve_circle_pairs found for the pairs of n circles, taken in
+    itertools.combinations order: (0, 1), (0, 2), ..., (n - 2, n - 1).
+
+    Per pair k: case[k] (DEGENERATE, NON_OVERLAPPING, CONTAINED, TANGENT or
+    CROSSING), gap_m[k] = d - r1 - r2 and inner[k], 1 if the first circle is
+    the smaller and 2 otherwise, both on the circles classified. points
+    holds the candidate points pair after pair; pair_of_point[m] is the
+    pair of points[m]."""
+
+    case: list[int]
+    gap_m: list[float]
+    inner: list[int]
+    points: list[GeoPoint]
+    pair_of_point: list[int]
 
 
-def _antipodal(c: GeoCircle) -> GeoCircle:
-    """The same points as c, as a circle about c's antipode."""
-    center = GeoPoint(-c.center.lat, c.center.lon + 180.0)
-    return GeoCircle(center, math.pi * EARTH_RADIUS_M - c.radius_m)
+DEGENERATE, NON_OVERLAPPING, CONTAINED, TANGENT, CROSSING = range(5)
+
+DEGENERATE_MESSAGE = "circles share a center and radius within tolerance: infinite intersections"
 
 
-def classified_pair(c1: GeoCircle, c2: GeoCircle) -> tuple[GeoCircle, GeoCircle, float]:
-    """The two circles circle_intersections classifies for c1 and c2, and the
-    distance between their centers.
+def solve_circle_pairs(lat, lon, radius_m, gap_max_m: float) -> PairSolutions:
+    """Classify every pair of n circles (centers at lat, lon in degrees,
+    radii in meters) and compute each pair's candidate points.
 
-    Two circles can meet only if d <= 2*pi*R - r1 - r2: a spherical triangle's
-    perimeter is at most 2*pi*R. Past that bound the pair is replaced by its
-    antipodal circles (the same point sets), whose radii sum to less than d,
-    so circle_intersections' cases hold for them. Otherwise c1 and c2 are
-    returned as they are.
+    Two circles can meet only if d <= 2*pi*R - r1 - r2: a spherical
+    triangle's perimeter is at most 2*pi*R. Past that bound a pair is
+    classified as its antipodal circles (radius pi*R - r about each center's
+    antipode), which hold the same points. With tau the 1 m tolerance, the
+    first of these that holds is the pair's case:
+
+    - DEGENERATE: centers within 2*tau and radii within 2*tau, one circle
+      within the tolerance. No point.
+    - CONTAINED, if the centers are under 1e-9 m apart.
+    - NON_OVERLAPPING, d > r1 + r2 + tau: the midpoint of the gap on the
+      center geodesic, unless the gap exceeds gap_max_m (then no point).
+    - CONTAINED, d < |r1 - r2| - tau: where the larger circle, shrunk to
+      internal tangency, touches the smaller one, beyond its center at its
+      radius. This point is measured on the circles as given.
+    - TANGENT, external (|d - (r1 + r2)| <= tau and d >= |r1 - r2|): the
+      touch point splits the center geodesic. Internal (|d - |r1 - r2|| <=
+      tau): it lies beyond the smaller circle's center, at the larger radius
+      from the larger circle's center.
+    - CROSSING: the two crossing points, northern first (tie: smaller
+      longitude).
+
+    The sine and cosine of each circle's latitude and radius are computed
+    once. One loop over the pairs finds each pair's case, and the origin,
+    bearing and arc of each of its points, computing a case only on its own
+    pairs; one numpy pass over those rows then finds every point, and the
+    GeoPoints are built last. (The pair stage as numpy arrays took a few
+    hundred array calls per call, whatever the size: at 28 pairs that cost
+    more than the scalar loop it replaced.)
     """
-    d = orthodromic_distance(c1.center, c2.center)
-    if c1.radius_m + c2.radius_m + d <= 2.0 * math.pi * EARTH_RADIUS_M:
-        return c1, c2, d
-    c1, c2 = _antipodal(c1), _antipodal(c2)
-    return c1, c2, orthodromic_distance(c1.center, c2.center)
+    n = len(radius_m)
+    pi_r = math.pi * EARTH_RADIUS_M
+    # Circles n..2n-1 are the antipodal circles, for pairs past the wrap bound.
+    lat = [*lat, *(-x for x in lat)]
+    lon = [*lon, *(normalize_lon(x + 180.0) for x in lon)]
+    r = [*radius_m, *(pi_r - x for x in radius_m)]
+    phi = [math.radians(x) for x in lat]
+    sin_phi, cos_phi = list(map(math.sin, phi)), list(map(math.cos, phi))
+    arc = [x / EARTH_RADIUS_M for x in r]
+    sin_r, cos_r = list(map(math.sin, arc)), list(map(math.cos, arc))
+
+    def distance_bearing(a: int, b: int) -> tuple[float, float]:
+        return _distance_bearing(sin_phi[a], cos_phi[a], lon[a], sin_phi[b], cos_phi[b], lon[b])
+
+    tau = INTERSECTION_TOLERANCE_M
+    cases, gaps, inners = [], [], []
+    # Per point: pair, origin circle, bearing, sine and cosine of the arc.
+    rows: list[tuple[int, int, float, float, float]] = []
+    crossings = []  # the first row of each crossing pair
+    for k, (a, b) in enumerate(combinations(range(n), 2)):
+        d0, bearing0 = distance_bearing(a, b)
+        i, j, d, bearing = a, b, d0, bearing0
+        if r[a] + r[b] + d0 > 2.0 * pi_r:
+            i, j = a + n, b + n
+            d, bearing = distance_bearing(i, j)
+        r1, r2 = r[i], r[j]
+        spread = abs(r1 - r2)
+        gap = d - r1 - r2
+        inner = 1 if r1 < r2 else 2
+        if d <= 2.0 * tau and spread <= 2.0 * tau:
+            case = DEGENERATE
+        elif d < 1e-9:
+            case = CONTAINED
+        elif d > r1 + r2 + tau:
+            case = NON_OVERLAPPING
+        elif d < spread - tau:
+            case = CONTAINED
+        elif abs(d - (r1 + r2)) <= tau and d >= spread:
+            case = TANGENT
+            rows.append((k, i, bearing, *_arc_trig((d + r1 - r2) / 2.0)))
+        elif abs(d - spread) <= tau:
+            case = TANGENT
+            if r1 >= r2:
+                rows.append((k, i, bearing, *_arc_trig((d + r1 + r2) / 2.0)))
+            else:
+                rows.append((k, j, distance_bearing(j, i)[1], *_arc_trig((d + r1 + r2) / 2.0)))
+        else:
+            case = CROSSING
+            # The angle at center1 between the center geodesic and the
+            # point, from the spherical triangle (center1, center2, point).
+            c = d / EARTH_RADIUS_M
+            cos_alpha = (cos_r[j] - cos_r[i] * math.cos(c)) / (sin_r[i] * math.sin(c))
+            alpha = math.degrees(math.acos(max(-1.0, min(1.0, cos_alpha))))
+            crossings.append(len(rows))
+            rows.append((k, i, bearing - alpha, sin_r[i], cos_r[i]))
+            rows.append((k, i, bearing + alpha, sin_r[i], cos_r[i]))
+        if case == NON_OVERLAPPING and gap <= gap_max_m:
+            rows.append((k, i, bearing, *_arc_trig(r1 + gap / 2.0)))
+        elif case == CONTAINED:
+            if inner == 1:
+                d_outer, bearing_outer = distance_bearing(b, a)
+                rows.append((k, b, bearing_outer, *_arc_trig(d_outer + r[a])))
+            else:
+                rows.append((k, a, bearing0, *_arc_trig(d0 + r[b])))
+        cases.append(case)
+        gaps.append(gap)
+        inners.append(inner)
+
+    pair_of_point, origin, heading, sin_sigma, cos_sigma = (
+        (list(column) for column in zip(*rows)) if rows else ([],) * 5)
+    at = np.array(origin, dtype=np.intp)
+    lat2, lon2 = _destinations(np.array(sin_phi)[at], np.array(cos_phi)[at], np.array(lon)[at],
+                               np.array(heading), np.array(sin_sigma), np.array(cos_sigma))
+    for s in crossings:
+        if (lat2[s], -lon2[s]) < (lat2[s + 1], -lon2[s + 1]):
+            lat2[s], lat2[s + 1] = lat2[s + 1], lat2[s]
+            lon2[s], lon2[s + 1] = lon2[s + 1], lon2[s]
+    return PairSolutions(cases, gaps, inners, _valid_points(lat2, lon2), pair_of_point)
 
 
 def circle_intersections(c1: GeoCircle, c2: GeoCircle) -> IntersectionResult:
-    """Classify and compute the intersection of two geodesic circles.
+    """Classify and compute the intersection of two geodesic circles: a
+    batch of one for solve_circle_pairs, whose docstring gives the cases.
 
     Raises DegenerateCirclesError when the circles are equal at the scale of
-    the tolerance: centers within 2*tau and radii differing by at most 2*tau.
-    Identical centers with radii further apart report the smaller circle as
-    contained. A pair past the wrap bound is classified as
-    its antipodal circles (see classified_pair), which hold the same points;
-    a NonOverlapping gap is then the gap between those.
+    the tolerance. A pair past the wrap bound is classified as its antipodal
+    circles; a NonOverlapping gap is then the gap between those.
     """
-    tau = INTERSECTION_TOLERANCE_M
-    c1, c2, d = classified_pair(c1, c2)
-    r1, r2 = c1.radius_m, c2.radius_m
-
-    if d <= 2.0 * tau and abs(r1 - r2) <= 2.0 * tau:
-        # Each argument order would put a touch point on its own first
-        # circle's side: the circles are one circle within the tolerance.
-        raise DegenerateCirclesError(
-            "circles share a center and radius within tolerance: infinite intersections"
-        )
-    if d < 1e-9:
-        return Contained(inner=1 if r1 < r2 else 2)
-
-    if d > r1 + r2 + tau:
-        return NonOverlapping(gap_m=d - r1 - r2)
-    if d < abs(r1 - r2) - tau:
-        return Contained(inner=1 if r1 < r2 else 2)
-
-    if abs(d - (r1 + r2)) <= tau and d >= abs(r1 - r2):
-        # External tangency: the touch point splits the center geodesic.
-        # (A circle under tau across is also within tau of internal tangency,
-        # and when d < |r1 - r2| that is the case that holds.)
-        point = destination_point(c1.center, initial_bearing(c1.center, c2.center), (d + r1 - r2) / 2.0)
-        return Tangent(point=point)
-    if abs(d - abs(r1 - r2)) <= tau:
-        # Internal tangency: touch point lies beyond the smaller circle's center,
-        # at the larger radius from the larger circle's center.
-        if r1 >= r2:
-            point = destination_point(c1.center, initial_bearing(c1.center, c2.center), (d + r1 + r2) / 2.0)
-        else:
-            point = destination_point(c2.center, initial_bearing(c2.center, c1.center), (d + r1 + r2) / 2.0)
-        return Tangent(point=point)
-
-    # Proper crossing: solve the spherical triangle (center1, center2, point)
-    # for the angle at center1 between the center geodesic and the point.
-    a = r1 / EARTH_RADIUS_M
-    b = r2 / EARTH_RADIUS_M
-    c = d / EARTH_RADIUS_M
-    cos_alpha = (math.cos(b) - math.cos(a) * math.cos(c)) / (math.sin(a) * math.sin(c))
-    cos_alpha = max(-1.0, min(1.0, cos_alpha))
-    alpha = math.degrees(math.acos(cos_alpha))
-    bearing = initial_bearing(c1.center, c2.center)
-    p1 = destination_point(c1.center, bearing - alpha, r1)
-    p2 = destination_point(c1.center, bearing + alpha, r1)
-    p1, p2 = _order_pair(p1, p2)
-    return PairIntersection(p1=p1, p2=p2)
+    solved = solve_circle_pairs([c1.center.lat, c2.center.lat], [c1.center.lon, c2.center.lon],
+                                [c1.radius_m, c2.radius_m], math.inf)
+    case = solved.case[0]
+    if case == DEGENERATE:
+        raise DegenerateCirclesError(DEGENERATE_MESSAGE)
+    if case == NON_OVERLAPPING:
+        return NonOverlapping(gap_m=solved.gap_m[0])
+    if case == CONTAINED:
+        return Contained(inner=solved.inner[0])
+    if case == TANGENT:
+        return Tangent(point=solved.points[0])
+    return PairIntersection(*solved.points)

@@ -1,7 +1,11 @@
 """Pairwise multilateration: distance estimates become geodesic circles, and
 every circle pair contributes candidate target points according to how the
 two circles intersect (gap midpoint, forced tangency, tangent point, or both
-crossing points)."""
+crossing points).
+
+all_candidates solves every pair of a target's circles in one call to
+geodesy.solve_circle_pairs and builds the CandidatePoints once, at the end;
+pair_candidates is a batch of one for the same solver."""
 
 from __future__ import annotations
 
@@ -11,19 +15,19 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import DegenerateCirclesError, LaterationError
-from .geodesy import (
+from .geodesy import (  # noqa: F401  (circle_intersections: a name perfbench's tracer wraps)
+    CONTAINED,
+    CROSSING,
+    DEGENERATE,
+    DEGENERATE_MESSAGE,
     EARTH_RADIUS_M,
-    Contained,
+    NON_OVERLAPPING,
+    TANGENT,
     GeoCircle,
     GeoPoint,
-    NonOverlapping,
-    PairIntersection,
-    Tangent,
+    PairSolutions,
     circle_intersections,
-    classified_pair,
-    destination_point,
-    initial_bearing,
-    orthodromic_distance,
+    solve_circle_pairs,
 )
 from .latency import DEFAULT_PER_HOP_MS, LatencyModel, Measurement, effective_latency, predict_distance
 
@@ -32,6 +36,10 @@ log = logging.getLogger(__name__)
 # Non-overlapping pairs whose perimeter gap exceeds this are dropped: a gap
 # that large means at least one radius is badly wrong.
 DEFAULT_GAP_MAX_KM = 1000.0
+
+# The candidate tag of each case that yields points.
+CASE_TAGS = {NON_OVERLAPPING: "midpoint_gap", CONTAINED: "contained_tangent",
+             TANGENT: "tangent", CROSSING: "pair_branch"}
 
 
 @dataclass(frozen=True)
@@ -60,43 +68,22 @@ def build_circle(landmark: GeoPoint, model: LatencyModel, measurement: Measureme
     return GeoCircle(center=landmark, radius_m=radius_m)
 
 
+def _solve(circles: list[GeoCircle], gap_max_km: float) -> PairSolutions:
+    return solve_circle_pairs([c.center.lat for c in circles], [c.center.lon for c in circles],
+                              [c.radius_m for c in circles], gap_max_km * 1000.0)
+
+
 def pair_candidates(id1: str, c1: GeoCircle, id2: str, c2: GeoCircle,
                     gap_max_km: float = DEFAULT_GAP_MAX_KM) -> list[CandidatePoint]:
-    """Candidate points from one circle pair, by intersection case."""
+    """Candidate points from one circle pair, by intersection case: a batch
+    of one for the solver. Raises DegenerateCirclesError for circles equal
+    within the tolerance."""
     pair = (id1, id2) if id1 <= id2 else (id2, id1)
-    result = circle_intersections(c1, c2)
-
-    if isinstance(result, NonOverlapping):
-        if result.gap_m > gap_max_km * 1000.0:
-            return []
-        # Midpoint of the gap between the two perimeters, on the center
-        # geodesic of the circles classified: past the wrap bound, the
-        # antipodal ones.
-        c1, c2, _ = classified_pair(c1, c2)
-        bearing = initial_bearing(c1.center, c2.center)
-        point = destination_point(c1.center, bearing, c1.radius_m + result.gap_m / 2.0)
-        return [CandidatePoint(point=point, source_pair=pair, case_tag="midpoint_gap")]
-
-    if isinstance(result, Contained):
-        # Shrink the larger circle to internal tangency; the tangent point sits
-        # beyond the smaller circle's center at its radius.
-        if result.inner == 1:
-            outer, inner = c2, c1
-        else:
-            outer, inner = c1, c2
-        d = orthodromic_distance(outer.center, inner.center)
-        bearing = initial_bearing(outer.center, inner.center)
-        point = destination_point(outer.center, bearing, d + inner.radius_m)
-        return [CandidatePoint(point=point, source_pair=pair, case_tag="contained_tangent")]
-
-    if isinstance(result, Tangent):
-        return [CandidatePoint(point=result.point, source_pair=pair, case_tag="tangent")]
-
-    assert isinstance(result, PairIntersection)
-    return [
-        CandidatePoint(point=result.p1, source_pair=pair, case_tag="pair_branch"),
-        CandidatePoint(point=result.p2, source_pair=pair, case_tag="pair_branch"),
-    ]
+    solved = _solve([c1, c2], gap_max_km)
+    case = solved.case[0]
+    if case == DEGENERATE:
+        raise DegenerateCirclesError(DEGENERATE_MESSAGE)
+    return [CandidatePoint(point=p, source_pair=pair, case_tag=CASE_TAGS[case]) for p in solved.points]
 
 
 def all_candidates(circles: list[LandmarkCircle],
@@ -105,20 +92,25 @@ def all_candidates(circles: list[LandmarkCircle],
     (pair ids ascending; within a crossing pair, northern point first).
 
     Degenerate pairs (circles equal within the intersection tolerance) are
-    skipped with a log message instead of failing the whole cloud.
+    skipped with a log message instead of failing the whole cloud. The
+    solver pairs circles by position, so each landmark may have one circle
+    only.
     """
     if not math.isfinite(gap_max_km):
         raise ValueError(f"gap_max_km must be finite, got {gap_max_km!r}")
     if len(circles) < 2:
         raise LaterationError(f"need at least 2 circles, got {len(circles)}")
     ordered = sorted(circles, key=lambda lc: lc.landmark_id)
-    candidates: list[CandidatePoint] = []
-    for lc1, lc2 in combinations(ordered, 2):
-        try:
-            candidates.extend(
-                pair_candidates(lc1.landmark_id, lc1.circle, lc2.landmark_id, lc2.circle,
-                                gap_max_km=gap_max_km)
-            )
-        except DegenerateCirclesError as exc:
-            log.warning("skipping pair (%s, %s): %s", lc1.landmark_id, lc2.landmark_id, exc)
-    return candidates
+    ids = [lc.landmark_id for lc in ordered]
+    for a, b in zip(ids, ids[1:]):
+        if a == b:
+            raise LaterationError(f"landmark {a!r} has more than one circle")
+    solved = _solve([lc.circle for lc in ordered], gap_max_km)
+    pairs = list(combinations(ids, 2))
+    cases = solved.case
+    for pair, case in zip(pairs, cases):
+        if case == DEGENERATE:
+            log.warning("skipping pair (%s, %s): %s", *pair, DEGENERATE_MESSAGE)
+    # Positional arguments: keywords double the cost of building a candidate.
+    return list(map(CandidatePoint, solved.points, [pairs[k] for k in solved.pair_of_point],
+                    [CASE_TAGS[cases[k]] for k in solved.pair_of_point]))

@@ -188,6 +188,40 @@ def test_locate_single_landmark_rejected(world_files, tmp_path, capsys):
 
 
 
+def _locate_rows(world_files, models_file, tmp_path, lines):
+    probes = tmp_path / "probes.csv"
+    probes.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "estimate.json"
+    code = run(["locate", "--topology", world_files / "topology.json", "--models", models_file,
+                "--measurements", probes, "--out", out])
+    return code, out
+
+
+def test_locate_rejects_a_landmark_measured_twice(world_files, models_file, tmp_path, capsys):
+    # A repeated landmark was paired with itself: with its RTTs tripled, the
+    # pair gave a contained_tangent candidate, and locate exited 0.
+    lines = (world_files / "target.csv").read_text().splitlines()
+    landmark, target, hops, *rtts = lines[1].split(",")
+    again = ",".join([landmark, target, hops, *(repr(3 * float(x)) for x in rtts)])
+    code, out = _locate_rows(world_files, models_file, tmp_path, lines + [again])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: landmark {landmark!r} has more than one circle\n"
+    assert not out.exists()
+
+
+def test_locate_rejects_measurements_of_two_targets(world_files, models_file, tmp_path, capsys):
+    # Rows of two targets were merged into one estimate.
+    lines = (world_files / "target.csv").read_text().splitlines()
+    target = lines[1].split(",")[1]
+    landmark, _, *rest = lines[-1].split(",")
+    lines[-1] = ",".join([landmark, "zz-other", *rest])
+    code, out = _locate_rows(world_files, models_file, tmp_path, lines)
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"error: measurements name more than one target: {target}, zz-other\n")
+    assert not out.exists()
+
+
 def test_locate_non_finite_rtt_rejected(world_files, tmp_path, capsys):
     models = tmp_path / "models.json"
     assert run(["fit", "--topology", world_files / "topology.json",

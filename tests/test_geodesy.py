@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import scalar_pairs
 from latloc.errors import DegenerateCirclesError
 from latloc.geodesy import (
     EARTH_RADIUS_M,
@@ -15,7 +16,6 @@ from latloc.geodesy import (
     PairIntersection,
     Tangent,
     circle_intersections,
-    classified_pair,
     destination_point,
     initial_bearing,
     orthodromic_distance,
@@ -247,12 +247,13 @@ def test_pair_past_the_wrap_bound_is_classified_on_its_antipodal_circles():
     assert isinstance(result, NonOverlapping)
     d = orthodromic_distance(c1.center, c2.center)
     assert result.gap_m == pytest.approx(d - (2 * math.pi * EARTH_RADIUS_M - 2 * r), abs=1e-3)
-    a1, a2, d_a = classified_pair(c1, c2)
+    a1, a2, d_a = scalar_pairs.classified_pair(c1, c2)
     assert (a1.center, a2.center) == (GeoPoint(0, 180), GeoPoint(0, -150))
     assert a1.radius_m == a2.radius_m == pytest.approx(0.05 * math.pi * EARTH_RADIUS_M)
     assert d_a == pytest.approx(d, abs=1e-6)
     # A pair within the bound is classified as given.
-    assert classified_pair(c1, GeoCircle(c2.center, 1000.0))[:2] == (c1, GeoCircle(c2.center, 1000.0))
+    near = GeoCircle(c2.center, 1000.0)
+    assert scalar_pairs.classified_pair(c1, near)[:2] == (c1, near)
 
 
 def test_destination_point_from_a_pole():
@@ -328,3 +329,34 @@ def test_intersection_is_the_same_point_set_when_swapped(pair):
         assert min(orthodromic_distance(p, q) for q in points21) <= TAU
     for q in points21:
         assert min(orthodromic_distance(p, q) for p in points12) <= TAU
+
+
+def _exact(result) -> tuple:
+    """A circle_intersections result with its floats as exact bit strings."""
+    if isinstance(result, NonOverlapping):
+        return ("gap", result.gap_m.hex())
+    if isinstance(result, Contained):
+        return ("contained", result.inner)
+    return (type(result).__name__,) + tuple((p.lat.hex(), p.lon.hex()) for p in result_points(result))
+
+
+@settings(max_examples=1000, deadline=None)
+@given(pair=circle_pairs())
+def test_circle_intersections_matches_the_scalar_reference(pair):
+    # A batch of one for the array solver, bit for bit the scalar code.
+    try:
+        want = _exact(scalar_pairs.circle_intersections(*pair))
+    except DegenerateCirclesError:
+        with pytest.raises(DegenerateCirclesError):
+            circle_intersections(*pair)
+        return
+    assert _exact(circle_intersections(*pair)) == want
+
+
+@settings(max_examples=1000, deadline=None)
+@given(a=st.one_of(ANY_CENTERS, NEAR_POLE_CENTERS, ANTIMERIDIAN_CENTERS), b=ANY_CENTERS,
+       bearing=st.floats(-720.0, 720.0), distance=st.floats(0.0, PI_R))
+def test_destination_and_bearing_match_the_scalar_reference(a, b, bearing, distance):
+    got, want = destination_point(a, bearing, distance), scalar_pairs.destination_point(a, bearing, distance)
+    assert (got.lat.hex(), got.lon.hex()) == (want.lat.hex(), want.lon.hex())
+    assert initial_bearing(a, b).hex() == scalar_pairs.initial_bearing(a, b).hex()

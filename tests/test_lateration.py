@@ -1,17 +1,23 @@
+import logging
 import math
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import scalar_pairs
 from latloc.errors import LaterationError
 from latloc.geodesy import (
     EARTH_RADIUS_M,
+    INTERSECTION_TOLERANCE_M,
     GeoCircle,
     GeoPoint,
     destination_point,
     orthodromic_distance,
 )
 from latloc.lateration import (
+    DEFAULT_GAP_MAX_KM,
     CandidatePoint,
     LandmarkCircle,
     all_candidates,
@@ -198,3 +204,117 @@ def test_exact_radii_hit_true_target():
         by_pair[c.source_pair] = min(by_pair.get(c.source_pair, math.inf), d)
     assert len(by_pair) == 10
     assert all(d <= 2.0 for d in by_pair.values())
+
+
+def test_all_candidates_rejects_a_repeated_landmark():
+    # The solver pairs circles by position: a landmark with two circles was
+    # paired with itself.
+    circles = [LandmarkCircle("a", km_circle(0, 0, 100)), LandmarkCircle("b", km_circle(0, 3, 200)),
+               LandmarkCircle("a", km_circle(0, 0, 300))]
+    with pytest.raises(LaterationError, match="landmark 'a' has more than one circle"):
+        all_candidates(circles)
+
+
+# ---------------------------------------------------------------------------
+# The solver against the scalar pair code it replaced (tests/scalar_pairs.py):
+# equal point bits, case tags, source pairs, order and skipped pairs.
+
+PI_R = math.pi * EARTH_RADIUS_M
+TAU = INTERSECTION_TOLERANCE_M
+
+CENTERS = st.one_of(
+    st.builds(GeoPoint, lat=st.floats(-90.0, 90.0), lon=st.floats(-180.0, 180.0)),
+    st.builds(GeoPoint, lat=st.sampled_from([90.0, -90.0]) | st.floats(85.0, 90.0)
+              | st.floats(-90.0, -85.0), lon=st.floats(-180.0, 180.0)),
+    st.builds(GeoPoint, lat=st.floats(-70.0, 70.0),
+              lon=st.floats(175.0, 180.0) | st.floats(-180.0, -175.0)),
+)
+RADII = st.floats(0.0, 2_000_000.0) | st.floats(0.8 * PI_R, PI_R) | st.sampled_from([0.0, PI_R])
+# Offsets from a tolerance boundary, in meters: on it, just inside, just outside.
+NEAR_TAU = st.sampled_from([0.0, -TAU, TAU, -1e-3, 1e-3]) | st.floats(-1.5 * TAU, 1.5 * TAU)
+
+
+def _radius(r: float) -> float:
+    return min(max(r, 0.0), PI_R)
+
+
+@st.composite
+def circle_sets(draw):
+    """2-7 circles, each free or placed against an earlier one: tangent
+    within the tolerance (either way), about the same center, equal within
+    the tolerance, or with a gap near 1 000 km."""
+    circles = [GeoCircle(draw(CENTERS), draw(RADII))]
+    for _ in range(draw(st.integers(1, 6))):
+        base = draw(st.sampled_from(circles))
+        r = draw(RADII)
+        kind = draw(st.sampled_from(["free", "external", "internal", "gap", "center", "equal"]))
+        if kind == "free":
+            circles.append(GeoCircle(draw(CENTERS), r))
+            continue
+        if kind == "center":
+            circles.append(GeoCircle(base.center, r))
+            continue
+        if kind == "equal":
+            d, r = draw(st.floats(0.0, 2.5 * TAU)), _radius(base.radius_m + draw(NEAR_TAU))
+        elif kind == "external":
+            d = base.radius_m + r + draw(NEAR_TAU)
+        elif kind == "internal":
+            d = abs(base.radius_m - r) + draw(NEAR_TAU)
+        else:
+            d = base.radius_m + r + DEFAULT_GAP_MAX_KM * 1000.0 + draw(st.floats(-5.0, 5.0))
+        center = scalar_pairs.destination_point(base.center, draw(st.floats(0.0, 360.0)),
+                                                min(max(d, 0.0), PI_R))
+        circles.append(GeoCircle(center, r))
+    order = draw(st.permutations(range(len(circles))))
+    return [LandmarkCircle(f"l{k}", circles[k]) for k in order]
+
+
+def _outcome(all_candidates_fn, logger_name, circles, gap_max_km):
+    """The candidates as exact keys (or the exception raised) and the
+    messages logged."""
+    messages = []
+    handler = logging.Handler()
+    handler.emit = lambda record: messages.append(record.getMessage())
+    logger = logging.getLogger(logger_name)
+    logger.addHandler(handler)
+    try:
+        cands = all_candidates_fn(circles, gap_max_km=gap_max_km)
+    except ValueError as exc:
+        return ("raised", type(exc).__name__, str(exc)), messages
+    finally:
+        logger.removeHandler(handler)
+    for c in cands:
+        assert type(c.point.lat) is float and type(c.point.lon) is float
+    return [(c.source_pair, c.case_tag, c.point.lat.hex(), c.point.lon.hex()) for c in cands], messages
+
+
+@settings(max_examples=1000, deadline=None)
+@given(circles=circle_sets(), gap_max_km=st.sampled_from([DEFAULT_GAP_MAX_KM, 1e9]))
+def test_all_candidates_matches_the_scalar_reference(circles, gap_max_km):
+    got = _outcome(all_candidates, "latloc.lateration", circles, gap_max_km)
+    want = _outcome(scalar_pairs.all_candidates, "scalar_pairs", circles, gap_max_km)
+    assert got == want
+
+
+@settings(max_examples=500, deadline=None)
+@given(center=st.builds(GeoPoint, lat=st.floats(-80.0, 80.0), lon=st.floats(-180.0, 180.0)),
+       bearing=st.floats(0.0, 360.0), r1_km=st.floats(1.0, 2000.0), r2_km=st.floats(1.0, 2000.0),
+       internal=st.booleans())
+def test_candidate_moves_at_most_tau_across_a_tangency_boundary(center, bearing, r1_km, r2_km,
+                                                                internal):
+    # Centers 1 mm either side of d = r1 + r2 + tau (gap / external
+    # tangency) or d = |r1 - r2| - tau (contained / internal tangency).
+    r1, r2 = r1_km * 1000.0, r2_km * 1000.0
+    if internal:
+        assume(abs(r1 - r2) > TAU + 0.01)
+        boundary, tags = abs(r1 - r2) - TAU, ["contained_tangent", "tangent"]
+    else:
+        boundary, tags = r1 + r2 + TAU, ["tangent", "midpoint_gap"]
+    c1 = GeoCircle(center, r1)
+    cands = []
+    for delta in (-1e-3, 1e-3):
+        c2 = GeoCircle(destination_point(center, bearing, boundary + delta), r2)
+        (cand,) = pair_candidates("a", c1, "b", c2)
+        cands.append(cand)
+    assert [c.case_tag for c in cands] == tags
+    assert orthodromic_distance(cands[0].point, cands[1].point) <= TAU

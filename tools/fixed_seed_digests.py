@@ -19,7 +19,12 @@ outputs are, with S running over SEEDS:
 - locate_k16/seed{S}: all 200 `latloc locate` outputs on that world and
   those models, with probe-noise seed S, hashed in target order;
 - locate_k16_geojson/seed{S}: the `--geojson` outputs of the same 200 calls,
-  hashed in target order.
+  hashed in target order;
+- lateration_cases: all_candidates on the fixed circle lists of
+  lateration_cases(), which reach every intersection case, the tolerance
+  boundaries, pairs past the wrap bound, gaps either side of gap_max_km,
+  poles and the antimeridian; the fixed-seed worlds reach few of these.
+  Their centers are placed with latloc's destination_point.
 
 CLI commands run in process through latloc.cli.main, with their summary
 lines on stdout discarded. --root selects the checkout whose src/ is
@@ -33,6 +38,8 @@ import contextlib
 import hashlib
 import io
 import json
+import logging
+import math
 import random
 import sys
 import tempfile
@@ -48,6 +55,61 @@ def sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def lateration_cases(geodesy, lateration) -> list[tuple[float, list]]:
+    """(gap_max_km, circles) lists for all_candidates, ids unique per list."""
+    GeoCircle, GeoPoint = geodesy.GeoCircle, geodesy.GeoPoint
+    pi_r = math.pi * geodesy.EARTH_RADIUS_M
+
+    def near(center, bearing, d_m, r_m):
+        return GeoCircle(geodesy.destination_point(center, bearing, d_m), r_m)
+
+    def named(circles):
+        return [lateration.LandmarkCircle(f"c{k:02d}", c) for k, c in enumerate(circles)]
+
+    rng = random.Random(12)
+    target = GeoPoint(48.2, 11.1)
+    europe = []
+    for _ in range(12):
+        c = GeoPoint(rng.uniform(*EUROPE[:2]), rng.uniform(*EUROPE[2:]))
+        europe.append(GeoCircle(c, geodesy.orthodromic_distance(c, target) * rng.uniform(0.7, 1.5)))
+
+    o = GeoPoint(10.0, 20.0)
+    km = 1000.0
+    tangent = [GeoCircle(o, 500 * km),
+               near(o, 90.0, 1000 * km + 0.5, 500 * km),    # external, inside tau
+               near(o, 200.0, 1000 * km - 0.7, 500 * km),   # external, overlapping by 0.7 m
+               near(o, 10.0, 300 * km + 0.6, 800 * km),     # internal, larger second
+               near(o, 300.0, 300 * km - 0.9, 200 * km),    # internal, larger first
+               near(o, 45.0, 1000 * km + 1.001, 500 * km)]  # just past the tolerance: a gap
+    contained = [GeoCircle(o, 500 * km),
+                 GeoCircle(o, 200 * km),                    # same center
+                 near(o, 150.0, 100 * km, 50 * km),
+                 near(o, 60.0, 0.8, 500 * km + 1.2),        # equal within tau: skipped
+                 near(o, 240.0, 1.5, 500 * km - 0.4)]       # equal within tau: skipped
+    gaps = [GeoCircle(o, 400 * km),
+            near(o, 0.0, 800 * km + 999 * km, 400 * km),    # gap 999 km: kept
+            near(o, 180.0, 800 * km + 1001 * km, 400 * km)]  # gap 1 001 km: dropped
+    wrapped = [GeoCircle(GeoPoint(0.0, 0.0), 0.95 * pi_r),
+               GeoCircle(GeoPoint(0.0, 30.0), 0.95 * pi_r),
+               GeoCircle(GeoPoint(20.0, -100.0), 0.9 * pi_r),
+               GeoCircle(GeoPoint(-5.0, 170.0), pi_r),
+               # a point circle at (5, -10) and a circle touching it within tau
+               near(GeoPoint(-5.0, 170.0), 30.0, pi_r - 4000 * km + 0.5, 4000 * km),
+               GeoCircle(GeoPoint(5.0, 10.0), 0.1 * pi_r)]
+    poles = [GeoCircle(GeoPoint(90.0, 0.0), 1000 * km),
+             GeoCircle(GeoPoint(89.9999999, 10.0), 1500 * km),
+             GeoCircle(GeoPoint(85.0, -120.0), 800 * km),
+             GeoCircle(GeoPoint(-90.0, 45.0), 3000 * km),
+             GeoCircle(GeoPoint(-89.5, 179.9), 500 * km),
+             GeoCircle(GeoPoint(-80.0, -170.0), 900 * km),
+             GeoCircle(GeoPoint(0.0, 179.95), 800 * km),
+             GeoCircle(GeoPoint(3.0, -179.0), 700 * km),
+             GeoCircle(GeoPoint(60.0, -179.99), 700 * km),
+             GeoCircle(GeoPoint(55.0, 178.0), 600 * km)]
+    return [(1000.0, named(europe)), (1000.0, named(tangent)), (1000.0, named(contained)),
+            (1000.0, named(gaps)), (5000.0, named(wrapped)), (2000.0, named(poles))]
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--root", default=str(Path(__file__).resolve().parent.parent))
@@ -55,6 +117,7 @@ def main(argv=None) -> int:
     args = p.parse_args(argv)
     sys.path.insert(0, str(Path(args.root).resolve() / "src"))
 
+    from latloc import geodesy, lateration
     from latloc.cli import main as latloc_main
     from latloc.latency import measurements_to_csv
     from latloc.placement import dragoon_place
@@ -139,6 +202,15 @@ def main(argv=None) -> int:
                 h_geo.update(geo_path.read_bytes())
             digests[f"locate_k16/seed{s}"] = h.hexdigest()
             digests[f"locate_k16_geojson/seed{s}"] = h_geo.hexdigest()
+
+    # The skipped degenerate pairs' warnings are not part of the digest.
+    logging.getLogger("latloc").addHandler(logging.NullHandler())
+    lines = []
+    for k, (gap_max_km, circles) in enumerate(lateration_cases(geodesy, lateration)):
+        for c in lateration.all_candidates(circles, gap_max_km=gap_max_km):
+            lines.append(f"{k} {c.source_pair[0]} {c.source_pair[1]} {c.case_tag} "
+                         f"{c.point.lat!r} {c.point.lon!r}\n")
+    digests["lateration_cases"] = sha("".join(lines).encode())
 
     print(json.dumps(digests, sort_keys=True))
     if args.against:
