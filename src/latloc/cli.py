@@ -21,7 +21,7 @@ from pathlib import Path
 
 from .errors import LatlocError, UsageError
 from .estimation import GridSearchConfig, estimate_document_json, estimate_target
-from .geodesy import GeoPoint, orthodromic_distance
+from .geodesy import GeoPoint
 from .lateration import DEFAULT_GAP_MAX_KM, LandmarkCircle, build_circle
 from .latency import (
     DEFAULT_PER_HOP_MS,
@@ -141,12 +141,7 @@ def cmd_locate(args) -> int:
     if len(circles) < 2:
         raise UsageError(f"need measurements from >= 2 landmarks, got {len(circles)}")
     estimate = estimate_target(circles, _grid_cfg(args), gap_max_km=args.gap_max_km)
-
-    doc = estimate.to_dict()
-    if truth is not None:
-        doc["truth"] = {"lat": truth.lat, "lon": truth.lon}
-        doc["error_km"] = orthodromic_distance(truth, estimate.point) / 1000.0
-    _write(args.out, estimate_document_json(doc))
+    _write(args.out, estimate_document_json(estimate, truth))
     if args.geojson:
         _write(args.geojson, estimate.to_geojson())
     return 0

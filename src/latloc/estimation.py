@@ -10,20 +10,30 @@ Each step scores the whole grid in one array, masks the current center with
 step halves the spacing and needs no winner. Otherwise the search moves to
 the minimum; only grid points whose scores are exactly equal to it count as
 ties, and those break north-most, then west-most, then first in row-major
-order.
+order. The first grid is centered on the spherical centroid, and its
+center's score equals the centroid's bit for bit, so the centroid needs no
+evaluation of its own.
+
+_Cloud.mean_distance_m is the one copy of the objective arithmetic, for the
+grid, the filter's distances and the residual. A query's latitude enters it
+as two stacked row terms, [-sin φ, cos φ] scaling the cloud's cos φ' and
+[cos φ, sin φ] scaling its sin φ', so one product and one sum give both the
+atan2 numerator's b term and its denominator. Negation commutes with IEEE 754
+rounding, so the stacked form computes the same bits as the plain one.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _string
 
 import numpy as np
 
 from .errors import EstimationError
-from .geodesy import EARTH_RADIUS_M, GeoPoint, normalize_lon
+from .geodesy import EARTH_RADIUS_M, GeoPoint, normalize_lon, orthodromic_distance
 from .lateration import DEFAULT_GAP_MAX_KM, CandidatePoint, LandmarkCircle, all_candidates
 
 # Filter schedule: rounds, each dropping this share of the kept candidates.
@@ -31,6 +41,7 @@ FILTER_ROUNDS = 2
 DROP_FRACTION = 0.25
 # Grid offsets run to +-EXTENT spacings in each axis: a 7 x 7 grid.
 EXTENT = 3
+STEPS = range(-EXTENT, EXTENT + 1)
 
 
 @dataclass(frozen=True)
@@ -90,17 +101,26 @@ class EstimatedLocation:
         return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def estimate_document_json(doc: dict) -> str:
-    """json.dumps(doc, indent=2, sort_keys=True) and a newline, byte for
-    byte, for the document `latloc locate` writes: EstimatedLocation.to_dict(),
-    plus "error_km" and "truth" when the target's position is known.
+def estimate_document_json(est: EstimatedLocation, truth: GeoPoint | None = None) -> str:
+    """The document `latloc locate` writes, byte for byte as
+    json.dumps(doc, indent=2, sort_keys=True) and a newline write it, where
+    doc is est.to_dict() plus, when the target's position is known, "truth"
+    and its great-circle "error_km" to the estimate.
 
     json's indent-2 encoder is pure Python, so this one schema has its own
-    writer. Every number in it is a float, written as json writes floats;
-    strings go through json's own ASCII escaper.
+    writer, which reads the estimate directly rather than through to_dict().
+    Every number in it is a float, written as json writes floats; strings go
+    through json's own ASCII escaper.
     """
-    body = ",\n".join(f'  "{key}": {_DOCUMENT_FIELDS[key](doc[key])}' for key in sorted(doc))
-    return "{\n" + body + "\n}\n"
+    fields = [("dropped_points", _candidates(est.dropped_points))]
+    if truth is not None:
+        fields.append(("error_km", _number(orthodromic_distance(truth, est.point) / 1000.0)))
+    fields += [("estimate", _latlon(est.point)),
+               ("kept_points", _candidates(est.kept_points)),
+               ("mean_residual_km", _number(est.mean_residual_km))]
+    if truth is not None:
+        fields.append(("truth", _latlon(truth)))
+    return "{\n" + ",\n".join(f'  "{key}": {text}' for key, text in fields) + "\n}\n"
 
 
 def _number(x: float) -> str:
@@ -113,35 +133,23 @@ def _number(x: float) -> str:
     return float.__repr__(x)
 
 
-def _latlon(p: dict) -> str:
-    return f'{{\n    "lat": {_number(p["lat"])},\n    "lon": {_number(p["lon"])}\n  }}'
+def _latlon(p: GeoPoint) -> str:
+    return f'{{\n    "lat": {_number(p.lat)},\n    "lon": {_number(p.lon)}\n  }}'
 
 
-def _candidates(cands: list[dict]) -> str:
+def _candidates(cands: tuple[CandidatePoint, ...]) -> str:
     if not cands:
         return "[]"
     return "[\n" + ",\n".join(
-        f'    {{\n      "case_tag": {_string(c["case_tag"])},\n'
-        f'      "lat": {_number(c["lat"])},\n      "lon": {_number(c["lon"])},\n'
-        f'      "source_pair": {_strings(c["source_pair"])},\n'
-        f'      "weight": {_number(c["weight"])}\n    }}'
+        f'    {{\n      "case_tag": {_string(c.case_tag)},\n'
+        f'      "lat": {_number(c.point.lat)},\n      "lon": {_number(c.point.lon)},\n'
+        f'      "source_pair": {_pair(c.source_pair)},\n'
+        f'      "weight": 1.0\n    }}'
         for c in cands) + "\n  ]"
 
 
-def _strings(items: list[str]) -> str:
-    if not items:
-        return "[]"
-    return "[\n" + ",\n".join("        " + _string(s) for s in items) + "\n      ]"
-
-
-_DOCUMENT_FIELDS = {
-    "dropped_points": _candidates,
-    "error_km": _number,
-    "estimate": _latlon,
-    "kept_points": _candidates,
-    "mean_residual_km": _number,
-    "truth": _latlon,
-}
+def _pair(ids: tuple[str, str]) -> str:
+    return f"[\n        {_string(ids[0])},\n        {_string(ids[1])}\n      ]"
 
 
 class _Cloud:
@@ -153,53 +161,64 @@ class _Cloud:
         self.sin_lat = np.sin(self.lat)
         self.cos_lat = np.cos(self.lat)
 
-    def mean_distance_m(self, sin_phi, cos_phi, lam) -> np.ndarray:
+    def mean_distance_m(self, cos_terms, sin_terms, lam) -> np.ndarray:
         """Mean great-circle distance in meters from each query point to the cloud.
 
-        Query points come as the sines and cosines of their latitudes and
-        their longitudes, in radians, as _query_trig gives them. The three
-        broadcast together against a trailing cloud axis, which the mean
-        removes: a grid passes rows of latitude terms and a column of
-        longitudes, so the longitude terms are computed once per column.
-        Cloud terms come from numpy. The angle is the atan2 form of
-        geodesy.orthodromic_distance, except that its numerator is
-        sqrt(a² + b²) where geodesy uses math.hypot: the means agree with the
-        hypot form's to within four ulps of pi * R, about 1.5e-8 m.
+        Query points come as _query_terms gives them: their latitudes as the
+        stacked row terms cos_terms = [-sin φ, cos φ] and sin_terms =
+        [cos φ, sin φ], and their longitudes in radians. The three broadcast
+        together against a trailing cloud axis, which the mean removes: a grid
+        passes rows of latitude terms and a column of longitudes, so the
+        longitude terms are computed once per column. Cloud terms come from
+        numpy. The angle is the atan2 form of geodesy.orthodromic_distance,
+        except that its numerator is sqrt(a² + b²) where geodesy uses
+        math.hypot: the means agree with the hypot form's to within four ulps
+        of pi * R, about 1.5e-8 m.
 
-        Only two arrays of the full broadcast shape are allocated, the two
-        cos_lat * cos_dlon products; every later step writes into one of
-        them with the same ufunc on the same operands as the plain
-        expression, so the result is the same to the bit.
+        One product of cos_terms with the cloud's cos φ' and cos Δλ gives
+        -sin φ·cos φ'·cos Δλ and cos φ·cos φ'·cos Δλ together; adding
+        sin_terms times sin φ' makes them b = cos φ·sin φ' - sin φ·cos φ'·cos Δλ
+        and the denominator. As (-x)·y == -(x·y) and u + (-v) == u - v exactly
+        in IEEE 754, these are the plain expressions' bits. That stacked
+        product is the only allocation of the full broadcast shape (twice
+        over); every later step writes into it with the same ufunc on the same
+        operands as the plain expression, so the result is the same to the bit.
         """
         dlon = self.lon - lam
-        sin_dlon = np.sin(dlon)
         cos_dlon = np.cos(dlon)
-        a = self.cos_lat * sin_dlon
-        num = sin_phi * self.cos_lat * cos_dlon
-        den = cos_phi * self.cos_lat * cos_dlon
-        np.subtract(cos_phi * self.sin_lat, num, out=num)  # b
-        num *= num
-        np.add(a * a, num, out=num)
-        np.sqrt(num, out=num)
-        np.add(sin_phi * self.sin_lat, den, out=den)
-        np.arctan2(num, den, out=num)
+        a = self.cos_lat * np.sin(dlon)
+        terms = cos_terms * self.cos_lat * cos_dlon
+        terms += sin_terms * self.sin_lat
+        b, den = terms[0], terms[1]
+        b *= b
+        a *= a
+        np.add(a, b, out=b)
+        np.sqrt(b, out=b)
+        np.arctan2(b, den, out=b)
         # The sum and the division np.mean would make, without its overhead.
-        return np.add.reduce(num, axis=-1) / len(self.lat) * EARTH_RADIUS_M
+        return np.add.reduce(b, axis=-1) / len(self.lat) * EARTH_RADIUS_M
 
     def mean_at_m(self, point: GeoPoint) -> float:
         """Mean great-circle distance in meters from one point to the cloud."""
-        return float(self.mean_distance_m(*_query_trig([point.lat], [point.lon]))[0])
+        return float(self.mean_distance_m(*_query_terms([point.lat], [point.lon]))[0])
 
 
-def _query_trig(lats: list[float],
-                lons: list[float]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """sin and cos of each latitude and the radians of each longitude, given in
-    degrees, as arrays with a trailing axis for the cloud. The values come from
-    math, point by point: math and numpy may round differently."""
-    phi = [math.radians(x) for x in lats]
-    return (np.array([math.sin(x) for x in phi])[:, None],
-            np.array([math.cos(x) for x in phi])[:, None],
-            np.array([math.radians(x) for x in lons])[:, None])
+def _query_terms(lats: list[float], lons: list[float]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The arguments of _Cloud.mean_distance_m for query points given in
+    degrees: the row terms [-sin φ, cos φ] and [cos φ, sin φ] of the
+    latitudes, then the longitudes in radians, each with a trailing axis for
+    the cloud. The i-th latitude goes with the i-th longitude. The values
+    come from math, point by point: math and numpy may round differently."""
+    phi = list(map(math.radians, lats))
+    sin_phi = list(map(math.sin, phi))
+    cos_phi = list(map(math.cos, phi))
+    n = len(phi)
+    # One array for all three, sliced and indexed rather than unpacked:
+    # iterating over an array is slow.
+    flat = np.array([*map(operator.neg, sin_phi), *cos_phi, *cos_phi, *sin_phi,
+                     *map(math.radians, lons)])
+    terms = flat[:4 * n].reshape(2, 2, n, 1)
+    return terms[0], terms[1], flat[4 * n:].reshape(len(lons), 1)
 
 
 def spherical_centroid(points: list[GeoPoint]) -> GeoPoint:
@@ -217,17 +236,21 @@ def spherical_centroid(points: list[GeoPoint]) -> GeoPoint:
     return GeoPoint(math.degrees(math.asin(z / norm)), math.degrees(math.atan2(y, x)))
 
 
-def _grid_axes(center: GeoPoint, eps_m: float) -> tuple[list[int], list[float], list[float]]:
-    """Row offsets and latitudes (rows past +-90 degrees skipped) and column
-    longitudes of the search grid around center."""
+def _grid(center: GeoPoint, eps_m: float) -> tuple[int, list[float], list[float], tuple]:
+    """The search grid around center with spacing eps_m: the index of the
+    center's row, the row latitudes (rows past +-90 degrees skipped), the
+    column longitudes and their _query_terms, the row terms with one more axis
+    so that rows and columns broadcast against each other."""
     dlat_deg = math.degrees(eps_m / EARTH_RADIUS_M)
     cos_lat = math.cos(math.radians(center.lat))
     dlon_deg = math.degrees(eps_m / (EARTH_RADIUS_M * max(cos_lat, 1e-6)))
-    steps = range(-EXTENT, EXTENT + 1)
-    rows = [(i, center.lat + i * dlat_deg) for i in steps]
-    rows = [(i, lat) for i, lat in rows if -90.0 <= lat <= 90.0]
-    lons = [normalize_lon(center.lon + j * dlon_deg) for j in steps]
-    return [i for i, _ in rows], [lat for _, lat in rows], lons
+    lats = [center.lat + i * dlat_deg for i in STEPS]
+    # Rows past a pole are skipped; only those south of the center move it.
+    center_row = EXTENT - sum(lat < -90.0 for lat in lats)
+    lats = [lat for lat in lats if -90.0 <= lat <= 90.0]
+    lons = [normalize_lon(center.lon + j * dlon_deg) for j in STEPS]
+    cos_terms, sin_terms, lam = _query_terms(lats, lons)
+    return center_row, lats, lons, (cos_terms[..., None], sin_terms[..., None], lam)
 
 
 def grid_center(points: list[GeoPoint], cfg: GridSearchConfig = GridSearchConfig()) -> GeoPoint:
@@ -242,14 +265,18 @@ def grid_center(points: list[GeoPoint], cfg: GridSearchConfig = GridSearchConfig
         raise EstimationError("cannot center an empty point cloud")
     cloud = _Cloud(points)
     best = spherical_centroid(points)
-    best_obj = cloud.mean_at_m(best)
+    best_obj = None
 
     eps = cfg.eps0_m
     while eps >= cfg.eps_min_m:
-        row_steps, lats, lons = _grid_axes(best, eps)
-        sin_phi, cos_phi, lam = _query_trig(lats, lons)
-        obj = cloud.mean_distance_m(sin_phi[:, None], cos_phi[:, None], lam)
-        winner = _step_winner(obj, row_steps.index(0), lats, lons, best_obj)
+        center_row, lats, lons, terms = _grid(best, eps)
+        obj = cloud.mean_distance_m(*terms)
+        if best_obj is None:
+            # The first grid's center is the centroid to the bit (normalized
+            # longitudes are fixed points of normalize_lon; a latitude of -0.0
+            # becomes 0.0, which scores the same), so it scores as the centroid.
+            best_obj = float(obj[center_row, EXTENT])
+        winner = _step_winner(obj, center_row, lats, lons, best_obj)
         if winner is None:
             eps /= 2.0
         else:
@@ -301,7 +328,7 @@ def filter_outliers(points: list[CandidatePoint],
         n_drop = min(math.ceil(DROP_FRACTION * len(kept)), len(kept) - 3)
         # The center stays on the cloud side: the atan2 form is not bitwise symmetric.
         dist = _Cloud([center]).mean_distance_m(
-            *_query_trig([c.point.lat for c in kept], [c.point.lon for c in kept]))
+            *_query_terms([c.point.lat for c in kept], [c.point.lon for c in kept]))
         # Farthest first; the stable sort keeps ties in index order.
         drop = np.zeros(len(kept), dtype=bool)
         drop[np.argsort(-dist, kind="stable")[:n_drop]] = True

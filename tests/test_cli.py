@@ -173,6 +173,17 @@ def test_locate_end_to_end_error_under_5km(world_files, tmp_path):
     assert "estimate" in kinds and "candidate" in kinds
 
 
+def test_locate_without_truth_writes_the_estimate_alone(world_files, models_file, tmp_path):
+    # The fixed-seed digests hash only runs that pass --truth.
+    out = tmp_path / "estimate.json"
+    assert run(["locate", "--topology", world_files / "topology.json", "--models", models_file,
+                "--measurements", world_files / "target.csv", "--out", out]) == 0
+    doc = json.loads(out.read_text())
+    assert set(doc) == {"estimate", "kept_points", "dropped_points", "mean_residual_km"}
+    assert doc["kept_points"] and all(c["weight"] == 1.0 for c in doc["kept_points"])
+    assert out.read_text() == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
 def test_locate_single_landmark_rejected(world_files, tmp_path, capsys):
     models = tmp_path / "models.json"
     assert run(["fit", "--topology", world_files / "topology.json",

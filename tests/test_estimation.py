@@ -4,15 +4,17 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from latloc.errors import EstimationError
 from latloc.estimation import (
+    EXTENT,
     EstimatedLocation,
     GridSearchConfig,
     _Cloud,
-    _query_trig,
+    _grid,
+    _query_terms,
     _step_winner,
     estimate_document_json,
     estimate_target,
@@ -241,36 +243,53 @@ def test_estimate_serializes():
     assert json.loads(json.dumps(doc)) == doc
 
 
+def json_document(est: EstimatedLocation, truth: GeoPoint | None = None) -> str:
+    """The writer's oracle: one indent-2 dump of to_dict(), with the truth
+    and its error when given."""
+    doc = est.to_dict()
+    if truth is not None:
+        doc["truth"] = {"lat": truth.lat, "lon": truth.lon}
+        doc["error_km"] = orthodromic_distance(truth, est.point) / 1000.0
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
 def test_document_writer_matches_json_on_an_estimate():
     target = GeoPoint(50.0, 12.0)
     circles = exact_circles(target, [GeoPoint(45, 5), GeoPoint(55, 15), GeoPoint(45, 20)])
-    doc = estimate_target(circles, FAST_GRID).to_dict()
-    assert estimate_document_json(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    est = estimate_target(circles, FAST_GRID)
+    assert estimate_document_json(est) == json_document(est)
+    assert estimate_document_json(est, target) == json_document(est, target)
 
 
 # Floats json spells its own way, and the edges of float.__repr__'s formats.
 EDGE_FLOATS = [0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e-5, 9.999999999999999e-06,
                1e-7, 1e16, 1.2345678901234567e16, 1e300, math.nan, math.inf, -math.inf]
 DOC_FLOATS = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats())
+FINITE = [x for x in EDGE_FLOATS if math.isfinite(x)]
+POINTS = st.builds(
+    GeoPoint,
+    lat=st.one_of(st.sampled_from([x for x in FINITE if abs(x) <= 90.0] + [90.0, -90.0]),
+                  st.floats(-90.0, 90.0)),
+    lon=st.one_of(st.sampled_from(FINITE + [180.0, -180.0]),
+                  st.floats(allow_nan=False, allow_infinity=False)),
+)
+# Landmark ids and case tags with quotes, backslashes, control and non-ASCII
+# characters: everything json escapes.
 DOC_STRINGS = st.text(st.one_of(st.sampled_from(['"', "\\", "\x00", "\x1f", "\x7f", "\u00e9",
                                                  "\u2028", "\U0001f600"]),
                                 st.characters()), max_size=6)
-LATLON = st.fixed_dictionaries({"lat": DOC_FLOATS, "lon": DOC_FLOATS})
-CANDIDATES = st.lists(st.fixed_dictionaries({
-    "lat": DOC_FLOATS, "lon": DOC_FLOATS, "case_tag": DOC_STRINGS,
-    "source_pair": st.lists(DOC_STRINGS, max_size=3), "weight": DOC_FLOATS,
-}), max_size=4)
-DOCUMENTS = st.fixed_dictionaries(
-    {"estimate": LATLON, "kept_points": CANDIDATES, "dropped_points": CANDIDATES,
-     "mean_residual_km": DOC_FLOATS},
-    optional={"truth": LATLON, "error_km": DOC_FLOATS},
-)
+CANDIDATES = st.lists(st.builds(
+    CandidatePoint, point=POINTS, case_tag=DOC_STRINGS,
+    source_pair=st.tuples(DOC_STRINGS, DOC_STRINGS),
+), max_size=4).map(tuple)
+ESTIMATES = st.builds(EstimatedLocation, point=POINTS, kept_points=CANDIDATES,
+                      dropped_points=CANDIDATES, mean_residual_km=DOC_FLOATS)
 
 
 @settings(max_examples=300, deadline=None)
-@given(doc=DOCUMENTS)
-def test_document_writer_is_byte_identical_to_json(doc):
-    assert estimate_document_json(doc) == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+@given(est=ESTIMATES, truth=st.one_of(st.none(), POINTS))
+def test_document_writer_is_byte_identical_to_json(est, truth):
+    assert estimate_document_json(est, truth) == json_document(est, truth)
 
 
 # ---------------------------------------------------------------------------
@@ -426,6 +445,62 @@ def test_filter_outliers_matches_scalar_oracle(points, cfg):
 
 
 # ---------------------------------------------------------------------------
+# grid_center takes the centroid's score from the center of its first grid.
+# That center is the centroid to the bit, except that a latitude of -0.0
+# becomes 0.0 there: equator clouds test that sign, south-pole clouds a grid
+# whose skipped rows move the center below row 3, antimeridian clouds a
+# longitude at or near 180 degrees.
+
+
+@st.composite
+def equator_clouds(draw):
+    """Points on the equator with either sign of zero, mirrored pairs whose
+    sines cancel exactly, and antipodal pairs whose centroid falls back on
+    the first point."""
+    lon = st.floats(-180.0, 180.0)
+    kind = draw(st.sampled_from(["zeros", "mirrored", "antipodal"]))
+    if kind == "zeros":
+        return draw(st.lists(st.builds(GeoPoint, st.sampled_from([0.0, -0.0]), lon),
+                             min_size=1, max_size=6))
+    if kind == "mirrored":
+        pts = draw(st.lists(st.builds(GeoPoint, st.floats(0.0, 60.0), lon),
+                            min_size=1, max_size=4))
+        return [q for p in pts for q in (p, GeoPoint(-p.lat, p.lon))]
+    p = GeoPoint(draw(st.sampled_from([0.0, -0.0])), draw(lon))
+    return [p, antipode(p)]
+
+
+SOUTH_POLE = st.builds(GeoPoint, lat=st.floats(-90.0, -89.97), lon=st.floats(-180.0, 180.0))
+CENTROID_CLOUDS = st.one_of(equator_clouds(), clouds(SOUTH_POLE, 5.0),
+                            clouds(NEAR_POLE, 5.0), clouds(ANTIMERIDIAN, 300.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(points=CENTROID_CLOUDS, eps0_m=st.sampled_from([8_000.0, 60_000.0, 100_000.0]))
+@example(points=[GeoPoint(-0.0, 10.0), GeoPoint(0.0, -170.0)], eps0_m=100_000.0)
+@example(points=[GeoPoint(-89.99, 0.0), GeoPoint(-89.99, 90.0)], eps0_m=100_000.0)
+@example(points=[GeoPoint(10.0, 180.0), GeoPoint(-10.0, 180.0)], eps0_m=100_000.0)
+def test_first_grid_center_scores_as_the_centroid(points, eps0_m):
+    cloud = _Cloud(points)
+    centroid = spherical_centroid(points)
+    center_row, lats, lons, terms = _grid(centroid, eps0_m)
+    assert (lats[center_row], lons[EXTENT]) == (centroid.lat, centroid.lon)
+    score = float(cloud.mean_distance_m(*terms)[center_row, EXTENT])
+    assert float.hex(score) == float.hex(cloud.mean_at_m(centroid))
+    cfg = GridSearchConfig(eps0_m=eps0_m, eps_min_m=2_000.0)
+    assert bits(grid_center(points, cfg)) == bits(scalar_grid_center(points, cfg))
+
+
+def test_centroid_score_cases_are_reached():
+    # The examples above reach the cases they name.
+    equator = spherical_centroid([GeoPoint(-0.0, 10.0), GeoPoint(0.0, -170.0)])
+    assert math.copysign(1.0, equator.lat) == -1.0
+    south = spherical_centroid([GeoPoint(-89.99, 0.0), GeoPoint(-89.99, 90.0)])
+    assert _grid(south, 100_000.0)[0] < EXTENT
+    assert spherical_centroid([GeoPoint(10.0, 180.0), GeoPoint(-10.0, 180.0)]).lon == 180.0
+
+
+# ---------------------------------------------------------------------------
 # Reference: the step winner as np.delete + np.lexsort picked it. Every grid
 # point but the center, ordered by score, then north-most, then west-most,
 # then row-major; the first moves the search only if it beats best_obj.
@@ -484,7 +559,10 @@ def hypot_mean_distances_m(points, queries) -> np.ndarray:
     """Mean distance from each query to the cloud, with np.hypot as numerator."""
     lat = np.radians([p.lat for p in points])
     lon = np.radians([p.lon for p in points])
-    sin_phi, cos_phi, lam = _query_trig([q.lat for q in queries], [q.lon for q in queries])
+    phi = [math.radians(q.lat) for q in queries]
+    sin_phi = np.array([math.sin(x) for x in phi])[:, None]
+    cos_phi = np.array([math.cos(x) for x in phi])[:, None]
+    lam = np.array([math.radians(q.lon) for q in queries])[:, None]
     dlon = lon - lam
     num = np.hypot(np.cos(lat) * np.sin(dlon),
                    cos_phi * np.sin(lat) - sin_phi * np.cos(lat) * np.cos(dlon))
@@ -516,7 +594,7 @@ def kernel_cases(draw):
 def test_kernel_is_within_declared_tolerance(case):
     points, queries = case
     got = _Cloud(points).mean_distance_m(
-        *_query_trig([q.lat for q in queries], [q.lon for q in queries]))
+        *_query_terms([q.lat for q in queries], [q.lon for q in queries]))
     assert got.shape == (len(queries),)
     assert np.all(np.abs(got - hypot_mean_distances_m(points, queries)) <= ULPS_M)
     for q, value in zip(queries, got.tolist()):

@@ -7,14 +7,16 @@ The clouds are every grid_center input of the seed-0 c6_dragoon pass
 (run_experiment on the criterion-6 world) and of the first 50 seed-0
 locate_k16 calls (latloc locate, in process, on perfbench's set-up). For
 each workload the line gives the grid_center calls, their ε-steps (one
-mean-distance evaluation each, after the one at the centroid), the median
-cloud size, the unscaled wall time per call and per step (best of REPEATS
-replays of all its clouds), and the time of one _Cloud.mean_distance_m call
-on a 7 x 7 grid around the centroid of a cloud of the median size.
-perfbench reports grid_center totals only; this shows what one step costs
-and how much of it the objective kernel takes. --root
-selects the checkout whose src/ and perfbench/ are imported, so two commits
-can be timed with the same script.
+_Cloud.mean_distance_m call each: the first grid's center supplies the
+centroid's score), the median cloud size, the unscaled wall time per call
+and per step (best of REPEATS replays of all its clouds), and, for the first
+step around the centroid of a cloud of the median size, the time of building
+its 7 x 7 grid (_grid: row and column coordinates and their query terms) and
+of scoring it (_Cloud.mean_distance_m). perfbench reports grid_center totals
+only; this shows what one step costs and how much of it the objective kernel
+takes. The script exits 1 when a workload makes no grid_center call or no
+step. --root selects the checkout whose src/ and perfbench/ are imported, so
+two commits can be timed with the same script.
 """
 
 import argparse
@@ -69,8 +71,8 @@ def main(argv=None) -> int:
                 if cli.main(argv) != 0:
                     raise SystemExit(f"latloc {' '.join(argv)} failed")
 
-    def evaluations(clouds) -> int:
-        """Mean-distance evaluations over one replay of every cloud."""
+    def steps(clouds) -> int:
+        """ε-steps over one replay of every cloud: mean-distance evaluations."""
         count = 0
         method = estimation._Cloud.mean_distance_m
 
@@ -96,33 +98,46 @@ def main(argv=None) -> int:
             best = min(best, time.perf_counter() - start)
         return best
 
-    def kernel_s(points) -> float:
-        """One mean-distance evaluation of a 7 x 7 grid step on points."""
-        cloud = estimation._Cloud(points)
-        _, lats, lons = estimation._grid_axes(estimation.spherical_centroid(points), 100_000.0)
-        sin_phi, cos_phi, lam = estimation._query_trig(lats, lons)
+    def per_call_s(fn, *args) -> float:
         best = float("inf")
         for _ in range(REPEATS):
             start = time.perf_counter()
             for _ in range(100):
-                cloud.mean_distance_m(sin_phi[:, None], cos_phi[:, None], lam)
+                fn(*args)
             best = min(best, (time.perf_counter() - start) / 100)
         return best
+
+    def first_step_s(points) -> tuple[float, float]:
+        """Building and scoring the first 7 x 7 grid around points' centroid."""
+        center = estimation.spherical_centroid(points)
+        cloud = estimation._Cloud(points)
+        _, _, _, terms = estimation._grid(center, 100_000.0)
+        return (per_call_s(estimation._grid, center, 100_000.0),
+                per_call_s(cloud.mean_distance_m, *terms))
 
     out = {"root": str(root)}
     for name, run in (("c6_dragoon", c6_run), ("locate_k16", locate_run)):
         clouds = recorded(run)
-        steps = evaluations(clouds) - len(clouds)
+        if not clouds:
+            print(f"{name}: grid_center was never called", file=sys.stderr)
+            return 1
+        n_steps = steps(clouds)
+        if n_steps <= 0:
+            print(f"{name}: {n_steps} ε-steps in {len(clouds)} grid_center calls",
+                  file=sys.stderr)
+            return 1
         total_s = replay_s(clouds)
         size = statistics.median(len(points) for points, _ in clouds)
         median_cloud = min((points for points, _ in clouds), key=lambda p: abs(len(p) - size))
+        grid_s, kernel_s = first_step_s(median_cloud)
         out[name] = {
             "calls": len(clouds),
-            "eps_steps": steps,
+            "eps_steps": n_steps,
             "median_cloud_size": size,
             "ms_per_call": round(total_s / len(clouds) * 1e3, 4),
-            "us_per_step": round(total_s / steps * 1e6, 2),
-            "kernel_us_per_step": round(kernel_s(median_cloud) * 1e6, 2),
+            "us_per_step": round(total_s / n_steps * 1e6, 2),
+            "grid_us_per_step": round(grid_s * 1e6, 2),
+            "kernel_us_per_step": round(kernel_s * 1e6, 2),
         }
     print(json.dumps(out))
     return 0
