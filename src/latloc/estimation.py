@@ -24,7 +24,6 @@ rounding, so the stacked form computes the same bits as the plain one.
 
 from __future__ import annotations
 
-import json
 import math
 import operator
 from dataclasses import dataclass
@@ -83,22 +82,20 @@ class EstimatedLocation:
 
     def to_geojson(self) -> str:
         """A FeatureCollection any map viewer can render: the estimate, then
-        the kept and the dropped candidates, as Point features."""
-        def feature(point: GeoPoint, properties: dict) -> dict:
-            return {
-                "type": "Feature",
-                "geometry": {"type": "Point", "coordinates": [point.lon, point.lat]},
-                "properties": properties,
-            }
-        features = [feature(self.point, {"kind": "estimate",
-                                         "mean_residual_km": self.mean_residual_km})]
+        the kept and the dropped candidates, as Point features.
+
+        Written byte for byte as json.dumps(doc, indent=2, sort_keys=True)
+        and a newline write it, by the helpers of estimate_document_json.
+        """
+        features = [_feature(self.point, '        "kind": "estimate",\n'
+                             f'        "mean_residual_km": {_number(self.mean_residual_km)}')]
         for status, points in (("kept", self.kept_points), ("dropped", self.dropped_points)):
-            features.extend(feature(c.point, {
-                "kind": "candidate", "status": status,
-                "case_tag": c.case_tag, "source_pair": list(c.source_pair),
-            }) for c in points)
-        doc = {"type": "FeatureCollection", "features": features}
-        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+            features.extend(_feature(c.point, f'        "case_tag": {_string(c.case_tag)},\n'
+                                     '        "kind": "candidate",\n'
+                                     f'        "source_pair": {_pair(c.source_pair, "        ")},\n'
+                                     f'        "status": "{status}"') for c in points)
+        return ('{\n  "features": [\n' + ",\n".join(features)
+                + '\n  ],\n  "type": "FeatureCollection"\n}\n')
 
 
 def estimate_document_json(est: EstimatedLocation, truth: GeoPoint | None = None) -> str:
@@ -107,8 +104,9 @@ def estimate_document_json(est: EstimatedLocation, truth: GeoPoint | None = None
     doc is est.to_dict() plus, when the target's position is known, "truth"
     and its great-circle "error_km" to the estimate.
 
-    json's indent-2 encoder is pure Python, so this one schema has its own
-    writer, which reads the estimate directly rather than through to_dict().
+    json's indent-2 encoder is pure Python, so this schema, like
+    to_geojson's, has its own writer, which reads the estimate directly
+    rather than through to_dict().
     Every number in it is a float, written as json writes floats; strings go
     through json's own ASCII escaper.
     """
@@ -143,13 +141,23 @@ def _candidates(cands: tuple[CandidatePoint, ...]) -> str:
     return "[\n" + ",\n".join(
         f'    {{\n      "case_tag": {_string(c.case_tag)},\n'
         f'      "lat": {_number(c.point.lat)},\n      "lon": {_number(c.point.lon)},\n'
-        f'      "source_pair": {_pair(c.source_pair)},\n'
+        f'      "source_pair": {_pair(c.source_pair, "      ")},\n'
         f'      "weight": 1.0\n    }}'
         for c in cands) + "\n  ]"
 
 
-def _pair(ids: tuple[str, str]) -> str:
-    return f"[\n        {_string(ids[0])},\n        {_string(ids[1])}\n      ]"
+def _pair(ids: tuple[str, str], indent: str) -> str:
+    """A source pair as a list whose closing bracket is at indent."""
+    return f"[\n{indent}  {_string(ids[0])},\n{indent}  {_string(ids[1])}\n{indent}]"
+
+
+def _feature(point: GeoPoint, properties: str) -> str:
+    """One GeoJSON Point feature at the features list's indent, around the
+    already written lines of its properties."""
+    return ('    {\n      "geometry": {\n        "coordinates": [\n'
+            f'          {_number(point.lon)},\n          {_number(point.lat)}\n'
+            '        ],\n        "type": "Point"\n      },\n'
+            f'      "properties": {{\n{properties}\n      }},\n      "type": "Feature"\n    }}')
 
 
 class _Cloud:

@@ -10,7 +10,8 @@ fitted to inter-landmark calibration samples. q and n enter the curve only
 through their ratio, so the fit fixes n = 1 and solves by variable
 projection (Golub & Pereyra 1973): for each q, (p, m) is a closed-form
 linear least-squares solution, which leaves a one-dimensional search over
-log q.
+log q. A fixed log-spaced scan brackets its minimum, and a bracketed
+re-scan narrows it.
 """
 
 from __future__ import annotations
@@ -18,10 +19,9 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from .errors import FitError, InsufficientDataError, ModelDomainError
 from .geodesy import GeoPoint, orthodromic_distance
@@ -117,8 +117,11 @@ def predict_distance(model: LatencyModel, latency_ms: float) -> float:
 # it is ln(latency) plus a constant. Fixed, so results are deterministic.
 _SCAN_DECADES = np.linspace(-9.0, 15.0, 241)
 _MIN_P = 1e-9
-# Evaluation cap for the one refining least-squares solve.
-_MAX_NFEV = 200
+# Bracketed re-scan: passes over the bracket, and log q values per pass. Each
+# pass narrows the bracket 16-fold, so 8 passes take the scan's 0.2-decade
+# bracket to about 5e-11 decades (a relative step in q of about 1e-10).
+_REFINE_PASSES = 8
+_REFINE_POINTS = 33
 
 
 def _project(x: np.ndarray, dist: np.ndarray):
@@ -132,16 +135,48 @@ def _project(x: np.ndarray, dist: np.ndarray):
     return p, m, dist - p[..., None] * x - m[..., None]
 
 
+def _rss(r: np.ndarray) -> np.ndarray:
+    """Sum of squares of each row of residuals, NaN read as +inf."""
+    return np.nan_to_num(np.sum(r * r, axis=-1), nan=math.inf)
+
+
+class _Refined(NamedTuple):
+    """Where the bracketed re-scan ended: x holds log q (one element), fun
+    the residuals there, nfev the residual rows it evaluated."""
+
+    x: np.ndarray
+    fun: np.ndarray
+    nfev: int
+
+
+def least_squares(residuals: Callable[[np.ndarray], np.ndarray],
+                  lo: float, hi: float) -> _Refined:
+    """Minimise the sum of squares of residuals(decades) over [lo, hi].
+
+    residuals maps an array of log q values to one row of residuals each.
+    Each pass evaluates _REFINE_POINTS evenly spaced values across the
+    bracket in one call and narrows the bracket to the best value's
+    neighbours; the best value of the last pass is returned. The fields are
+    named as in scipy's least-squares result.
+    """
+    for _ in range(_REFINE_PASSES):
+        grid = np.linspace(lo, hi, _REFINE_POINTS)
+        r = residuals(grid)
+        j = int(np.argmin(_rss(r)))
+        lo, hi = grid[max(j - 1, 0)], grid[min(j + 1, _REFINE_POINTS - 1)]
+    return _Refined(x=grid[j:j + 1], fun=r[j], nfev=_REFINE_PASSES * _REFINE_POINTS)
+
+
 def fit_model(samples: list[CalibrationSample]) -> LatencyModel:
     """Fit the logarithmic curve to calibration samples.
 
     Requires at least 4 samples with at least 4 distinct latencies. The
     curve is fitted as p * ln(q * latency + 1) + m. Every q of a fixed
-    log-spaced scan gets its closed-form (p, m); one bounded trust-region
-    least-squares solve then refines log q between the neighbours of the
-    best scan point, and the better of the two is kept. Because the scan
-    reaches curves that are straight lines to within a part in 1e9, the
-    fit is as good as the linear abstraction.
+    log-spaced scan gets its closed-form (p, m); a bracketed re-scan
+    (least_squares) then refines log q between the neighbours of the best
+    scan point, and the better of the two is kept. Because the scan reaches
+    curves that are straight lines to within a part in 1e9, the fit is as
+    good as the linear abstraction.
 
     The model stores n = 1 rather than q = 1: near-linear fits need
     q * latency << n, and p * ln(latency + n) with a huge n and p loses to
@@ -157,21 +192,14 @@ def fit_model(samples: list[CalibrationSample]) -> LatencyModel:
     scale = float(lat.max())
 
     def residuals(decades: np.ndarray) -> np.ndarray:
-        q = 10.0 ** decades[0] / scale
-        return _project(np.log(q * lat + 1.0), dist)[2]
+        q = 10.0 ** decades / scale
+        return _project(np.log(np.multiply.outer(q, lat) + 1.0), dist)[2]
 
-    q_scan = 10.0 ** _SCAN_DECADES / scale
-    _, _, r = _project(np.log(np.multiply.outer(q_scan, lat) + 1.0), dist)
-    rss = np.nan_to_num(np.sum(r * r, axis=-1), nan=math.inf)
+    rss = _rss(residuals(_SCAN_DECADES))
     i = int(np.argmin(rss))
     decades = float(_SCAN_DECADES[i])
-    lo = _SCAN_DECADES[max(i - 1, 0)]
-    hi = _SCAN_DECADES[min(i + 1, len(_SCAN_DECADES) - 1)]
-    # Central differences and tight tolerances: with the defaults the solve
-    # can stop at a flat minimum up to 1e-8 (relative) above its RSS.
-    res = least_squares(residuals, [decades], bounds=([lo], [hi]), method="trf",
-                        jac="3-point", ftol=1e-15, xtol=1e-15, gtol=1e-15,
-                        max_nfev=_MAX_NFEV)
+    res = least_squares(residuals, _SCAN_DECADES[max(i - 1, 0)],
+                        _SCAN_DECADES[min(i + 1, len(_SCAN_DECADES) - 1)])
     if float(np.sum(res.fun ** 2)) < rss[i]:
         decades = float(res.x[0])
 

@@ -292,6 +292,32 @@ def test_document_writer_is_byte_identical_to_json(est, truth):
     assert estimate_document_json(est, truth) == json_document(est, truth)
 
 
+def json_geojson(est: EstimatedLocation) -> str:
+    """to_geojson's oracle: the FeatureCollection as dicts, in one indent-2
+    dump."""
+    def feature(point, properties):
+        return {
+            "type": "Feature",
+            "geometry": {"type": "Point", "coordinates": [point.lon, point.lat]},
+            "properties": properties,
+        }
+    features = [feature(est.point, {"kind": "estimate",
+                                    "mean_residual_km": est.mean_residual_km})]
+    for status, points in (("kept", est.kept_points), ("dropped", est.dropped_points)):
+        features.extend(feature(c.point, {
+            "kind": "candidate", "status": status,
+            "case_tag": c.case_tag, "source_pair": list(c.source_pair),
+        }) for c in points)
+    doc = {"type": "FeatureCollection", "features": features}
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(est=ESTIMATES)
+def test_geojson_writer_is_byte_identical_to_json(est):
+    assert est.to_geojson() == json_geojson(est)
+
+
 # ---------------------------------------------------------------------------
 # Oracle: the scalar grid search and filter, one objective evaluation per grid
 # point and per candidate. The array code must reproduce them bit for bit, so

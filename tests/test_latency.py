@@ -1,6 +1,9 @@
 import json
 import math
 import random
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -338,11 +341,22 @@ def assert_no_worse_than_reference(samples):
 EUROPE = (35.0, 60.0, -10.0, 30.0)
 
 
-@pytest.mark.parametrize("world_seed", range(10))
-def test_fit_no_worse_than_reference_on_criterion_6_meshes(world_seed, monkeypatch):
+# Every dragoon mesh, and the random-placement meshes whose fits are nearly
+# straight lines (q * max latency about 1e-9), where the refine's RSS is
+# closest to rounding noise.
+CRITERION_6_MESHES = ([pytest.param(s, "dragoon", id=str(s)) for s in range(10)]
+                      + [pytest.param(s, "random", id=f"random-{s}") for s in (2, 3, 8)])
+
+
+@pytest.mark.parametrize("world_seed,strategy", CRITERION_6_MESHES)
+def test_fit_no_worse_than_reference_on_criterion_6_meshes(world_seed, strategy, monkeypatch):
     topology = generate_topology(120, EUROPE, 400.0, seed=world_seed)
     world = SimWorld(topology, world_seed, DelayParams(stochastic_mean_ms=2.0))
-    landmarks = list(dragoon_place(topology, 8).landmarks)
+    if strategy == "dragoon":
+        landmarks = list(dragoon_place(topology, 8).landmarks)
+    else:
+        # As run_experiment places them, with the world seed as its seed.
+        landmarks = sorted(random.Random(world_seed).sample(topology.node_ids, 8))
     fitted = []
     monkeypatch.setattr(latency, "fit_model", lambda samples: fitted.append(samples))
     calibrate_all(landmarks, calibration_mesh(world, landmarks), topology.positions)
@@ -386,6 +400,17 @@ def noisy_log_curves(draw):
 @given(samples=noisy_log_curves())
 def test_fit_no_worse_than_reference_on_noisy_curves(samples):
     assert_no_worse_than_reference(samples)
+
+
+def test_latloc_imports_no_scipy_optimize():
+    # The refine is a numpy scan, so no latloc process pays for scipy.optimize.
+    src = str(Path(latency.__file__).resolve().parent.parent)
+    code = (f"import sys; sys.path.insert(0, {src!r})\n"
+            "import latloc, latloc.cli, latloc.simulator\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True).stdout
+    assert out == "[]\n"
 
 
 def test_fit_model_propagates_solver_programming_errors(monkeypatch):
