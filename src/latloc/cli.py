@@ -20,9 +20,9 @@ import sys
 from pathlib import Path
 
 from .errors import LatlocError, UsageError
-from .estimation import GridSearchConfig, estimate_document_json, estimate_target
+from .estimation import estimate_document_json, estimate_target
 from .geodesy import GeoPoint
-from .lateration import DEFAULT_GAP_MAX_KM, LandmarkCircle, build_circle
+from .lateration import LandmarkCircle, build_circle
 from .latency import (
     DEFAULT_PER_HOP_MS,
     calibrate_all,
@@ -83,10 +83,6 @@ def _load_positions(args) -> dict[str, GeoPoint]:
     return load_positions_json(text) if nodes is None else load_positions_edgelist(nodes)
 
 
-def _grid_cfg(args) -> GridSearchConfig:
-    return GridSearchConfig(eps0_m=args.eps0_m, eps_min_m=args.eps_min_m)
-
-
 def cmd_place(args) -> int:
     t = _load_topology(args)
     if args.k < 1:
@@ -140,7 +136,7 @@ def cmd_locate(args) -> int:
         ))
     if len(circles) < 2:
         raise UsageError(f"need measurements from >= 2 landmarks, got {len(circles)}")
-    estimate = estimate_target(circles, _grid_cfg(args), gap_max_km=args.gap_max_km)
+    estimate = estimate_target(circles)
     _write(args.out, estimate_document_json(estimate, truth))
     if args.geojson:
         _write(args.geojson, estimate.to_geojson())
@@ -165,10 +161,7 @@ def _build_world(args) -> SimWorld:
 
 
 def _run(world: SimWorld, args, strategy: str):
-    return run_experiment(
-        world, args.k, strategy, args.n_targets, args.seed,
-        grid_cfg=_grid_cfg(args), gap_max_km=args.gap_max_km,
-    )
+    return run_experiment(world, args.k, strategy, args.n_targets, args.seed)
 
 
 def cmd_simulate(args) -> int:
@@ -225,15 +218,6 @@ def _add_topology_args(p) -> None:
     p.add_argument("--nodes", help="node sidecar file (edge-list format only)")
 
 
-def _add_grid_args(p) -> None:
-    p.add_argument("--eps0-m", type=float, default=GridSearchConfig.eps0_m,
-                   help="initial grid spacing")
-    p.add_argument("--eps-min-m", type=float, default=GridSearchConfig.eps_min_m,
-                   help="terminal grid spacing")
-    p.add_argument("--gap-max-km", type=float, default=DEFAULT_GAP_MAX_KM,
-                   help="drop non-overlapping pairs with larger perimeter gap")
-
-
 def _add_world_args(p) -> None:
     p.add_argument("--n-nodes", type=int, default=100)
     p.add_argument("--bbox", default="35,60,-10,30",
@@ -274,7 +258,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--models", required=True, help="fitted models JSON")
     p.add_argument("--measurements", required=True, help="target probe CSV")
     p.add_argument("--per-hop-ms", type=float, default=DEFAULT_PER_HOP_MS)
-    _add_grid_args(p)
     p.add_argument("--truth", help="known target 'lat,lon' for error reporting")
     p.add_argument("--out")
     p.add_argument("--geojson", help="also write the cloud as GeoJSON")
@@ -282,7 +265,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="run one simulated experiment")
     _add_world_args(p)
     p.add_argument("--algorithm", choices=list(PLACEMENT_STRATEGIES), default="dragoon")
-    _add_grid_args(p)
     p.add_argument("--topology-out", help="also write the generated topology JSON")
     p.add_argument("--out")
 
@@ -290,7 +272,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_world_args(p)
     p.add_argument("--algorithms", default="dragoon,two_approx",
                    help="comma-separated strategies to compare")
-    _add_grid_args(p)
     p.add_argument("--out")
 
     return parser

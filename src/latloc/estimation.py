@@ -1,7 +1,8 @@
 """Collapse a candidate point cloud into one location estimate.
 
 A local search on a fixed 7 x 7 grid minimizes the mean great-circle distance
-to the cloud, halving its spacing whenever no grid point improves. Two filter
+to the cloud. Its spacing starts at 100 km and halves whenever no grid point
+improves; the search ends when it falls below 500 m. Two filter
 rounds first each discard the farthest 25% of the candidates from the running
 center (false branches of two-point intersections, mostly).
 
@@ -33,7 +34,7 @@ import numpy as np
 
 from .errors import EstimationError
 from .geodesy import EARTH_RADIUS_M, GeoPoint, normalize_lon, orthodromic_distance
-from .lateration import DEFAULT_GAP_MAX_KM, CandidatePoint, LandmarkCircle, all_candidates
+from .lateration import CandidatePoint, LandmarkCircle, all_candidates
 
 # Filter schedule: rounds, each dropping this share of the kept candidates.
 FILTER_ROUNDS = 2
@@ -41,19 +42,9 @@ DROP_FRACTION = 0.25
 # Grid offsets run to +-EXTENT spacings in each axis: a 7 x 7 grid.
 EXTENT = 3
 STEPS = range(-EXTENT, EXTENT + 1)
-
-
-@dataclass(frozen=True)
-class GridSearchConfig:
-    """Grid spacing schedule: start at eps0_m, halve until below eps_min_m."""
-
-    eps0_m: float = 100_000.0
-    eps_min_m: float = 500.0
-
-    def __post_init__(self):
-        # NaN fails every comparison, so test for the valid range, not the invalid one.
-        if not (0 < self.eps_min_m <= self.eps0_m < math.inf):
-            raise ValueError("need finite eps0_m >= eps_min_m > 0")
+# Grid spacing schedule: start at EPS0_M, halve until below EPS_MIN_M.
+EPS0_M = 100_000.0
+EPS_MIN_M = 500.0
 
 
 @dataclass(frozen=True)
@@ -261,10 +252,10 @@ def _grid(center: GeoPoint, eps_m: float) -> tuple[int, list[float], list[float]
     return center_row, lats, lons, (cos_terms[..., None], sin_terms[..., None], lam)
 
 
-def grid_center(points: list[GeoPoint], cfg: GridSearchConfig = GridSearchConfig()) -> GeoPoint:
+def grid_center(points: list[GeoPoint]) -> GeoPoint:
     """Point minimizing the mean great-circle distance to the cloud, found by
-    local grid search from the spherical centroid, with spacing halved
-    whenever no grid point improves.
+    local grid search from the spherical centroid, with spacing EPS0_M
+    halved whenever no grid point improves, until it falls below EPS_MIN_M.
 
     Each step scores the whole grid around the current best point in one
     array and moves to the winner _step_winner picks, if any.
@@ -275,8 +266,8 @@ def grid_center(points: list[GeoPoint], cfg: GridSearchConfig = GridSearchConfig
     best = spherical_centroid(points)
     best_obj = None
 
-    eps = cfg.eps0_m
-    while eps >= cfg.eps_min_m:
+    eps = EPS0_M
+    while eps >= EPS_MIN_M:
         center_row, lats, lons, terms = _grid(best, eps)
         obj = cloud.mean_distance_m(*terms)
         if best_obj is None:
@@ -317,9 +308,7 @@ def _step_winner(obj: np.ndarray, center_row: int, lats: list[float], lons: list
     return divmod(k, ncols)
 
 
-def filter_outliers(points: list[CandidatePoint],
-                    grid_cfg: GridSearchConfig = GridSearchConfig(),
-                    ) -> tuple[list[CandidatePoint], list[CandidatePoint]]:
+def filter_outliers(points: list[CandidatePoint]) -> tuple[list[CandidatePoint], list[CandidatePoint]]:
     """Center the cloud and drop the farthest candidates, FILTER_ROUNDS times.
 
     Each round drops ceil(DROP_FRACTION * kept) points, never going below 3
@@ -332,7 +321,7 @@ def filter_outliers(points: list[CandidatePoint],
     for _ in range(FILTER_ROUNDS):
         if len(kept) <= 3:
             break
-        center = grid_center([c.point for c in kept], grid_cfg)
+        center = grid_center([c.point for c in kept])
         n_drop = min(math.ceil(DROP_FRACTION * len(kept)), len(kept) - 3)
         # The center stays on the cloud side: the atan2 form is not bitwise symmetric.
         dist = _Cloud([center]).mean_distance_m(
@@ -345,17 +334,16 @@ def filter_outliers(points: list[CandidatePoint],
     return kept, dropped
 
 
-def estimate_target(circles: list[LandmarkCircle],
-                    grid_cfg: GridSearchConfig = GridSearchConfig(),
-                    gap_max_km: float = DEFAULT_GAP_MAX_KM) -> EstimatedLocation:
-    """Full estimation pipeline: pairwise candidates, outlier filter, grid center."""
+def estimate_target(circles: list[LandmarkCircle]) -> EstimatedLocation:
+    """Full estimation pipeline: pairwise candidates (pairs whose gap exceeds
+    DEFAULT_GAP_MAX_KM dropped), outlier filter, grid center."""
     if len(circles) < 2:
         raise EstimationError(f"need at least 2 circles, got {len(circles)}")
-    candidates = all_candidates(circles, gap_max_km=gap_max_km)
+    candidates = all_candidates(circles)
     if not candidates:
         raise EstimationError("every landmark pair was dropped; no candidate points")
-    kept, dropped = filter_outliers(candidates, grid_cfg)
-    point = grid_center([c.point for c in kept], grid_cfg)
+    kept, dropped = filter_outliers(candidates)
+    point = grid_center([c.point for c in kept])
     return EstimatedLocation(
         point=point,
         kept_points=tuple(kept),

@@ -209,13 +209,6 @@ def _destinations(sin_phi1: np.ndarray, cos_phi1: np.ndarray, lon1: np.ndarray,
     return lat2.tolist(), normalize_lon(np.degrees(lam2)).tolist()
 
 
-def initial_bearing(a: GeoPoint, b: GeoPoint) -> float:
-    """Initial bearing from a toward b, degrees clockwise from north in [0, 360)."""
-    phi1, phi2 = math.radians(a.lat), math.radians(b.lat)
-    return _distance_bearing(math.sin(phi1), math.cos(phi1), a.lon,
-                             math.sin(phi2), math.cos(phi2), b.lon)[1]
-
-
 def destination_point(origin: GeoPoint, bearing_deg: float, distance_m: float) -> GeoPoint:
     """Point reached by travelling distance_m along the given initial
     bearing: a batch of one for the solver's destination pass."""

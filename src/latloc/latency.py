@@ -242,9 +242,13 @@ def calibrate_all(landmark_ids: Iterable[str], measurements: list[Measurement],
 # ---------------------------------------------------------------------------
 # Serialization
 
+# The header line measurements_to_csv writes and measurements_from_csv skips.
+CSV_HEADER = "landmark_id,target_id,hops,rtt_samples_ms"
+
+
 def measurements_to_csv(measurements: list[Measurement]) -> str:
     """CSV rows 'landmark_id,target_id,hops,rtt1,rtt2,...' (variable width)."""
-    lines = ["landmark_id,target_id,hops,rtt_samples_ms"]
+    lines = [CSV_HEADER]
     for m in measurements:
         samples = ",".join(repr(s) for s in m.rtt_samples_ms)
         lines.append(f"{m.landmark_id},{m.target_id},{m.hop_count},{samples}")
@@ -252,10 +256,13 @@ def measurements_to_csv(measurements: list[Measurement]) -> str:
 
 
 def measurements_from_csv(text: str) -> list[Measurement]:
+    """The rows of a measurement CSV. Blank lines, lines starting with '#'
+    and CSV_HEADER lines are skipped; any other line is a row, whatever its
+    landmark id starts with."""
     measurements = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
-        if not line or line.startswith("#") or line.startswith("landmark_id"):
+        if not line or line.startswith("#") or line == CSV_HEADER:
             continue
         parts = line.split(",")
         if len(parts) < 4:

@@ -4,8 +4,7 @@ two circles intersect (gap midpoint, forced tangency, tangent point, or both
 crossing points).
 
 all_candidates solves every pair of a target's circles in one call to
-geodesy.solve_circle_pairs and builds the CandidatePoints once, at the end;
-pair_candidates is a batch of one for the same solver."""
+geodesy.solve_circle_pairs and builds the CandidatePoints once, at the end."""
 
 from __future__ import annotations
 
@@ -14,7 +13,7 @@ import math
 from dataclasses import dataclass
 from itertools import combinations
 
-from .errors import DegenerateCirclesError, LaterationError
+from .errors import LaterationError
 from .geodesy import (  # noqa: F401  (circle_intersections: a name perfbench's tracer wraps)
     CONTAINED,
     CROSSING,
@@ -25,7 +24,6 @@ from .geodesy import (  # noqa: F401  (circle_intersections: a name perfbench's 
     TANGENT,
     GeoCircle,
     GeoPoint,
-    PairSolutions,
     circle_intersections,
     solve_circle_pairs,
 )
@@ -68,24 +66,6 @@ def build_circle(landmark: GeoPoint, model: LatencyModel, measurement: Measureme
     return GeoCircle(center=landmark, radius_m=radius_m)
 
 
-def _solve(circles: list[GeoCircle], gap_max_km: float) -> PairSolutions:
-    return solve_circle_pairs([c.center.lat for c in circles], [c.center.lon for c in circles],
-                              [c.radius_m for c in circles], gap_max_km * 1000.0)
-
-
-def pair_candidates(id1: str, c1: GeoCircle, id2: str, c2: GeoCircle,
-                    gap_max_km: float = DEFAULT_GAP_MAX_KM) -> list[CandidatePoint]:
-    """Candidate points from one circle pair, by intersection case: a batch
-    of one for the solver. Raises DegenerateCirclesError for circles equal
-    within the tolerance."""
-    pair = (id1, id2) if id1 <= id2 else (id2, id1)
-    solved = _solve([c1, c2], gap_max_km)
-    case = solved.case[0]
-    if case == DEGENERATE:
-        raise DegenerateCirclesError(DEGENERATE_MESSAGE)
-    return [CandidatePoint(point=p, source_pair=pair, case_tag=CASE_TAGS[case]) for p in solved.points]
-
-
 def all_candidates(circles: list[LandmarkCircle],
                    gap_max_km: float = DEFAULT_GAP_MAX_KM) -> list[CandidatePoint]:
     """Candidates from every unordered circle pair, in deterministic order
@@ -105,7 +85,9 @@ def all_candidates(circles: list[LandmarkCircle],
     for a, b in zip(ids, ids[1:]):
         if a == b:
             raise LaterationError(f"landmark {a!r} has more than one circle")
-    solved = _solve([lc.circle for lc in ordered], gap_max_km)
+    centers = [lc.circle.center for lc in ordered]
+    solved = solve_circle_pairs([c.lat for c in centers], [c.lon for c in centers],
+                                [lc.circle.radius_m for lc in ordered], gap_max_km * 1000.0)
     pairs = list(combinations(ids, 2))
     cases = solved.case
     for pair, case in zip(pairs, cases):

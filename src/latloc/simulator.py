@@ -24,9 +24,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import LatlocError, PlacementError, SimulationError, TopologyError
-from .estimation import GridSearchConfig, estimate_target
+from .estimation import estimate_target
 from .geodesy import GeoPoint, orthodromic_distance
-from .lateration import DEFAULT_GAP_MAX_KM, LandmarkCircle, build_circle
+from .lateration import LandmarkCircle, build_circle
 from .latency import DEFAULT_PER_HOP_MS, Measurement, calibrate_all
 # perfbench's tracer patches simulator.dragoon_place, so the name stays importable here.
 from .placement import PLACEMENT_ALGORITHMS, dragoon_place, place_landmarks
@@ -245,9 +245,7 @@ def calibration_mesh(world: SimWorld, landmark_ids: list[str]) -> list[Measureme
 
 
 def run_experiment(world: SimWorld, k_landmarks: int, strategy: str,
-                   n_targets: int, seed: int,
-                   grid_cfg: GridSearchConfig = GridSearchConfig(),
-                   gap_max_km: float = DEFAULT_GAP_MAX_KM) -> ExperimentReport:
+                   n_targets: int, seed: int) -> ExperimentReport:
     """Place landmarks, calibrate models from the inter-landmark mesh, then
     locate random target nodes and score against ground truth.
 
@@ -261,9 +259,6 @@ def run_experiment(world: SimWorld, k_landmarks: int, strategy: str,
         raise PlacementError("need k >= 5 (calibration requires >= 4 peers per landmark)")
     if n_targets < 1:
         raise SimulationError("need at least one target")
-    # Checked here too, or a non-finite gap would fail every target one by one.
-    if not math.isfinite(gap_max_km):
-        raise ValueError(f"gap_max_km must be finite, got {gap_max_km!r}")
 
     t = world.topology
     rng = random.Random(seed)
@@ -300,7 +295,7 @@ def run_experiment(world: SimWorld, k_landmarks: int, strategy: str,
                                                 per_hop_ms=world.delay.per_hop_ms))
                     for m in probes
                 ]
-                est = estimate_target(circles, grid_cfg, gap_max_km).point
+                est = estimate_target(circles).point
         except (LatlocError, ValueError) as exc:
             results.append(TargetResult(target, true_point, None, None, failure=str(exc)))
             continue

@@ -13,7 +13,9 @@ checks connectivity with the search from the first node.
 
 load_positions_json and load_positions_edgelist read only the node
 positions, with the node checks of the full loaders, for a caller that never
-queries the graph.
+queries the graph. scipy.sparse is imported where a Topology is built or
+searched, not with this module: it is most of the import time and memory of
+a process, such as `latloc locate`, that builds no graph.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 import numpy as np
-from scipy.sparse import csgraph, csr_array
 
 from .errors import TopologyError
 from .geodesy import GeoPoint, orthodromic_distance
@@ -63,6 +64,8 @@ class Topology:
     adjacency: dict[str, tuple[str, ...]] = field(repr=False)
 
     def __post_init__(self):
+        from scipy.sparse import csr_array
+
         ids = tuple(sorted(self.positions))
         index = {nid: i for i, nid in enumerate(ids)}
         indices = [index[v] for nid in ids for v in self.adjacency[nid]]
@@ -88,6 +91,8 @@ class Topology:
         """One BFS from node i: the visit order, the predecessors (negative
         at i and wherever i cannot reach), and the int32 hop row (-1 where i
         cannot reach)."""
+        from scipy.sparse import csgraph
+
         order, pred = csgraph.breadth_first_order(self.csr, i, directed=True,
                                                   return_predecessors=True)
         unreached = pred < 0

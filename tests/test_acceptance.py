@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from latloc.cli import main as cli_main
-from latloc.estimation import GridSearchConfig
+from latloc.estimation import EPS_MIN_M
 from latloc.geodesy import (
     EARTH_RADIUS_M,
     GeoCircle,
@@ -177,12 +177,11 @@ def test_criterion_5_noiseless_end_to_end():
     start = time.time()
     topology = generate_topology(60, EUROPE, 6000, seed=3)
     world = SimWorld(topology, 3, DelayParams())
-    grid = GridSearchConfig(eps0_m=100_000.0, eps_min_m=500.0)
-    report = run_experiment(world, 10, "dragoon", 50, seed=3, grid_cfg=grid)
+    report = run_experiment(world, 10, "dragoon", 50, seed=3)
     elapsed = time.time() - start
 
     summary = report.summary()
-    threshold_km = max(2 * grid.eps_min_m / 1000.0, 5.0)
+    threshold_km = max(2 * EPS_MIN_M / 1000.0, 5.0)
     within = sum(1 for e in report.errors_km if e <= threshold_km)
     ok = (summary["located"] == 50 and within >= 45
           and summary["median_km"] <= 5.0 and elapsed < 30.0)

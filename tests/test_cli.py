@@ -261,21 +261,24 @@ def test_simulate_reproducible_reports(tmp_path):
     assert outs[0] == outs[1]
 
 
-@pytest.mark.parametrize("flag", ["--eps0-m", "--eps-min-m", "--gap-max-km"])
-def test_locate_non_finite_grid_setting_rejected(world_files, tmp_path, capsys, flag):
-    models = tmp_path / "models.json"
-    assert run(["fit", "--topology", world_files / "topology.json",
-                "--landmarks", world_files / "landmarks.json",
-                "--measurements", world_files / "mesh.csv", "--out", models]) == 0
-    out = tmp_path / "estimate.json"
-    code = run(["locate", "--topology", world_files / "topology.json", "--models", models,
-                "--measurements", world_files / "target.csv", flag, "nan", "--out", out])
-    assert code == 1
-    assert "finite" in capsys.readouterr().err
+@pytest.mark.parametrize("command", ["locate", "simulate", "eval"])
+@pytest.mark.parametrize("flag, value", [("--eps0-m", 50000), ("--eps-min-m", 500),
+                                         ("--gap-max-km", 900)])
+def test_grid_settings_are_not_flags(world_files, models_file, tmp_path, capsys, command,
+                                     flag, value):
+    # The grid's spacing schedule and the pair gap cutoff are constants.
+    if command == "locate":
+        args = ["--topology", world_files / "topology.json", "--models", models_file,
+                "--measurements", world_files / "target.csv"]
+    else:
+        args = ["--n-nodes", 25, "--radius-km", 5000, "--k", 6, "--n-targets", 2]
+    out = tmp_path / "out.json"
+    assert run([command, *args, flag, value, "--out", out]) == 1
+    assert capsys.readouterr().err == f"error: unrecognized arguments: {flag} {value}\n"
     assert not out.exists()
 
 
-@pytest.mark.parametrize("flag", ["--noise-mean-ms", "--per-hop-ms", "--gap-max-km"])
+@pytest.mark.parametrize("flag", ["--noise-mean-ms", "--per-hop-ms"])
 def test_simulate_non_finite_setting_rejected(tmp_path, capsys, flag):
     # --noise-mean-ms nan used to run silently without noise.
     out = tmp_path / "report.json"

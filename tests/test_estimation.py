@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 
 from latloc.errors import EstimationError
 from latloc.estimation import (
+    EPS0_M,
+    EPS_MIN_M,
     EXTENT,
     EstimatedLocation,
-    GridSearchConfig,
     _Cloud,
     _grid,
     _query_terms,
@@ -32,9 +33,6 @@ from latloc.geodesy import (
 )
 from latloc.lateration import CandidatePoint, LandmarkCircle
 
-FAST_GRID = GridSearchConfig(eps0_m=50_000.0, eps_min_m=500.0)
-
-
 def cand(lat, lon, tag="pair_branch", pair=("a", "b")) -> CandidatePoint:
     return CandidatePoint(point=GeoPoint(lat, lon), source_pair=pair, case_tag=tag)
 
@@ -43,40 +41,25 @@ def mean_distance(p: GeoPoint, points) -> float:
     return sum(orthodromic_distance(p, q) for q in points) / len(points)
 
 
-def test_config_validation():
-    with pytest.raises(ValueError):
-        GridSearchConfig(eps0_m=100.0, eps_min_m=500.0)
-    with pytest.raises(ValueError):
-        GridSearchConfig(eps_min_m=0.0)
-
-
-@pytest.mark.parametrize("field", ["eps0_m", "eps_min_m"])
-@pytest.mark.parametrize("bad", [math.nan, math.inf])
-def test_config_rejects_non_finite_spacing(field, bad):
-    # NaN made every check false, and grid_center then ran zero steps.
-    with pytest.raises(ValueError, match="finite"):
-        GridSearchConfig(**{field: bad})
-
-
 def test_grid_center_single_point():
     p = GeoPoint(48.0, 11.0)
-    center = grid_center([p], FAST_GRID)
-    assert orthodromic_distance(center, p) <= 2 * FAST_GRID.eps_min_m
+    center = grid_center([p])
+    assert orthodromic_distance(center, p) <= 2 * EPS_MIN_M
 
 
 def test_grid_center_two_points_geodesic_midpoint():
     a = GeoPoint(0.0, 0.0)
     b = GeoPoint(0.0, 8.0)
-    center = grid_center([a, b], FAST_GRID)
+    center = grid_center([a, b])
     midpoint = GeoPoint(0.0, 4.0)
     # Any point on the connecting geodesic minimizes the mean, so compare
     # objectives rather than positions.
-    assert mean_distance(center, [a, b]) <= mean_distance(midpoint, [a, b]) + FAST_GRID.eps_min_m
+    assert mean_distance(center, [a, b]) <= mean_distance(midpoint, [a, b]) + EPS_MIN_M
 
 
 def test_grid_center_empty_cloud():
     with pytest.raises(EstimationError):
-        grid_center([], FAST_GRID)
+        grid_center([])
 
 
 def test_grid_center_matches_dense_grid_oracle():
@@ -86,7 +69,7 @@ def test_grid_center_matches_dense_grid_oracle():
         destination_point(origin, rng.uniform(0, 360), rng.uniform(0, 250_000))
         for _ in range(50)
     ]
-    found = grid_center(points, GridSearchConfig(eps0_m=100_000.0, eps_min_m=100.0))
+    found = grid_center(points)
     found_obj = mean_distance(found, points)
 
     # Independent brute force: dense lat/lon grid at 100 m spacing around the
@@ -116,7 +99,7 @@ def test_grid_center_matches_dense_grid_oracle():
 def test_grid_center_deterministic():
     rng = random.Random(12)
     points = [GeoPoint(rng.uniform(40, 50), rng.uniform(0, 10)) for _ in range(15)]
-    assert grid_center(points, FAST_GRID) == grid_center(points, FAST_GRID)
+    assert grid_center(points) == grid_center(points)
 
 
 def test_spherical_centroid_symmetric_pair():
@@ -127,16 +110,16 @@ def test_spherical_centroid_symmetric_pair():
 
 def test_filter_identical_points_keeps_center():
     points = [cand(45.0, 7.0) for _ in range(6)]
-    kept, dropped = filter_outliers(points, FAST_GRID)
+    kept, dropped = filter_outliers(points)
     assert len(kept) >= 3
-    center = grid_center([c.point for c in kept], FAST_GRID)
-    assert orthodromic_distance(center, GeoPoint(45.0, 7.0)) <= 2 * FAST_GRID.eps_min_m
+    center = grid_center([c.point for c in kept])
+    assert orthodromic_distance(center, GeoPoint(45.0, 7.0)) <= 2 * EPS_MIN_M
 
 
 def test_filter_drops_far_outlier():
     cluster = [cand(45.0 + 0.01 * i, 7.0) for i in range(9)]
     outlier = cand(30.0, -20.0)
-    kept, dropped = filter_outliers(cluster + [outlier], FAST_GRID)
+    kept, dropped = filter_outliers(cluster + [outlier])
     # Round one drops ceil(10 / 4) = 3 farthest, round two ceil(7 / 4) = 2.
     assert outlier in dropped[:3]
     assert (len(kept), len(dropped)) == (5, 5)
@@ -146,19 +129,19 @@ def test_filter_never_drops_below_three():
     # 4 to 7 points reach 3 in the first round or the second; 8 stop at 4.
     for n, n_kept in [(3, 3), (4, 3), (5, 3), (6, 3), (7, 3), (8, 4)]:
         points = [cand(40.0 + i, 5.0 * i) for i in range(n)]
-        kept, dropped = filter_outliers(points, FAST_GRID)
+        kept, dropped = filter_outliers(points)
         assert (len(kept), len(dropped)) == (n_kept, n - n_kept)
 
 
 def test_filter_drop_order_respects_distance():
     points = [cand(45.0, 7.0 + 0.5 * i) for i in range(8)]
-    kept, dropped = filter_outliers(points, FAST_GRID)
+    kept, dropped = filter_outliers(points)
     # Each round drops the quarter of its input farthest from that input's
     # grid center, in input order: 2 of 8, then 2 of 6.
     assert len(dropped) == 4
     remaining = points
     for round_dropped in (dropped[:2], dropped[2:]):
-        center = grid_center([c.point for c in remaining], FAST_GRID)
+        center = grid_center([c.point for c in remaining])
         stay = [c for c in remaining if c not in round_dropped]
         assert [c for c in remaining if c in round_dropped] == round_dropped
         assert min(orthodromic_distance(center, c.point) for c in round_dropped) > \
@@ -170,7 +153,7 @@ def test_filter_drop_order_respects_distance():
 def test_filter_partition_is_complete():
     rng = random.Random(6)
     points = [cand(rng.uniform(40, 50), rng.uniform(0, 10)) for i in range(12)]
-    kept, dropped = filter_outliers(points, FAST_GRID)
+    kept, dropped = filter_outliers(points)
     assert sorted(kept + dropped, key=lambda c: (c.point.lat, c.point.lon)) == \
         sorted(points, key=lambda c: (c.point.lat, c.point.lon))
 
@@ -185,45 +168,45 @@ def exact_circles(target, centers):
 def test_estimate_three_exact_circles():
     target = GeoPoint(48.0, 10.0)
     centers = [GeoPoint(44.0, 4.0), GeoPoint(52.0, 16.0), GeoPoint(42.0, 18.0)]
-    result = estimate_target(exact_circles(target, centers), FAST_GRID)
-    assert orthodromic_distance(result.point, target) <= max(2 * FAST_GRID.eps_min_m, 5000)
+    result = estimate_target(exact_circles(target, centers))
+    assert orthodromic_distance(result.point, target) <= max(2 * EPS_MIN_M, 5000)
 
 
 def test_estimate_ten_exact_circles():
     target = GeoPoint(47.0, 9.0)
     rng = random.Random(77)
     centers = [GeoPoint(rng.uniform(38, 58), rng.uniform(-8, 28)) for _ in range(10)]
-    result = estimate_target(exact_circles(target, centers), FAST_GRID)
-    assert orthodromic_distance(result.point, target) <= max(2 * FAST_GRID.eps_min_m, 5000)
+    result = estimate_target(exact_circles(target, centers))
+    assert orthodromic_distance(result.point, target) <= max(2 * EPS_MIN_M, 5000)
     assert result.mean_residual_km < 50.0
 
 
 def test_estimate_two_circles_pair_ambiguity():
     c1 = LandmarkCircle("a", GeoCircle(GeoPoint(0, 0), 700_000))
     c2 = LandmarkCircle("b", GeoCircle(GeoPoint(0, 10), 700_000))
-    result = estimate_target([c1, c2], FAST_GRID)
+    result = estimate_target([c1, c2])
     # Two mirror branches and no third landmark: the estimate is the grid
     # center of both by definition. The mean-distance objective is flat
     # along the geodesic joining the branches, so assert objective
     # optimality rather than a unique position.
     assert len(result.kept_points) == 2
     branches = [c.point for c in result.kept_points]
-    assert result.point == grid_center(branches, FAST_GRID)
+    assert result.point == grid_center(branches)
     midpoint = GeoPoint(0.0, 5.0)
     assert mean_distance(result.point, branches) <= \
-        mean_distance(midpoint, branches) + FAST_GRID.eps_min_m
+        mean_distance(midpoint, branches) + EPS_MIN_M
 
 
 def test_estimate_requires_two_circles():
     with pytest.raises(EstimationError):
-        estimate_target([LandmarkCircle("a", GeoCircle(GeoPoint(0, 0), 1000.0))], FAST_GRID)
+        estimate_target([LandmarkCircle("a", GeoCircle(GeoPoint(0, 0), 1000.0))])
 
 
 def test_estimate_no_candidates_error():
     c1 = LandmarkCircle("a", GeoCircle(GeoPoint(0, 0), 10_000))
     c2 = LandmarkCircle("b", GeoCircle(GeoPoint(0, 40), 10_000))
     with pytest.raises(EstimationError, match="dropped"):
-        estimate_target([c1, c2], FAST_GRID, gap_max_km=100.0)
+        estimate_target([c1, c2])
 
 
 def test_estimate_deterministic():
@@ -231,13 +214,13 @@ def test_estimate_deterministic():
     rng = random.Random(3)
     centers = [GeoPoint(rng.uniform(40, 58), rng.uniform(-5, 25)) for _ in range(6)]
     circles = exact_circles(target, centers)
-    assert estimate_target(circles, FAST_GRID) == estimate_target(circles, FAST_GRID)
+    assert estimate_target(circles) == estimate_target(circles)
 
 
 def test_estimate_serializes():
     target = GeoPoint(50.0, 12.0)
     circles = exact_circles(target, [GeoPoint(45, 5), GeoPoint(55, 15), GeoPoint(45, 20)])
-    result = estimate_target(circles, FAST_GRID)
+    result = estimate_target(circles)
     doc = result.to_dict()
     assert set(doc) == {"estimate", "kept_points", "dropped_points", "mean_residual_km"}
     assert json.loads(json.dumps(doc)) == doc
@@ -256,7 +239,7 @@ def json_document(est: EstimatedLocation, truth: GeoPoint | None = None) -> str:
 def test_document_writer_matches_json_on_an_estimate():
     target = GeoPoint(50.0, 12.0)
     circles = exact_circles(target, [GeoPoint(45, 5), GeoPoint(55, 15), GeoPoint(45, 20)])
-    est = estimate_target(circles, FAST_GRID)
+    est = estimate_target(circles)
     assert estimate_document_json(est) == json_document(est)
     assert estimate_document_json(est, target) == json_document(est, target)
 
@@ -360,12 +343,12 @@ def _scalar_grid_offsets(center, eps_m):
     return offsets
 
 
-def scalar_grid_center(points, cfg):
+def scalar_grid_center(points):
     cloud = _ScalarCloud(points)
     best = spherical_centroid(points)
     best_obj = cloud.mean_distance_m(best)
-    eps = cfg.eps0_m
-    while eps >= cfg.eps_min_m:
+    eps = 100_000.0  # the schedule: 100 km, halved while at least 500 m
+    while eps >= 500.0:
         winner = None
         winner_key = None
         for cand_pt in _scalar_grid_offsets(best, eps):
@@ -381,13 +364,13 @@ def scalar_grid_center(points, cfg):
     return best
 
 
-def scalar_filter_outliers(points, grid_cfg):
+def scalar_filter_outliers(points):
     kept = list(points)
     dropped = []
     for _ in range(2):  # two rounds, each dropping the farthest 25%
         if len(kept) <= 3:
             break
-        center = scalar_grid_center([c.point for c in kept], grid_cfg)
+        center = scalar_grid_center([c.point for c in kept])
         cloud = _ScalarCloud([center])
         n_drop = min(math.ceil(0.25 * len(kept)), len(kept) - 3)
         ranked = sorted(range(len(kept)),
@@ -400,13 +383,6 @@ def scalar_filter_outliers(points, grid_cfg):
 
 def bits(p: GeoPoint) -> tuple[str, str]:
     return float.hex(p.lat), float.hex(p.lon)
-
-
-ORACLE_GRIDS = st.builds(
-    GridSearchConfig,
-    eps0_m=st.sampled_from([8_000.0, 20_000.0, 60_000.0]),
-    eps_min_m=st.sampled_from([500.0, 2_000.0]),
-)
 
 
 @st.composite
@@ -454,17 +430,17 @@ ORACLE_CLOUDS = st.one_of(
 
 
 @settings(max_examples=60, deadline=None)
-@given(points=ORACLE_CLOUDS, cfg=ORACLE_GRIDS)
-def test_grid_center_matches_scalar_oracle(points, cfg):
-    assert bits(grid_center(points, cfg)) == bits(scalar_grid_center(points, cfg))
+@given(points=ORACLE_CLOUDS)
+def test_grid_center_matches_scalar_oracle(points):
+    assert bits(grid_center(points)) == bits(scalar_grid_center(points))
 
 
 @settings(max_examples=40, deadline=None)
-@given(points=ORACLE_CLOUDS, cfg=ORACLE_GRIDS)
-def test_filter_outliers_matches_scalar_oracle(points, cfg):
+@given(points=ORACLE_CLOUDS)
+def test_filter_outliers_matches_scalar_oracle(points):
     cands = [cand(p.lat, p.lon, pair=(f"a{i}", "b")) for i, p in enumerate(points)]
-    kept, dropped = filter_outliers(cands, cfg)
-    ref_kept, ref_dropped = scalar_filter_outliers(cands, cfg)
+    kept, dropped = filter_outliers(cands)
+    ref_kept, ref_dropped = scalar_filter_outliers(cands)
     # Identity, not equality: duplicate points must keep their input order.
     assert [id(c) for c in kept] == [id(c) for c in ref_kept]
     assert [id(c) for c in dropped] == [id(c) for c in ref_dropped]
@@ -502,19 +478,18 @@ CENTROID_CLOUDS = st.one_of(equator_clouds(), clouds(SOUTH_POLE, 5.0),
 
 
 @settings(max_examples=200, deadline=None)
-@given(points=CENTROID_CLOUDS, eps0_m=st.sampled_from([8_000.0, 60_000.0, 100_000.0]))
-@example(points=[GeoPoint(-0.0, 10.0), GeoPoint(0.0, -170.0)], eps0_m=100_000.0)
-@example(points=[GeoPoint(-89.99, 0.0), GeoPoint(-89.99, 90.0)], eps0_m=100_000.0)
-@example(points=[GeoPoint(10.0, 180.0), GeoPoint(-10.0, 180.0)], eps0_m=100_000.0)
-def test_first_grid_center_scores_as_the_centroid(points, eps0_m):
+@given(points=CENTROID_CLOUDS, eps_m=st.sampled_from([8_000.0, 60_000.0, EPS0_M]))
+@example(points=[GeoPoint(-0.0, 10.0), GeoPoint(0.0, -170.0)], eps_m=EPS0_M)
+@example(points=[GeoPoint(-89.99, 0.0), GeoPoint(-89.99, 90.0)], eps_m=EPS0_M)
+@example(points=[GeoPoint(10.0, 180.0), GeoPoint(-10.0, 180.0)], eps_m=EPS0_M)
+def test_first_grid_center_scores_as_the_centroid(points, eps_m):
     cloud = _Cloud(points)
     centroid = spherical_centroid(points)
-    center_row, lats, lons, terms = _grid(centroid, eps0_m)
+    center_row, lats, lons, terms = _grid(centroid, eps_m)
     assert (lats[center_row], lons[EXTENT]) == (centroid.lat, centroid.lon)
     score = float(cloud.mean_distance_m(*terms)[center_row, EXTENT])
     assert float.hex(score) == float.hex(cloud.mean_at_m(centroid))
-    cfg = GridSearchConfig(eps0_m=eps0_m, eps_min_m=2_000.0)
-    assert bits(grid_center(points, cfg)) == bits(scalar_grid_center(points, cfg))
+    assert bits(grid_center(points)) == bits(scalar_grid_center(points))
 
 
 def test_centroid_score_cases_are_reached():
@@ -522,7 +497,7 @@ def test_centroid_score_cases_are_reached():
     equator = spherical_centroid([GeoPoint(-0.0, 10.0), GeoPoint(0.0, -170.0)])
     assert math.copysign(1.0, equator.lat) == -1.0
     south = spherical_centroid([GeoPoint(-89.99, 0.0), GeoPoint(-89.99, 90.0)])
-    assert _grid(south, 100_000.0)[0] < EXTENT
+    assert _grid(south, EPS0_M)[0] < EXTENT
     assert spherical_centroid([GeoPoint(10.0, 180.0), GeoPoint(-10.0, 180.0)]).lon == 180.0
 
 

@@ -251,9 +251,12 @@ def test_calibrate_all_beats_linear_baseline():
 
 
 def test_measurement_csv_roundtrip():
+    # Only the exact header line is skipped: an id that starts like it is data.
     measurements = [
         Measurement("l1", "t1", (10.0, 11.5), 3),
         Measurement("l2", "t1", (8.25,), 0),
+        Measurement("landmark_id7", "t1", (9.5,), 2),
+        Measurement("landmark_id", "t1", (7.0,), 1),
     ]
     assert measurements_from_csv(measurements_to_csv(measurements)) == measurements
 
@@ -403,11 +406,14 @@ def test_fit_no_worse_than_reference_on_noisy_curves(samples):
 
 
 def test_latloc_imports_no_scipy_optimize():
-    # The refine is a numpy scan, so no latloc process pays for scipy.optimize.
+    # The refine is a numpy scan, so no latloc process pays for scipy.optimize,
+    # and scipy.sparse loads only when a Topology is built: `latloc locate`
+    # builds none.
     src = str(Path(latency.__file__).resolve().parent.parent)
     code = (f"import sys; sys.path.insert(0, {src!r})\n"
             "import latloc, latloc.cli, latloc.simulator\n"
-            "print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))")
+            "print(sorted(m for m in sys.modules\n"
+            "             if m.startswith(('scipy.optimize', 'scipy.sparse'))))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True).stdout
     assert out == "[]\n"

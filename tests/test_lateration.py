@@ -22,7 +22,6 @@ from latloc.lateration import (
     LandmarkCircle,
     all_candidates,
     build_circle,
-    pair_candidates,
 )
 from latloc.latency import LatencyModel, Measurement
 
@@ -37,6 +36,11 @@ def test_all_candidates_rejects_non_finite_gap(bad):
 
 def km_circle(lat, lon, r_km) -> GeoCircle:
     return GeoCircle(GeoPoint(lat, lon), r_km * 1000.0)
+
+
+def one_pair(id1, c1, id2, c2, gap_max_km=DEFAULT_GAP_MAX_KM) -> list[CandidatePoint]:
+    """The candidates of one circle pair; the solver takes the circles in id order."""
+    return all_candidates([LandmarkCircle(id1, c1), LandmarkCircle(id2, c2)], gap_max_km)
 
 
 def km_apart(d_km, r1_km, r2_km):
@@ -70,7 +74,7 @@ def test_build_circle_radius_capped_at_antipode():
 
 def test_gap_midpoint_candidate():
     c1, c2 = km_apart(1000, 400, 400)
-    cands = pair_candidates("a", c1, "b", c2)
+    cands = one_pair("a", c1, "b", c2)
     assert len(cands) == 1
     assert cands[0].case_tag == "midpoint_gap"
     assert orthodromic_distance(c1.center, cands[0].point) == pytest.approx(500_000, abs=2.0)
@@ -80,21 +84,21 @@ def test_gap_midpoint_past_the_wrap_bound_is_on_the_antipodal_circles():
     # Two circles of 0.95 pi R about (0, 0) and (0, 30) are the circles of
     # 0.05 pi R about (0, 180) and (0, -150): their gap is centered on (0, -165).
     r_km = 0.95 * math.pi * EARTH_RADIUS_M / 1000.0
-    (c,) = pair_candidates("a", km_circle(0, 0, r_km), "b", km_circle(0, 30, r_km),
-                           gap_max_km=2000.0)
+    (c,) = one_pair("a", km_circle(0, 0, r_km), "b", km_circle(0, 30, r_km),
+                    gap_max_km=2000.0)
     assert c.case_tag == "midpoint_gap"
     assert orthodromic_distance(c.point, GeoPoint(0.0, -165.0)) < 1.0
 
 
 def test_gap_beyond_threshold_dropped():
     c1, c2 = km_apart(3000, 400, 400)  # 2200 km perimeter gap
-    assert pair_candidates("a", c1, "b", c2) == []
-    assert len(pair_candidates("a", c1, "b", c2, gap_max_km=2500)) == 1
+    assert one_pair("a", c1, "b", c2) == []
+    assert len(one_pair("a", c1, "b", c2, gap_max_km=2500)) == 1
 
 
 def test_tangent_candidate_at_midpoint():
     c1, c2 = km_apart(1000, 500, 500)
-    cands = pair_candidates("a", c1, "b", c2)
+    cands = one_pair("a", c1, "b", c2)
     assert len(cands) == 1
     assert cands[0].case_tag == "tangent"
     midpoint = destination_point(c1.center, 90.0, 500_000)
@@ -103,7 +107,7 @@ def test_tangent_candidate_at_midpoint():
 
 def test_contained_shrinks_to_tangency():
     c1, c2 = km_apart(200, 900, 300)
-    cands = pair_candidates("a", c1, "b", c2)
+    cands = one_pair("a", c1, "b", c2)
     assert len(cands) == 1
     assert cands[0].case_tag == "contained_tangent"
     # The tangent point sits beyond the inner center at the inner radius,
@@ -116,7 +120,7 @@ def test_contained_shrinks_to_tangency():
 def test_pair_candidates_equatorial_symmetry():
     c1 = km_circle(0, 0, 700)
     c2 = km_circle(0, 10, 700)
-    cands = pair_candidates("a", c1, "b", c2)
+    cands = one_pair("a", c1, "b", c2)
     assert len(cands) == 2
     assert all(c.case_tag == "pair_branch" for c in cands)
     assert cands[0].point.lat == pytest.approx(-cands[1].point.lat, abs=1e-6)
@@ -128,8 +132,9 @@ def test_pair_candidates_argument_order_invariance():
     for _ in range(50):
         c1 = km_circle(rng.uniform(-60, 60), rng.uniform(-170, 170), rng.uniform(100, 2000))
         c2 = km_circle(rng.uniform(-60, 60), rng.uniform(-170, 170), rng.uniform(100, 2000))
-        ab = pair_candidates("a", c1, "b", c2)
-        ba = pair_candidates("b", c2, "a", c1)
+        # Swapping the ids swaps the order the solver takes the circles in.
+        ab = one_pair("a", c1, "b", c2)
+        ba = one_pair("b", c1, "a", c2)
         assert len(ab) == len(ba)
         for x, y in zip(ab, ba):
             assert orthodromic_distance(x.point, y.point) <= 2.0
@@ -141,7 +146,7 @@ def test_candidates_stay_in_constraint_region():
     for _ in range(50):
         d = rng.uniform(100, 3000)
         c1, c2 = km_apart(d, rng.uniform(50, 2000), rng.uniform(50, 2000))
-        for cand in pair_candidates("a", c1, "b", c2, gap_max_km=1e9):
+        for cand in one_pair("a", c1, "b", c2, gap_max_km=1e9):
             gap = max(0.0, orthodromic_distance(c1.center, c2.center)
                       - c1.radius_m - c2.radius_m)
             bound = max(c1.radius_m, c2.radius_m) + gap + 2.0
@@ -314,7 +319,7 @@ def test_candidate_moves_at_most_tau_across_a_tangency_boundary(center, bearing,
     cands = []
     for delta in (-1e-3, 1e-3):
         c2 = GeoCircle(destination_point(center, bearing, boundary + delta), r2)
-        (cand,) = pair_candidates("a", c1, "b", c2)
+        (cand,) = one_pair("a", c1, "b", c2)
         cands.append(cand)
     assert [c.case_tag for c in cands] == tags
     assert orthodromic_distance(cands[0].point, cands[1].point) <= TAU

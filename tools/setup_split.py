@@ -3,9 +3,10 @@
     python3 tools/setup_split.py [--root CHECKOUT] [--seed N]
 
 The steps are imports (`import latloc.cli, latloc.simulator` in a fresh
-child interpreter, which every perfbench run pays before its set-up) and the
-ones perfbench's LocateWorkload.setup runs, on its world: world
-(generate_topology, which also builds the topology's CSR adjacency),
+child interpreter, which perfbench's setup_s includes; scipy is not among
+them) and the ones perfbench's LocateWorkload.setup runs, on its world:
+world (generate_topology, which also imports scipy.sparse, the first time a
+Topology is built, and builds the topology's CSR adjacency),
 dragoon_place, calibration_mesh, calibrate_all, and probes
 (simulate_measurement for every landmark and target). perfbench
 times the set-up as one number; this split shows which step a change moved.
