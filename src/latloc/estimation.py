@@ -16,17 +16,16 @@ center's score equals the centroid's bit for bit, so the centroid needs no
 evaluation of its own.
 
 _Cloud.mean_distance_m is the one copy of the objective arithmetic, for the
-grid, the filter's distances and the residual. A query's latitude enters it
-as two stacked row terms, [-sin φ, cos φ] scaling the cloud's cos φ' and
-[cos φ, sin φ] scaling its sin φ', so one product and one sum give both the
-atan2 numerator's b term and its denominator. Negation commutes with IEEE 754
-rounding, so the stacked form computes the same bits as the plain one.
+grid, the filter's distances and the residual. It is the haversine form
+(Sinnott 1984, "Virtues of the Haversine"): the per-row term sin²(Δφ/2) and
+the per-column term cos φ'·sin²(Δλ/2) are computed at their own small shapes,
+so a grid step makes only one product, one sum, the square root, the clamp,
+the arcsine and the row sum at the full grid × cloud size.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _string
 
@@ -152,50 +151,46 @@ def _feature(point: GeoPoint, properties: str) -> str:
 
 
 class _Cloud:
-    """Cached radian arrays of a point cloud for mean-distance evaluation."""
+    """Cached radian terms of a point cloud for mean-distance evaluation."""
 
     def __init__(self, points: list[GeoPoint]):
-        self.lat = np.radians([p.lat for p in points])
-        self.lon = np.radians([p.lon for p in points])
-        self.sin_lat = np.sin(self.lat)
-        self.cos_lat = np.cos(self.lat)
+        lat = np.radians([p.lat for p in points])
+        self.half_lat = lat / 2
+        self.half_lon = np.radians([p.lon for p in points]) / 2
+        self.cos_lat = np.cos(lat)
 
-    def mean_distance_m(self, cos_terms, sin_terms, lam) -> np.ndarray:
+    def mean_distance_m(self, half_phi, cos_phi, half_lam) -> np.ndarray:
         """Mean great-circle distance in meters from each query point to the cloud.
 
-        Query points come as _query_terms gives them: their latitudes as the
-        stacked row terms cos_terms = [-sin φ, cos φ] and sin_terms =
-        [cos φ, sin φ], and their longitudes in radians. The three broadcast
+        Query points come as _query_terms gives them: φ/2 and cos φ of their
+        latitudes and λ/2 of their longitudes, in radians. The three broadcast
         together against a trailing cloud axis, which the mean removes: a grid
         passes rows of latitude terms and a column of longitudes, so the
-        longitude terms are computed once per column. Cloud terms come from
-        numpy. The angle is the atan2 form of geodesy.orthodromic_distance,
-        except that its numerator is sqrt(a² + b²) where geodesy uses
-        math.hypot: the means agree with the hypot form's to within four ulps
-        of pi * R, about 1.5e-8 m.
+        latitude terms are computed once per row and the longitude terms once
+        per column. Cloud terms come from numpy.
 
-        One product of cos_terms with the cloud's cos φ' and cos Δλ gives
-        -sin φ·cos φ'·cos Δλ and cos φ·cos φ'·cos Δλ together; adding
-        sin_terms times sin φ' makes them b = cos φ·sin φ' - sin φ·cos φ'·cos Δλ
-        and the denominator. As (-x)·y == -(x·y) and u + (-v) == u - v exactly
-        in IEEE 754, these are the plain expressions' bits. That stacked
-        product is the only allocation of the full broadcast shape (twice
-        over); every later step writes into it with the same ufunc on the same
-        operands as the plain expression, so the result is the same to the bit.
+        Each angle is 2·asin(min(√h, 1)) with h = sin²(φ'/2 − φ/2) +
+        cos φ·(cos φ'·sin²(λ'/2 − λ/2)). Near an antipode h rounds to about
+        1, and √h can round above 1 where sin or cos rounds a little high;
+        the clamp keeps asin finite there. The means agree with the atan2 form
+        of geodesy.orthodromic_distance to within four ulps of pi * R (about
+        1.5e-8 m) while every cloud point lies within 0.9·pi·R of the query,
+        and to within 0.25 m beyond: at an antipode h rounds near 1, where
+        asin is ill-conditioned.
         """
-        dlon = self.lon - lam
-        cos_dlon = np.cos(dlon)
-        a = self.cos_lat * np.sin(dlon)
-        terms = cos_terms * self.cos_lat * cos_dlon
-        terms += sin_terms * self.sin_lat
-        b, den = terms[0], terms[1]
-        b *= b
-        a *= a
-        np.add(a, b, out=b)
-        np.sqrt(b, out=b)
-        np.arctan2(b, den, out=b)
-        # The sum and the division np.mean would make, without its overhead.
-        return np.add.reduce(b, axis=-1) / len(self.lat) * EARTH_RADIUS_M
+        h = np.sin(self.half_lon - half_lam)
+        h *= h
+        h *= self.cos_lat
+        h = cos_phi * h
+        row = np.sin(self.half_lat - half_phi)
+        row *= row
+        h += row
+        np.sqrt(h, out=h)
+        np.minimum(h, 1.0, out=h)
+        np.arcsin(h, out=h)
+        # The sum and the division np.mean would make, without its overhead;
+        # doubling is exact, so it waits for the mean.
+        return np.add.reduce(h, axis=-1) / len(self.cos_lat) * (2.0 * EARTH_RADIUS_M)
 
     def mean_at_m(self, point: GeoPoint) -> float:
         """Mean great-circle distance in meters from one point to the cloud."""
@@ -204,20 +199,17 @@ class _Cloud:
 
 def _query_terms(lats: list[float], lons: list[float]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The arguments of _Cloud.mean_distance_m for query points given in
-    degrees: the row terms [-sin φ, cos φ] and [cos φ, sin φ] of the
-    latitudes, then the longitudes in radians, each with a trailing axis for
-    the cloud. The i-th latitude goes with the i-th longitude. The values
-    come from math, point by point: math and numpy may round differently."""
+    degrees: half the latitudes and the cosines of the latitudes, then half
+    the longitudes, in radians, each with a trailing axis for the cloud. The
+    i-th latitude goes with the i-th longitude. The values come from math,
+    point by point: math and numpy may round differently."""
     phi = list(map(math.radians, lats))
-    sin_phi = list(map(math.sin, phi))
-    cos_phi = list(map(math.cos, phi))
-    n = len(phi)
-    # One array for all three, sliced and indexed rather than unpacked:
-    # iterating over an array is slow.
-    flat = np.array([*map(operator.neg, sin_phi), *cos_phi, *cos_phi, *sin_phi,
-                     *map(math.radians, lons)])
-    terms = flat[:4 * n].reshape(2, 2, n, 1)
-    return terms[0], terms[1], flat[4 * n:].reshape(len(lons), 1)
+    n, m = len(phi), len(lons)
+    # One array for all three, sliced rather than unpacked: iterating over an
+    # array is slow. Halving is exact.
+    flat = np.array([*phi, *map(math.radians, lons), *map(math.cos, phi)])
+    flat[:n + m] /= 2
+    return flat[:n].reshape(n, 1), flat[n + m:].reshape(n, 1), flat[n:n + m].reshape(m, 1)
 
 
 def spherical_centroid(points: list[GeoPoint]) -> GeoPoint:
@@ -248,8 +240,8 @@ def _grid(center: GeoPoint, eps_m: float) -> tuple[int, list[float], list[float]
     center_row = EXTENT - sum(lat < -90.0 for lat in lats)
     lats = [lat for lat in lats if -90.0 <= lat <= 90.0]
     lons = [normalize_lon(center.lon + j * dlon_deg) for j in STEPS]
-    cos_terms, sin_terms, lam = _query_terms(lats, lons)
-    return center_row, lats, lons, (cos_terms[..., None], sin_terms[..., None], lam)
+    half_phi, cos_phi, half_lam = _query_terms(lats, lons)
+    return center_row, lats, lons, (half_phi[..., None], cos_phi[..., None], half_lam)
 
 
 def grid_center(points: list[GeoPoint]) -> GeoPoint:
@@ -323,7 +315,8 @@ def filter_outliers(points: list[CandidatePoint]) -> tuple[list[CandidatePoint],
             break
         center = grid_center([c.point for c in kept])
         n_drop = min(math.ceil(DROP_FRACTION * len(kept)), len(kept) - 3)
-        # The center stays on the cloud side: the atan2 form is not bitwise symmetric.
+        # The center stays on the cloud side: the kernel is not bitwise
+        # symmetric in its two points.
         dist = _Cloud([center]).mean_distance_m(
             *_query_terms([c.point.lat for c in kept], [c.point.lon for c in kept]))
         # Farthest first; the stable sort keeps ties in index order.
