@@ -16,11 +16,12 @@ center's score equals the centroid's bit for bit, so the centroid needs no
 evaluation of its own.
 
 _Cloud.mean_distance_m is the one copy of the objective arithmetic, for the
-grid, the filter's distances and the residual. It is the haversine form
-(Sinnott 1984, "Virtues of the Haversine"): the per-row term sin²(Δφ/2) and
-the per-column term cos φ'·sin²(Δλ/2) are computed at their own small shapes,
-so a grid step makes only one product, one sum, the square root, the clamp,
-the arcsine and the row sum at the full grid × cloud size.
+grid, the filter's distances and the residual, each on a subset of the one
+_Cloud that estimate_target builds of a target's candidates. It is the
+haversine form (Sinnott 1984, "Virtues of the Haversine"): the per-row term
+sin²(Δφ/2) and the per-column term cos φ'·sin²(Δλ/2) are computed at their
+own small shapes, so a grid step makes only one product, one sum, the square
+root, the clamp, the arcsine and the row sum at the full grid × cloud size.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import numpy as np
 
 from .errors import EstimationError
 from .geodesy import EARTH_RADIUS_M, GeoPoint, normalize_lon, orthodromic_distance
-from .lateration import CandidatePoint, LandmarkCircle, all_candidates
+from .lateration import CandidatePoint, Candidates, LandmarkCircle, all_candidates
 
 # Filter schedule: rounds, each dropping this share of the kept candidates.
 FILTER_ROUNDS = 2
@@ -49,26 +50,24 @@ EPS_MIN_M = 500.0
 @dataclass(frozen=True)
 class EstimatedLocation:
     point: GeoPoint
-    kept_points: tuple[CandidatePoint, ...]
-    dropped_points: tuple[CandidatePoint, ...]
+    candidates: Candidates
+    kept: tuple[int, ...]  # positions into candidates, in the filter's order
+    dropped: tuple[int, ...]
     mean_residual_km: float
+
+    kept_points = property(lambda self: tuple(map(self.candidates.__getitem__, self.kept)))
+    dropped_points = property(lambda self: tuple(map(self.candidates.__getitem__, self.dropped)))
 
     def to_dict(self) -> dict:
         """The estimate and its kept and dropped candidates as plain dicts,
         lists and floats: the document `latloc locate` writes. Every
         candidate counts equally, so each carries weight 1.0."""
-        def cand(c: CandidatePoint) -> dict:
-            return {
-                "lat": c.point.lat, "lon": c.point.lon,
-                "source_pair": list(c.source_pair), "case_tag": c.case_tag,
-                "weight": 1.0,
-            }
-        return {
-            "estimate": {"lat": self.point.lat, "lon": self.point.lon},
-            "kept_points": [cand(c) for c in self.kept_points],
-            "dropped_points": [cand(c) for c in self.dropped_points],
-            "mean_residual_km": self.mean_residual_km,
-        }
+        def cands(points: tuple[CandidatePoint, ...]) -> list[dict]:
+            return [{"lat": c.point.lat, "lon": c.point.lon, "source_pair": list(c.source_pair),
+                     "case_tag": c.case_tag, "weight": 1.0} for c in points]
+        return {"estimate": {"lat": self.point.lat, "lon": self.point.lon},
+                "kept_points": cands(self.kept_points), "dropped_points": cands(self.dropped_points),
+                "mean_residual_km": self.mean_residual_km}
 
     def to_geojson(self) -> str:
         """A FeatureCollection any map viewer can render: the estimate, then
@@ -77,13 +76,15 @@ class EstimatedLocation:
         Written byte for byte as json.dumps(doc, indent=2, sort_keys=True)
         and a newline write it, by the helpers of estimate_document_json.
         """
-        features = [_feature(self.point, '        "kind": "estimate",\n'
+        c = self.candidates
+        features = [_feature(self.point.lat, self.point.lon, '        "kind": "estimate",\n'
                              f'        "mean_residual_km": {_number(self.mean_residual_km)}')]
-        for status, points in (("kept", self.kept_points), ("dropped", self.dropped_points)):
-            features.extend(_feature(c.point, f'        "case_tag": {_string(c.case_tag)},\n'
+        for status, idx in (("kept", self.kept), ("dropped", self.dropped)):
+            features.extend(_feature(c.lat[i], c.lon[i],
+                                     f'        "case_tag": {_string(c.case_tag[i])},\n'
                                      '        "kind": "candidate",\n'
-                                     f'        "source_pair": {_pair(c.source_pair, "        ")},\n'
-                                     f'        "status": "{status}"') for c in points)
+                                     f'        "source_pair": {_pair(c.source_pair[i], "        ")},\n'
+                                     f'        "status": "{status}"') for i in idx)
         return ('{\n  "features": [\n' + ",\n".join(features)
                 + '\n  ],\n  "type": "FeatureCollection"\n}\n')
 
@@ -95,16 +96,15 @@ def estimate_document_json(est: EstimatedLocation, truth: GeoPoint | None = None
     and its great-circle "error_km" to the estimate.
 
     json's indent-2 encoder is pure Python, so this schema, like
-    to_geojson's, has its own writer, which reads the estimate directly
-    rather than through to_dict().
-    Every number in it is a float, written as json writes floats; strings go
-    through json's own ASCII escaper.
+    to_geojson's, has its own writer, which reads the candidate columns, not
+    to_dict(). Every number in it is a float, written as json writes floats;
+    strings go through json's own ASCII escaper.
     """
-    fields = [("dropped_points", _candidates(est.dropped_points))]
+    fields = [("dropped_points", _candidates(est.candidates, est.dropped))]
     if truth is not None:
         fields.append(("error_km", _number(orthodromic_distance(truth, est.point) / 1000.0)))
     fields += [("estimate", _latlon(est.point)),
-               ("kept_points", _candidates(est.kept_points)),
+               ("kept_points", _candidates(est.candidates, est.kept)),
                ("mean_residual_km", _number(est.mean_residual_km))]
     if truth is not None:
         fields.append(("truth", _latlon(truth)))
@@ -125,15 +125,15 @@ def _latlon(p: GeoPoint) -> str:
     return f'{{\n    "lat": {_number(p.lat)},\n    "lon": {_number(p.lon)}\n  }}'
 
 
-def _candidates(cands: tuple[CandidatePoint, ...]) -> str:
-    if not cands:
+def _candidates(c: Candidates, idx: tuple[int, ...]) -> str:
+    if not idx:
         return "[]"
     return "[\n" + ",\n".join(
-        f'    {{\n      "case_tag": {_string(c.case_tag)},\n'
-        f'      "lat": {_number(c.point.lat)},\n      "lon": {_number(c.point.lon)},\n'
-        f'      "source_pair": {_pair(c.source_pair, "      ")},\n'
+        f'    {{\n      "case_tag": {_string(c.case_tag[i])},\n'
+        f'      "lat": {_number(c.lat[i])},\n      "lon": {_number(c.lon[i])},\n'
+        f'      "source_pair": {_pair(c.source_pair[i], "      ")},\n'
         f'      "weight": 1.0\n    }}'
-        for c in cands) + "\n  ]"
+        for i in idx) + "\n  ]"
 
 
 def _pair(ids: tuple[str, str], indent: str) -> str:
@@ -141,23 +141,47 @@ def _pair(ids: tuple[str, str], indent: str) -> str:
     return f"[\n{indent}  {_string(ids[0])},\n{indent}  {_string(ids[1])}\n{indent}]"
 
 
-def _feature(point: GeoPoint, properties: str) -> str:
+def _feature(lat: float, lon: float, properties: str) -> str:
     """One GeoJSON Point feature at the features list's indent, around the
     already written lines of its properties."""
     return ('    {\n      "geometry": {\n        "coordinates": [\n'
-            f'          {_number(point.lon)},\n          {_number(point.lat)}\n'
+            f'          {_number(lon)},\n          {_number(lat)}\n'
             '        ],\n        "type": "Point"\n      },\n'
             f'      "properties": {{\n{properties}\n      }},\n      "type": "Feature"\n    }}')
 
 
 class _Cloud:
-    """Cached radian terms of a point cloud for mean-distance evaluation."""
+    """A point cloud as rows of one array, a column per point: latitude and
+    longitude in degrees, then terms computed once per point: its _query_terms
+    (φ/2, cos φ, λ/2), the kernel's cos φ (numpy) and the centroid's x, y, z."""
 
-    def __init__(self, points: list[GeoPoint]):
-        lat = np.radians([p.lat for p in points])
-        self.half_lat = lat / 2
-        self.half_lon = np.radians([p.lon for p in points]) / 2
-        self.cos_lat = np.cos(lat)
+    def __init__(self, columns: np.ndarray):
+        self.columns = columns
+        self.lat, self.lon, self.half_lat, _, self.half_lon, self.cos_lat = columns[:6]
+        self.query_terms = columns[2:5, :, None]
+
+    @classmethod
+    def of(cls, lat, lon) -> _Cloud:
+        rad = np.radians([lat, lon])  # math.radians' bits: one product each
+        phi, lam = rad.tolist()
+        cos_phi = np.array(list(map(math.cos, phi)))
+        return cls(np.array([lat, lon, rad[0] / 2, cos_phi, rad[1] / 2, np.cos(rad[0]),
+                             cos_phi * list(map(math.cos, lam)), cos_phi * list(map(math.sin, lam)),
+                             list(map(math.sin, phi))]))
+
+    def take(self, idx) -> _Cloud:
+        # Rows stay contiguous, as columns[:, idx] would not keep them.
+        return _Cloud(self.columns.take(idx, axis=1))
+
+    def centroid(self) -> GeoPoint:
+        """The 3D Cartesian mean projected back onto the sphere, or the first
+        point if the mean is within 1e-12 of the center. As in a loop from 0.0,
+        cumsum adds left to right and 0.0 + makes an all -0.0 sum 0.0."""
+        x, y, z = (0.0 + np.cumsum(self.columns[6:], axis=1)[:, -1]).tolist()
+        norm = math.sqrt(x * x + y * y + z * z)
+        if norm < 1e-12:
+            return GeoPoint(float(self.lat[0]), float(self.lon[0]))
+        return GeoPoint(math.degrees(math.asin(z / norm)), math.degrees(math.atan2(y, x)))
 
     def mean_distance_m(self, half_phi, cos_phi, half_lam) -> np.ndarray:
         """Mean great-circle distance in meters from each query point to the cloud.
@@ -167,7 +191,7 @@ class _Cloud:
         together against a trailing cloud axis, which the mean removes: a grid
         passes rows of latitude terms and a column of longitudes, so the
         latitude terms are computed once per row and the longitude terms once
-        per column. Cloud terms come from numpy.
+        per column.
 
         Each angle is 2·asin(min(√h, 1)) with h = sin²(φ'/2 − φ/2) +
         cos φ·(cos φ'·sin²(λ'/2 − λ/2)). Near an antipode h rounds to about
@@ -212,21 +236,6 @@ def _query_terms(lats: list[float], lons: list[float]) -> tuple[np.ndarray, np.n
     return flat[:n].reshape(n, 1), flat[n + m:].reshape(n, 1), flat[n:n + m].reshape(m, 1)
 
 
-def spherical_centroid(points: list[GeoPoint]) -> GeoPoint:
-    """3D Cartesian mean projected back onto the sphere."""
-    x = y = z = 0.0
-    for p in points:
-        phi = math.radians(p.lat)
-        lam = math.radians(p.lon)
-        x += math.cos(phi) * math.cos(lam)
-        y += math.cos(phi) * math.sin(lam)
-        z += math.sin(phi)
-    norm = math.sqrt(x * x + y * y + z * z)
-    if norm < 1e-12:
-        return points[0]
-    return GeoPoint(math.degrees(math.asin(z / norm)), math.degrees(math.atan2(y, x)))
-
-
 def _grid(center: GeoPoint, eps_m: float) -> tuple[int, list[float], list[float], tuple]:
     """The search grid around center with spacing eps_m: the index of the
     center's row, the row latitudes (rows past +-90 degrees skipped), the
@@ -244,7 +253,7 @@ def _grid(center: GeoPoint, eps_m: float) -> tuple[int, list[float], list[float]
     return center_row, lats, lons, (half_phi[..., None], cos_phi[..., None], half_lam)
 
 
-def grid_center(points: list[GeoPoint]) -> GeoPoint:
+def grid_center(points: _Cloud | list[GeoPoint]) -> GeoPoint:
     """Point minimizing the mean great-circle distance to the cloud, found by
     local grid search from the spherical centroid, with spacing EPS0_M
     halved whenever no grid point improves, until it falls below EPS_MIN_M.
@@ -252,10 +261,11 @@ def grid_center(points: list[GeoPoint]) -> GeoPoint:
     Each step scores the whole grid around the current best point in one
     array and moves to the winner _step_winner picks, if any.
     """
-    if not points:
+    cloud = points if isinstance(points, _Cloud) else _Cloud.of(
+        [p.lat for p in points], [p.lon for p in points])
+    if not cloud.lat.size:
         raise EstimationError("cannot center an empty point cloud")
-    cloud = _Cloud(points)
-    best = spherical_centroid(points)
+    best = cloud.centroid()
     best_obj = None
 
     eps = EPS0_M
@@ -300,31 +310,33 @@ def _step_winner(obj: np.ndarray, center_row: int, lats: list[float], lons: list
     return divmod(k, ncols)
 
 
-def filter_outliers(points: list[CandidatePoint]) -> tuple[list[CandidatePoint], list[CandidatePoint]]:
+def filter_outliers(points: _Cloud | list[CandidatePoint]) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Center the cloud and drop the farthest candidates, FILTER_ROUNDS times.
 
     Each round drops ceil(DROP_FRACTION * kept) points, never going below 3
-    kept points. Returns (kept, dropped) with kept in original input order.
+    kept points. Returns (kept, dropped) as positions into points: kept in
+    input order, dropped round after round, each round's in input order.
     """
-    if not points:
+    cloud = points if isinstance(points, _Cloud) else _Cloud.of(
+        [c.point.lat for c in points], [c.point.lon for c in points])
+    if not cloud.lat.size:
         raise EstimationError("cannot filter an empty point cloud")
-    kept = list(points)
-    dropped: list[CandidatePoint] = []
+    kept = np.arange(cloud.lat.size)
+    dropped: list[int] = []
     for _ in range(FILTER_ROUNDS):
         if len(kept) <= 3:
             break
-        center = grid_center([c.point for c in kept])
+        sub = cloud.take(kept)
+        center = grid_center(sub)
         n_drop = min(math.ceil(DROP_FRACTION * len(kept)), len(kept) - 3)
         # The center stays on the cloud side: the kernel is not bitwise
         # symmetric in its two points.
-        dist = _Cloud([center]).mean_distance_m(
-            *_query_terms([c.point.lat for c in kept], [c.point.lon for c in kept]))
+        dist = _Cloud.of([center.lat], [center.lon]).mean_distance_m(*sub.query_terms)
         # Farthest first; the stable sort keeps ties in index order.
-        drop = np.zeros(len(kept), dtype=bool)
-        drop[np.argsort(-dist, kind="stable")[:n_drop]] = True
-        dropped.extend(c for c, d in zip(kept, drop) if d)
-        kept = [c for c, d in zip(kept, drop) if not d]
-    return kept, dropped
+        far = np.sort(np.argsort(-dist, kind="stable")[:n_drop])
+        dropped += kept[far].tolist()
+        kept = np.delete(kept, far)
+    return tuple(kept.tolist()), tuple(dropped)
 
 
 def estimate_target(circles: list[LandmarkCircle]) -> EstimatedLocation:
@@ -335,11 +347,8 @@ def estimate_target(circles: list[LandmarkCircle]) -> EstimatedLocation:
     candidates = all_candidates(circles)
     if not candidates:
         raise EstimationError("every landmark pair was dropped; no candidate points")
-    kept, dropped = filter_outliers(candidates)
-    point = grid_center([c.point for c in kept])
-    return EstimatedLocation(
-        point=point,
-        kept_points=tuple(kept),
-        dropped_points=tuple(dropped),
-        mean_residual_km=_Cloud([c.point for c in kept]).mean_at_m(point) / 1000.0,
-    )
+    cloud = _Cloud.of(candidates.lat, candidates.lon)
+    kept, dropped = filter_outliers(cloud)
+    kept_cloud = cloud.take(kept)
+    point = grid_center(kept_cloud)
+    return EstimatedLocation(point, candidates, kept, dropped, kept_cloud.mean_at_m(point) / 1000.0)

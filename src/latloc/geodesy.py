@@ -9,9 +9,9 @@ and computes all their candidate points in one numpy pass, with each
 circle's trigonometry computed once. numpy does only arithmetic,
 comparisons and unit conversions, and the math module each sine, cosine,
 inverse and hypot, element by element, so the points carry the bits of the
-scalar formulas on any numpy build. circle_intersections and
-destination_point are batches of one for the solver; orthodromic_distance
-stays scalar for its many one-pair callers.
+scalar formulas on any numpy build; it returns them as latitude and
+longitude lists. circle_intersections and destination_point are its batches
+of one; orthodromic_distance stays scalar for its many one-pair callers.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from itertools import combinations
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Union
+from typing import NamedTuple, Union
 
 import numpy as np
 
@@ -140,29 +140,6 @@ def _each(f, *columns: np.ndarray) -> np.ndarray:
     return np.fromiter(map(f, *values), dtype=float, count=len(values[0]))
 
 
-def _sin_cos(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """_each(math.sin, x) and _each(math.cos, x), converting x once."""
-    values = x.tolist()
-    return (np.fromiter(map(math.sin, values), dtype=float, count=len(values)),
-            np.fromiter(map(math.cos, values), dtype=float, count=len(values)))
-
-
-def _valid_points(lat: Iterable[float], lon: Iterable[float]) -> list[GeoPoint]:
-    """GeoPoint(lat[k], lon[k]) for each k, for latitudes known to lie in
-    [-90, 90] and longitudes already normalized: the objects GeoPoint
-    builds, without its checks, at about half its cost. Fields are set as
-    the dataclass's own __init__ sets them; writing the instance __dict__
-    would be cheaper here but makes every later attribute read slower."""
-    new, set_attr = object.__new__, object.__setattr__
-    points = []
-    for phi, lam in zip(lat, lon):
-        p = new(GeoPoint)
-        set_attr(p, "lat", phi)
-        set_attr(p, "lon", lam)
-        points.append(p)
-    return points
-
-
 def _distance_bearing(sin1: float, cos1: float, lon1: float,
                       sin2: float, cos2: float, lon2: float) -> tuple[float, float]:
     """Great-circle distance in meters and initial bearing in degrees
@@ -193,7 +170,7 @@ def _destinations(sin_phi1: np.ndarray, cos_phi1: np.ndarray, lon1: np.ndarray,
     degrees) along initial bearings after arcs sigma, elementwise: the
     arithmetic of destination_point, in its order, with numpy for the
     arithmetic and math for the rest."""
-    sin_theta, cos_theta = _sin_cos(np.radians(bearing_deg))
+    sin_theta, cos_theta = (_each(f, np.radians(bearing_deg)) for f in (math.sin, math.cos))
     sin_phi2 = np.maximum(np.minimum(sin_phi1 * cos_sigma + cos_phi1 * sin_sigma * cos_theta,
                                      1.0), -1.0)
     y = sin_theta * sin_sigma * cos_phi1
@@ -214,11 +191,9 @@ def destination_point(origin: GeoPoint, bearing_deg: float, distance_m: float) -
     bearing: a batch of one for the solver's destination pass."""
     sin_sigma, cos_sigma = _arc_trig(distance_m)
     phi1 = math.radians(origin.lat)
-    lat, lon = _destinations(np.array([math.sin(phi1)]), np.array([math.cos(phi1)]),
-                             np.array([origin.lon]), np.array([bearing_deg], dtype=float),
-                             np.array([sin_sigma]), np.array([cos_sigma]))
-    (point,) = _valid_points(lat, lon)
-    return point
+    lat, lon = _destinations(*(np.array([x], dtype=float) for x in (
+        math.sin(phi1), math.cos(phi1), origin.lon, bearing_deg, sin_sigma, cos_sigma)))
+    return GeoPoint(lat[0], lon[0])
 
 
 class PairSolutions(NamedTuple):
@@ -227,14 +202,15 @@ class PairSolutions(NamedTuple):
 
     Per pair k: case[k] (DEGENERATE, NON_OVERLAPPING, CONTAINED, TANGENT or
     CROSSING), gap_m[k] = d - r1 - r2 and inner[k], 1 if the first circle is
-    the smaller and 2 otherwise, both on the circles classified. points
-    holds the candidate points pair after pair; pair_of_point[m] is the
-    pair of points[m]."""
+    the smaller and 2 otherwise, both on the circles classified. The
+    candidate points come pair after pair: point m lies at latitude lat[m]
+    and normalized longitude lon[m], and pair_of_point[m] is its pair."""
 
     case: list[int]
     gap_m: list[float]
     inner: list[int]
-    points: list[GeoPoint]
+    lat: list[float]
+    lon: list[float]
     pair_of_point: list[int]
 
 
@@ -271,8 +247,8 @@ def solve_circle_pairs(lat, lon, radius_m, gap_max_m: float) -> PairSolutions:
     The sine and cosine of each circle's latitude and radius are computed
     once. One loop over the pairs finds each pair's case, and the origin,
     bearing and arc of each of its points, computing a case only on its own
-    pairs; one numpy pass over those rows then finds every point, and the
-    GeoPoints are built last. (The pair stage as numpy arrays took a few
+    pairs; one numpy pass over those rows then finds every point, as latitude
+    and longitude lists. (The pair stage as numpy arrays took a few
     hundred array calls per call, whatever the size: at 28 pairs that cost
     more than the scalar loop it replaced.)
     """
@@ -353,7 +329,7 @@ def solve_circle_pairs(lat, lon, radius_m, gap_max_m: float) -> PairSolutions:
         if (lat2[s], -lon2[s]) < (lat2[s + 1], -lon2[s + 1]):
             lat2[s], lat2[s + 1] = lat2[s + 1], lat2[s]
             lon2[s], lon2[s + 1] = lon2[s + 1], lon2[s]
-    return PairSolutions(cases, gaps, inners, _valid_points(lat2, lon2), pair_of_point)
+    return PairSolutions(cases, gaps, inners, lat2, lon2, pair_of_point)
 
 
 def circle_intersections(c1: GeoCircle, c2: GeoCircle) -> IntersectionResult:
@@ -374,5 +350,5 @@ def circle_intersections(c1: GeoCircle, c2: GeoCircle) -> IntersectionResult:
     if case == CONTAINED:
         return Contained(inner=solved.inner[0])
     if case == TANGENT:
-        return Tangent(point=solved.points[0])
-    return PairIntersection(*solved.points)
+        return Tangent(point=GeoPoint(solved.lat[0], solved.lon[0]))
+    return PairIntersection(*map(GeoPoint, solved.lat, solved.lon))

@@ -4,7 +4,7 @@ two circles intersect (gap midpoint, forced tangency, tangent point, or both
 crossing points).
 
 all_candidates solves every pair of a target's circles in one call to
-geodesy.solve_circle_pairs and builds the CandidatePoints once, at the end."""
+geodesy.solve_circle_pairs and returns the candidates as columns (Candidates)."""
 
 from __future__ import annotations
 
@@ -50,6 +50,22 @@ class CandidatePoint:
 
 
 @dataclass(frozen=True)
+class Candidates:
+    """Candidates as equal-length columns; item k is read as a CandidatePoint."""
+
+    lat: tuple[float, ...]
+    lon: tuple[float, ...]
+    source_pair: tuple[tuple[str, str], ...]
+    case_tag: tuple[str, ...]
+
+    def __len__(self) -> int:
+        return len(self.lat)
+
+    def __getitem__(self, k: int) -> CandidatePoint:
+        return CandidatePoint(GeoPoint(self.lat[k], self.lon[k]), self.source_pair[k], self.case_tag[k])
+
+
+@dataclass(frozen=True)
 class LandmarkCircle:
     """A geodesic circle labelled with the landmark that produced it."""
 
@@ -67,7 +83,7 @@ def build_circle(landmark: GeoPoint, model: LatencyModel, measurement: Measureme
 
 
 def all_candidates(circles: list[LandmarkCircle],
-                   gap_max_km: float = DEFAULT_GAP_MAX_KM) -> list[CandidatePoint]:
+                   gap_max_km: float = DEFAULT_GAP_MAX_KM) -> Candidates:
     """Candidates from every unordered circle pair, in deterministic order
     (pair ids ascending; within a crossing pair, northern point first).
 
@@ -89,10 +105,9 @@ def all_candidates(circles: list[LandmarkCircle],
     solved = solve_circle_pairs([c.lat for c in centers], [c.lon for c in centers],
                                 [lc.circle.radius_m for lc in ordered], gap_max_km * 1000.0)
     pairs = list(combinations(ids, 2))
-    cases = solved.case
-    for pair, case in zip(pairs, cases):
+    for pair, case in zip(pairs, solved.case):
         if case == DEGENERATE:
             log.warning("skipping pair (%s, %s): %s", *pair, DEGENERATE_MESSAGE)
-    # Positional arguments: keywords double the cost of building a candidate.
-    return list(map(CandidatePoint, solved.points, [pairs[k] for k in solved.pair_of_point],
-                    [CASE_TAGS[cases[k]] for k in solved.pair_of_point]))
+    at = solved.pair_of_point
+    return Candidates(tuple(solved.lat), tuple(solved.lon), tuple(pairs[k] for k in at),
+                      tuple(CASE_TAGS[solved.case[k]] for k in at))

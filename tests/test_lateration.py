@@ -40,7 +40,7 @@ def km_circle(lat, lon, r_km) -> GeoCircle:
 
 def one_pair(id1, c1, id2, c2, gap_max_km=DEFAULT_GAP_MAX_KM) -> list[CandidatePoint]:
     """The candidates of one circle pair; the solver takes the circles in id order."""
-    return all_candidates([LandmarkCircle(id1, c1), LandmarkCircle(id2, c2)], gap_max_km)
+    return list(all_candidates([LandmarkCircle(id1, c1), LandmarkCircle(id2, c2)], gap_max_km))
 
 
 def km_apart(d_km, r1_km, r2_km):

@@ -6,6 +6,7 @@ import pytest
 from latloc.errors import PlacementError, SimulationError
 from latloc import simulator
 from latloc.geodesy import GeoPoint, orthodromic_distance
+from latloc.lateration import CandidatePoint
 from latloc.simulator import (
     DelayParams,
     SimWorld,
@@ -194,6 +195,24 @@ def test_run_experiment_reproducible():
     assert a == b
     assert a.to_json() == b.to_json()
 
+
+def test_run_experiment_builds_no_candidate_point(monkeypatch):
+    # The candidate cloud stays columns from the solver to the estimate, and
+    # run_experiment reads only the estimated point.
+    built = 0
+    init = CandidatePoint.__init__
+
+    def counted(self, *args, **kwargs):
+        nonlocal built
+        built += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(CandidatePoint, "__init__", counted)
+    report = run_experiment(noiseless_world(), 6, "dragoon", 5, seed=7)
+    assert report.summary()["located"] == 5
+    assert built == 0
+    CandidatePoint(GeoPoint(0.0, 0.0), ("a", "b"), "tangent")
+    assert built == 1
 
 
 def test_run_experiment_reraises_programming_errors(monkeypatch):

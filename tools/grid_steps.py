@@ -56,11 +56,15 @@ def main(argv=None) -> int:
     from workloads import SHAPES, ExperimentWorkload, LocateWorkload
 
     def recorded(run) -> list:
-        """The point lists grid_center receives while run() runs."""
+        """The clouds grid_center receives while run() runs, as (lat, lon)
+        lists, whether it receives a cloud's columns or a GeoPoint list."""
         clouds, grid_center = [], estimation.grid_center
 
         def record(points):
-            clouds.append(list(points))
+            if hasattr(points, "lat"):
+                clouds.append(list(zip(points.lat.tolist(), points.lon.tolist())))
+            else:
+                clouds.append([(p.lat, p.lon) for p in points])
             return grid_center(points)
 
         estimation.grid_center = record
@@ -93,13 +97,30 @@ def main(argv=None) -> int:
     if args.against is None:
         out = {"root": str(root)}
         for name, workload_clouds in clouds.items():
-            timed = measure(estimation, name, workload_clouds)
+            timed = measure(estimation, name, geo_points(workload_clouds))
             if timed is None:
                 return 1
             out[name] = timed
         print(json.dumps(out))
         return 0
     return compare(root, Path(args.against).resolve(), clouds)
+
+
+def geo_points(clouds: list) -> list:
+    """(lat, lon) lists as the GeoPoint lists grid_center is replayed with."""
+    from latloc.geodesy import GeoPoint
+
+    return [[GeoPoint(lat, lon) for lat, lon in points] for points in clouds]
+
+
+def centroid_and_cloud(estimation, points: list):
+    """The spherical centroid of a GeoPoint list and its _Cloud, as the
+    checkout whose estimation module this is builds them: from (lat, lon)
+    columns, or, before the centroid moved into _Cloud, from the points."""
+    if hasattr(estimation, "spherical_centroid"):
+        return estimation.spherical_centroid(points), estimation._Cloud(points)
+    cloud = estimation._Cloud.of([p.lat for p in points], [p.lon for p in points])
+    return cloud.centroid(), cloud
 
 
 def measure(estimation, name: str, clouds: list) -> dict | None:
@@ -144,7 +165,7 @@ def measure(estimation, name: str, clouds: list) -> dict | None:
     # cloud of the median size.
     size = statistics.median(len(points) for points in clouds)
     median_cloud = min(clouds, key=lambda p: abs(len(p) - size))
-    center = estimation.spherical_centroid(median_cloud)
+    center, cloud = centroid_and_cloud(estimation, median_cloud)
     _, _, _, terms = estimation._grid(center, 100_000.0)
     return {
         "calls": len(clouds),
@@ -154,7 +175,7 @@ def measure(estimation, name: str, clouds: list) -> dict | None:
         "us_per_step": round(best / count * 1e6, 2),
         "grid_us_per_step": round(per_call_s(estimation._grid, center, 100_000.0) * 1e6, 2),
         "kernel_us_per_step": round(
-            per_call_s(estimation._Cloud(median_cloud).mean_distance_m, *terms) * 1e6, 2),
+            per_call_s(cloud.mean_distance_m, *terms) * 1e6, 2),
     }
 
 
@@ -165,8 +186,7 @@ def compare(root: Path, against: Path, clouds: dict) -> int:
     runs = {side: [] for side in sides}
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "clouds.json"
-        path.write_text(json.dumps({name: [[(p.lat, p.lon) for p in points] for points in cl]
-                                    for name, cl in clouds.items()}))
+        path.write_text(json.dumps(clouds))
         order = list(sides)
         for _ in range(ROUNDS):
             for side in order:
@@ -199,12 +219,10 @@ def replay(root: str, clouds_path: str) -> int:
     print the figures of every workload as one JSON line."""
     sys.path.insert(0, str(Path(root) / "src"))
     from latloc import estimation
-    from latloc.geodesy import GeoPoint
 
     out = {}
     for name, clouds in json.loads(Path(clouds_path).read_text()).items():
-        timed = measure(estimation, name, [[GeoPoint(lat, lon) for lat, lon in points]
-                                           for points in clouds])
+        timed = measure(estimation, name, geo_points(clouds))
         if timed is None:
             return 1
         out[name] = timed
