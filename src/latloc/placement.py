@@ -7,11 +7,12 @@ over all nodes. Placement runs in three stages: an orientation mark (graph
 neighbor-move refinement then improves.
 
 Every stage works on the topology's int hop rows (`Topology.hop_rows`,
-indexed in sorted-id order, one BFS per source), so ties that the objective
-leaves open break toward the smallest node id, and only the rows of
-landmarks, their neighbors and the seed are ever held; the 1-center scan
-runs one uncached BFS per node. A k outside [1, n] is rejected before that
-scan.
+indexed in sorted-id order, searched up to 64 sources per sweep), so ties
+that the objective leaves open break toward the smallest node id, and only
+the rows of landmarks, their neighbors and the seed are ever held; the
+1-center scan sweeps every node, 64 at a time, without caching. Each
+refinement pass searches all of its landmarks' neighbors' rows at its
+start. A k outside [1, n] is rejected before the scan.
 """
 
 from __future__ import annotations
@@ -150,6 +151,10 @@ def refine(t: Topology, ls: LandmarkSet, *, move_log: list | None = None) -> Lan
 
     while True:
         moved = False
+        # A landmark keeps its node until its own turn, so the rows this
+        # pass can read are its landmarks' neighbours': search and cache
+        # them all at once.
+        t.hop_rows(sorted({t.index_of(c) for lm in landmarks for c in t.adjacency[lm]}))
         for i in range(len(landmarks)):
             occupied = set(landmarks)
             free = [c for c in t.adjacency[landmarks[i]] if c not in occupied]

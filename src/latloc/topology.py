@@ -5,17 +5,21 @@ geographic coordinates. Hop counts (unweighted shortest paths) are the
 distance metric used by landmark placement.
 
 A Topology builds its array form once, at construction: the sorted node
-ids, a CSR adjacency over them, and the node positions in id order. Every
-graph query rests on one scipy csgraph breadth_first_order per source: its
-hop row, read off the predecessors, serves hop rows (cached) and the
-1-center scan, and its tree serves path queries (cached). build_topology
-checks connectivity with the search from the first node.
+ids, a CSR adjacency over them as two numpy index arrays, and the node
+positions in id order. One search answers every graph query: a
+level-synchronous breadth-first sweep of up to 64 sources at once, one
+reached bit per source in a uint64 per node (Then et al., "The More the
+Merrier: Efficient Multi-Source Graph Traversal", PVLDB 2014). A level
+pushes the frontier's bits along its edges while they are few and pulls
+every node's neighbours' bits otherwise (Beamer et al., "Direction-Optimizing
+Breadth-First Search", SC 2012). Its rows serve hop_rows (cached) and the
+1-center scan, and a BFS tree (cached) reads its parents off its root's
+hop row. build_topology checks connectivity with one sweep from the first
+node.
 
 load_positions_json and load_positions_edgelist read only the node
 positions, with the node checks of the full loaders, for a caller that never
-queries the graph. scipy.sparse is imported where a Topology is built or
-searched, not with this module: it is most of the import time and memory of
-a process, such as `latloc locate`, that builds no graph.
+queries the graph.
 """
 
 from __future__ import annotations
@@ -28,6 +32,20 @@ import numpy as np
 
 from .errors import TopologyError
 from .geodesy import GeoPoint, orthodromic_distance
+
+# One search carries this many sources, a reached bit each in a uint64.
+SWEEP_WIDTH = 64
+# A level pushes while its frontier's edges are under 1/PUSH_SHARE of all edges.
+PUSH_SHARE = 8
+_SOURCE_BITS = np.left_shift(np.uint64(1), np.arange(SWEEP_WIDTH, dtype=np.uint64))
+
+
+def _bit_rows(words: np.ndarray, width: int) -> np.ndarray:
+    """A (width, len(words)) 0/1 array: row b holds bit b of each word,
+    read as a little-endian uint64."""
+    octets = words.astype("<u8", copy=False).view(np.uint8).reshape(-1, 8)
+    return np.unpackbits(octets, axis=1, bitorder="little")[:, :width].T
+
 
 @dataclass(frozen=True)
 class BfsTree:
@@ -54,26 +72,25 @@ class Topology:
 
     Node i is the i-th id in sorted order (`ids`), so index order is id
     order and first-wins argmin/argmax/lexsort break ties toward the
-    smallest id. `csr` is the adjacency over those indices. A search never
-    changes once run, so each source's hop row, and each BFS tree, is made
-    once and cached. The array form is plain attributes, not dataclass
-    fields, so == compares positions and adjacency only.
+    smallest id. `indptr` and `indices` are the CSR adjacency over those
+    indices: node i's neighbours are indices[indptr[i]:indptr[i + 1]], in
+    ascending order. The adjacency must be symmetric, as build_topology
+    makes it. A search never changes once run, so each source's hop row,
+    and each BFS tree, is made once and cached. The array form is plain
+    attributes, not dataclass fields, so == compares positions and
+    adjacency only.
     """
 
     positions: dict[str, GeoPoint]
     adjacency: dict[str, tuple[str, ...]] = field(repr=False)
 
     def __post_init__(self):
-        from scipy.sparse import csr_array
-
         ids = tuple(sorted(self.positions))
         index = {nid: i for i, nid in enumerate(ids)}
-        indices = [index[v] for nid in ids for v in self.adjacency[nid]]
-        indptr = np.cumsum([0] + [len(self.adjacency[nid]) for nid in ids], dtype=np.int32)
-        csr = csr_array((np.ones(len(indices)), np.array(indices, dtype=np.int32), indptr),
-                        shape=(len(ids), len(ids)))
+        indices = np.array([index[v] for nid in ids for v in self.adjacency[nid]], dtype=np.intp)
+        indptr = np.cumsum([0] + [len(self.adjacency[nid]) for nid in ids], dtype=np.intp)
         # Frozen: write the derived attributes past the dataclass __setattr__.
-        self.__dict__.update(ids=ids, csr=csr, _index=index,
+        self.__dict__.update(ids=ids, indptr=indptr, indices=indices, _index=index,
                              _points=[self.positions[nid] for nid in ids],
                              _rows={}, _trees={})
 
@@ -87,73 +104,111 @@ class Topology:
         except KeyError:
             raise TopologyError(f"unknown node {node_id!r}") from None
 
-    def _search(self, i: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """One BFS from node i: the visit order, the predecessors (negative
-        at i and wherever i cannot reach), and the int32 hop row (-1 where i
-        cannot reach)."""
-        from scipy.sparse import csgraph
+    def _sweep(self, sources: list[int]) -> np.ndarray:
+        """The int32 hop rows (-1 where unreachable) of up to SWEEP_WIDTH
+        distinct sources, from one level-synchronous search of them all.
 
-        order, pred = csgraph.breadth_first_order(self.csr, i, directed=True,
-                                                  return_predecessors=True)
-        unreached = pred < 0
-        # Pointer jumping: hops[v] counts the edges from v up to up[v], and each
-        # pass doubles the jump. The order ends at a deepest node: once its
-        # pointer reaches i, so has every other. Unreached nodes point at i.
-        up = np.where(unreached, i, pred)
-        hops = (~unreached).astype(np.int32)
-        while up[order[-1]] != i:
-            hops += hops[up]
-            up = up[up]
-        hops[unreached] = -1
-        hops[i] = 0
-        hops.setflags(write=False)
-        return order, pred, hops
-
-    def _hop_row(self, i: int) -> np.ndarray:
-        """Node i's hop row, which must reach every node, cached read-only.
-        The search's visit order and predecessors, which only tree() reads,
-        are not kept: they would triple the cache."""
-        row = self._rows.get(i)
-        if row is None:
-            row = self._rows[i] = self._reached(i, self._search(i))
-        return row
-
-    def _reached(self, i: int, search: tuple[np.ndarray, np.ndarray, np.ndarray]) -> np.ndarray:
-        """The hop row of node i's search, which must reach every node."""
-        order, _, hops = search
-        if len(order) < len(self.ids):
-            missing = [self.ids[j] for j in np.flatnonzero(hops < 0)[:5].tolist()]
-            raise TopologyError(f"graph is disconnected; unreachable from "
-                                f"{self.ids[i]!r}: {missing}")
+        Each node holds one reached bit per source in a uint64 (bit b for
+        sources[b]). A level pushes the frontier's bits along its own edges
+        while those are under 1/PUSH_SHARE of all edges, and otherwise
+        pulls every node's neighbours' bits in one reduceat over all edges.
+        The hop counts are kept bit-sliced, a uint64 per node per bit of the
+        level number: level L ORs the bits it newly reaches into the planes
+        of L's set bits, and the rows are unpacked from them once, at the end.
+        """
+        n, indptr, indices = len(self.ids), self.indptr, self.indices
+        width = len(sources)
+        degree = np.diff(indptr)
+        # Pull reads through a zero sentinel at index n, so a trailing node
+        # with no edge starts its segment in bounds; any node with no edge
+        # gets reduceat's lone element, masked to 0.
+        gather = np.append(indices, n)
+        isolated = np.flatnonzero(degree == 0)
+        reached = np.zeros(n, dtype=np.uint64)
+        reached[sources] = _SOURCE_BITS[:width]
+        frontier, nodes = reached.copy(), np.asarray(sources, dtype=np.intp)
+        planes: list[np.ndarray] = []  # bit b of planes[k][v]: bit k of hops[b][v]
+        level = 0
+        while nodes.size:
+            level += 1
+            out = degree[nodes]
+            pushed = int(out.sum())
+            if pushed * PUSH_SHARE < len(indices):
+                first = np.repeat(indptr[nodes] - np.cumsum(out) + out, out)
+                nxt = np.zeros(n, dtype=np.uint64)
+                np.bitwise_or.at(nxt, indices[first + np.arange(pushed)],
+                                 np.repeat(frontier[nodes], out))
+            else:
+                nxt = np.bitwise_or.reduceat(np.append(frontier, np.uint64(0))[gather], indptr[:-1])
+                nxt[isolated] = 0
+            frontier = nxt & ~reached
+            reached |= frontier
+            nodes = np.flatnonzero(frontier)
+            if level.bit_length() > len(planes):
+                planes.append(np.zeros(n, dtype=np.uint64))
+            for k, plane in enumerate(planes):
+                if level >> k & 1:
+                    plane |= frontier
+        hops = _bit_rows(reached, width).astype(np.int32) - 1
+        for k, plane in enumerate(planes):
+            hops += _bit_rows(plane, width).astype(np.int32) << k
         return hops
 
+    def _reached(self, sources: list[int], rows: np.ndarray) -> np.ndarray:
+        """The hop rows of sources, each of which must reach every node."""
+        unreached = rows < 0
+        if unreached.any():
+            at = int(unreached.any(axis=1).argmax())
+            missing = [self.ids[j] for j in np.flatnonzero(unreached[at])[:5].tolist()]
+            raise TopologyError(f"graph is disconnected; unreachable from "
+                                f"{self.ids[sources[at]]!r}: {missing}")
+        return rows
+
     def hop_rows(self, sources: list[int]) -> np.ndarray:
-        """A (len(sources), n) array of hop rows, one cached row per source."""
-        rows = [self._hop_row(i) for i in sources]
+        """A (len(sources), n) array of hop rows, one cached read-only row
+        per source; the uncached sources are searched SWEEP_WIDTH at a time."""
+        missing = list(dict.fromkeys(i for i in sources if i not in self._rows))
+        for at in range(0, len(missing), SWEEP_WIDTH):
+            batch = missing[at:at + SWEEP_WIDTH]
+            rows = self._reached(batch, self._sweep(batch))
+            rows.setflags(write=False)
+            self._rows.update(zip(batch, rows))
+        rows = [self._rows[i] for i in sources]
         return np.array(rows, dtype=np.int32).reshape(-1, len(self.ids))
 
     def eccentricities(self) -> tuple[np.ndarray, np.ndarray]:
-        """Each node's largest and total hop count to all nodes, from one
-        uncached search per node."""
-        ecc, total = np.empty((2, len(self.ids)), dtype=np.int64)
-        for i in range(len(self.ids)):
-            row = self._reached(i, self._search(i))
-            ecc[i], total[i] = row.max(), row.sum(dtype=np.int64)
+        """Each node's largest and total hop count to all nodes, scanning
+        every node in uncached sweeps of SWEEP_WIDTH sources."""
+        n = len(self.ids)
+        ecc, total = np.empty((2, n), dtype=np.int64)
+        for at in range(0, n, SWEEP_WIDTH):
+            batch = list(range(at, min(at + SWEEP_WIDTH, n)))
+            rows = self._reached(batch, self._sweep(batch))
+            ecc[at:at + len(batch)] = rows.max(axis=1)
+            total[at:at + len(batch)] = rows.sum(axis=1, dtype=np.int64)
         return ecc, total
 
     def tree(self, i: int) -> BfsTree:
-        """The BFS tree rooted at node i, from a search of its own; the tree
-        is cached."""
+        """The BFS tree rooted at node i, cached. Its hop row is node i's
+        (cached or swept on its own); the parents are those a FIFO search
+        over ascending neighbour ids assigns: walking the visit order, each
+        neighbour one hop further out gets its first visitor as parent."""
         tree = self._trees.get(i)
         if tree is None:
-            order, pred, hops = self._search(i)
-            parent = np.maximum(pred, -1).tolist()
-            km = [0.0] * len(parent)
-            points = self._points
-            for v in order[1:].tolist():
-                u = parent[v]
-                km[v] = km[u] + orthodromic_distance(points[u], points[v]) / 1000.0
-            tree = self._trees[i] = BfsTree(parent, hops.tolist(), km)
+            row = self._rows.get(i)
+            hops = (self._sweep([i])[0] if row is None else row).tolist()
+            parent = [-1] * len(hops)
+            km = [0.0] * len(hops)
+            points, indptr, indices = self._points, self.indptr.tolist(), self.indices.tolist()
+            order = [i]
+            for u in order:
+                below = hops[u] + 1
+                for v in indices[indptr[u]:indptr[u + 1]]:
+                    if hops[v] == below and parent[v] < 0:
+                        parent[v] = u
+                        km[v] = km[u] + orthodromic_distance(points[u], points[v]) / 1000.0
+                        order.append(v)
+            tree = self._trees[i] = BfsTree(parent, hops, km)
         return tree
 
 
@@ -184,7 +239,7 @@ def build_topology(nodes: Iterable[tuple[str, GeoPoint]],
         positions={nid: positions[nid] for nid in ids},
         adjacency={nid: tuple(sorted(adjacency[nid])) for nid in ids},
     )
-    topo._reached(0, topo._search(0))
+    topo._reached([0], topo._sweep([0]))
     return topo
 
 

@@ -12,11 +12,13 @@ import hashlib
 import random
 from collections import deque
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from latloc.cli import main
+from latloc.errors import TopologyError
 from latloc.geodesy import GeoPoint, orthodromic_distance
 from latloc.latency import Measurement
 from latloc.placement import (
@@ -261,12 +263,13 @@ def tie_graphs(draw):
 def assert_array_form_matches_dicts(t):
     assert t.ids == tuple(sorted(t.positions))
     assert t.node_ids == sorted(t.positions)
+    assert t.indptr.dtype == t.indices.dtype == np.intp
+    assert t.indptr.shape == (len(t.ids) + 1,) and t.indptr[0] == 0
     for i, nid in enumerate(t.ids):
         assert t.index_of(nid) == i
-        row = t.csr.indices[t.csr.indptr[i]:t.csr.indptr[i + 1]]
+        row = t.indices[t.indptr[i]:t.indptr[i + 1]]
         assert [t.ids[j] for j in row.tolist()] == list(t.adjacency[nid])
-    assert t.csr.shape == (len(t.ids), len(t.ids))
-    assert t.csr.nnz == sum(len(nbrs) for nbrs in t.adjacency.values())
+    assert t.indptr[-1] == len(t.indices) == sum(len(nbrs) for nbrs in t.adjacency.values())
 
 
 @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -293,7 +296,131 @@ def test_topology_equality_ignores_array_form():
     a.hop_rows([0, 5])
     a.tree(2)
     assert a == b
-    assert "csr" not in repr(a)
+    for name in ("indptr", "indices", "array("):
+        assert name not in repr(a)
+
+
+# -- the multi-source sweep against one FIFO search per source ------------------
+
+def ref_fifo_tree(t, src):
+    """A FIFO BFS over ascending neighbour ids from node id src, on a
+    collections.deque: per node id, the parent id (None at src and where
+    unreachable), the hop count (-1 where unreachable) and the km summed
+    from src outward."""
+    parent, hops, km = {src: None}, {src: 0}, {src: 0.0}
+    queue = deque([src])
+    while queue:
+        u = queue.popleft()
+        for v in t.adjacency[u]:
+            if v not in hops:
+                parent[v], hops[v] = u, hops[u] + 1
+                km[v] = km[u] + orthodromic_distance(t.positions[u], t.positions[v]) / 1000.0
+                queue.append(v)
+    return ([parent.get(nid) for nid in t.ids], [hops.get(nid, -1) for nid in t.ids],
+            [km.get(nid, 0.0) for nid in t.ids])
+
+
+def assert_searches_match_references(t, batch_seed):
+    """hop_rows in batches of 1, 63, 64, 65 and 130 sources (distinct
+    where the graph has that many nodes) against the dict BFS, and every
+    BFS tree against the deque BFS. A disconnected t must refuse hop_rows;
+    its sweeps' rows (-1 where unreachable) are checked instead."""
+    n = len(t.ids)
+    want = [ref_fifo_tree(t, nid) for nid in t.ids]
+    connected = all(-1 not in hops for _, hops, _ in want)
+    rng = random.Random(batch_seed)
+    for size in (1, 63, 64, 65, 130):
+        sources = (rng.sample(range(n), size) if size <= n
+                   else [rng.randrange(n) for _ in range(size)])
+        fresh = Topology(t.positions, t.adjacency)
+        if connected:
+            hops = ref_hop_distances(t, [t.ids[i] for i in sources])
+            assert fresh.hop_rows(sources).tolist() == [
+                [hops[t.ids[i]][nid] for nid in t.ids] for i in sources]
+        else:
+            with pytest.raises(TopologyError, match="disconnected"):
+                fresh.hop_rows(sources)
+        distinct = list(dict.fromkeys(sources))[:64]
+        assert t._sweep(distinct).tolist() == [want[i][1] for i in distinct]
+    for i, (parent, hops, km) in enumerate(want):
+        tree = t.tree(i)
+        assert [t.ids[p] if p >= 0 else None for p in tree.parent] == parent
+        assert tree.hops == hops
+        assert tree.km == km
+        assert type(tree.hops[0]) is int
+
+
+@st.composite
+def wide_graphs(draw):
+    """60 to 160 nodes: a random forest (each node hangs off an earlier
+    one, or off none, leaving it a root) plus random extra edges, so that
+    batches of 63 to 130 distinct sources exist."""
+    n = draw(st.integers(60, 160))
+    rng = random.Random(draw(st.integers(0, 2**31)))
+    roots = draw(st.sampled_from([0.0, 0.02, 0.2]))
+    pairs = {(rng.randrange(i), i) for i in range(1, n) if rng.random() >= roots}
+    pairs |= {tuple(sorted(rng.sample(range(n), 2))) for _ in range(draw(st.integers(0, 2 * n)))}
+    return _hand_built(n, sorted(pairs))
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(tie_graphs(), st.integers(0, 2**31))
+def test_sweeps_and_trees_match_fifo_references_on_tie_graphs(graph_k, batch_seed):
+    t, _ = graph_k
+    assert_searches_match_references(t, batch_seed)
+
+
+@settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(wide_graphs(), st.integers(0, 2**31))
+def test_sweeps_and_trees_match_fifo_references_on_wide_graphs(t, batch_seed):
+    assert_searches_match_references(t, batch_seed)
+
+
+def _hand_built(n_nodes, edges):
+    """Nodes n000..n{n-1} on a line of latitude, with the given undirected
+    index edges."""
+    ids = [f"n{i:03d}" for i in range(n_nodes)]
+    adjacency = {nid: set() for nid in ids}
+    for a, b in edges:
+        adjacency[ids[a]].add(ids[b])
+        adjacency[ids[b]].add(ids[a])
+    return Topology(positions={nid: GeoPoint(45.0, float(i)) for i, nid in enumerate(ids)},
+                    adjacency={nid: tuple(sorted(adjacency[nid])) for nid in ids})
+
+
+# Isolated nodes first, in the middle and last in id order, and no edges at
+# all: nodes with empty CSR rows, where a reduceat segment starts at the next
+# node's edges or, for the last nodes, past the end of the edge array. The
+# complete graph's 64-source sweep pulls from its first level on.
+HAND_BUILT = {
+    "isolated_first": (8, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7), (2, 6)]),
+    "isolated_middle": (9, [(0, 1), (1, 2), (2, 3), (5, 6), (6, 7), (7, 8), (3, 5), (0, 8)]),
+    "isolated_last": (9, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 3), (1, 5)]),
+    "isolated_everywhere": (12, [(1, 2), (2, 3), (3, 5), (5, 6), (6, 8), (8, 9), (1, 9)]),
+    "no_edges": (5, []),
+    "complete": (70, [(a, b) for a in range(70) for b in range(a + 1, 70)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HAND_BUILT))
+def test_sweeps_and_trees_match_fifo_references_on_hand_built_topologies(name):
+    t = _hand_built(*HAND_BUILT[name])
+    assert_array_form_matches_dicts(t)
+    assert_searches_match_references(t, batch_seed=len(name))
+
+
+def test_sweeps_match_fifo_references_on_a_larger_connected_graph():
+    # 140 sources take three sweeps, whose levels both push and pull.
+    t = sparse_graph(700, 900, seed=2)
+    sources = list(range(0, 700, 5))
+    hops = ref_hop_distances(t, [t.ids[i] for i in sources])
+    assert t.hop_rows(sources).tolist() == [[hops[t.ids[i]][nid] for nid in t.ids]
+                                           for i in sources]
+    for i in (0, 350, 699):
+        parent, tree_hops, km = ref_fifo_tree(t, t.ids[i])
+        tree = t.tree(i)
+        assert ([t.ids[p] if p >= 0 else None for p in tree.parent], tree.hops, tree.km) == (
+            parent, tree_hops, km)
 
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])

@@ -405,18 +405,61 @@ def test_fit_no_worse_than_reference_on_noisy_curves(samples):
     assert_no_worse_than_reference(samples)
 
 
-def test_latloc_imports_no_scipy_optimize():
-    # The refine is a numpy scan, so no latloc process pays for scipy.optimize,
-    # and scipy.sparse loads only when a Topology is built: `latloc locate`
-    # builds none.
+# One child interpreter runs place, fit, simulate and locate on a small
+# generated world, writing every output into the directory argv[2]; with
+# argv[3] == "blocked", importing any scipy module raises ImportError.
+WORLD_RUN = """
+import sys
+sys.path.insert(0, sys.argv[1])
+if sys.argv[3] == "blocked":
+    sys.modules["scipy"] = None
+from pathlib import Path
+from latloc.cli import main
+from latloc.latency import measurements_to_csv
+from latloc.placement import landmark_set_from_json
+from latloc.simulator import DelayParams, SimWorld, calibration_mesh, simulate_measurement
+from latloc.topology import load_topology_json
+
+out = Path(sys.argv[2])
+def run(*args):
+    if main([str(a) for a in args]) != 0:
+        raise SystemExit(f"latloc {args[0]} failed")
+
+run("simulate", "--n-nodes", 40, "--k", 6, "--n-targets", 4, "--world-seed", 3, "--seed", 3,
+    "--radius-km", 500, "--noise-mean-ms", 1, "--topology-out", out / "topology.json",
+    "--out", out / "report.json", "--csv-out", out / "report.csv")
+run("place", "--topology", out / "topology.json", "--k", 6, "--out", out / "landmarks.json")
+world = SimWorld(load_topology_json((out / "topology.json").read_text()), 3,
+                 DelayParams(stochastic_mean_ms=1.0))
+landmarks = list(landmark_set_from_json((out / "landmarks.json").read_text()).landmarks)
+(out / "mesh.csv").write_text(measurements_to_csv(calibration_mesh(world, landmarks)))
+target = next(n for n in world.topology.node_ids if n not in landmarks)
+(out / "target.csv").write_text(measurements_to_csv(
+    [simulate_measurement(world, lm, target) for lm in landmarks]))
+run("fit", "--topology", out / "topology.json", "--landmarks", out / "landmarks.json",
+    "--measurements", out / "mesh.csv", "--out", out / "models.json")
+truth = world.topology.positions[target]
+run("locate", "--topology", out / "topology.json", "--models", out / "models.json",
+    "--measurements", out / "target.csv", "--truth", f"{truth.lat},{truth.lon}",
+    "--out", out / "estimate.json", "--geojson", out / "estimate.geojson")
+"""
+
+
+def test_latloc_runs_without_scipy(tmp_path):
+    # latloc's runtime needs numpy alone: the hop searches, the calibration
+    # fit and the grid search import no scipy module, which the tests' own
+    # oracles still use.
     src = str(Path(latency.__file__).resolve().parent.parent)
-    code = (f"import sys; sys.path.insert(0, {src!r})\n"
-            "import latloc, latloc.cli, latloc.simulator\n"
-            "print(sorted(m for m in sys.modules\n"
-            "             if m.startswith(('scipy.optimize', 'scipy.sparse'))))")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True).stdout
-    assert out == "[]\n"
+    outputs = {}
+    for mode in ("blocked", "unblocked"):
+        out = tmp_path / mode
+        out.mkdir()
+        child = subprocess.run([sys.executable, "-c", WORLD_RUN, src, str(out), mode],
+                               capture_output=True, text=True)
+        assert child.returncode == 0, child.stderr
+        outputs[mode] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+    assert len(outputs["blocked"]) == 9
+    assert outputs["blocked"] == outputs["unblocked"]
 
 
 def test_fit_model_propagates_solver_programming_errors(monkeypatch):

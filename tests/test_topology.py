@@ -163,9 +163,9 @@ def test_triangle_inequality_over_sampled_graphs():
 
 
 def test_hop_queries_reject_unreachable_nodes():
-    # Topology() itself skips build_topology's connectivity check. csgraph
-    # reports an unreachable node as inf, which cast to int32 as -2**31 and
-    # made a's closest landmark c.
+    # Topology() itself skips build_topology's connectivity check. A sweep
+    # marks an unreachable node -1 in its hop row; unchecked, that would
+    # make c a's closest landmark.
     t = Topology(
         positions={nid: GeoPoint(0.0, float(i)) for i, nid in enumerate("abcd")},
         adjacency={"a": ("b",), "b": ("a",), "c": ("d",), "d": ("c",)},

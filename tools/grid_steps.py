@@ -9,7 +9,10 @@ locate_k16 calls (latloc locate, in process, on perfbench's set-up). For
 each workload the line gives the grid_center calls, their ε-steps (one
 _Cloud.mean_distance_m call each: the first grid's center supplies the
 centroid's score), the median cloud size, the unscaled wall time per call
-and per step (best of REPEATS replays of all its clouds), and, for the first
+and per step (best of REPEATS replays of all its clouds; each cloud is
+replayed as the _Cloud that estimate_target builds once per target, built
+before the timing, or as a GeoPoint list on checkouts whose grid_center
+takes no _Cloud), and, for the first
 step around the centroid of a cloud of the median size, the time of building
 its 7 x 7 grid (_grid: row and column coordinates and their query terms) and
 of scoring it (_Cloud.mean_distance_m). perfbench reports grid_center totals
@@ -97,7 +100,7 @@ def main(argv=None) -> int:
     if args.against is None:
         out = {"root": str(root)}
         for name, workload_clouds in clouds.items():
-            timed = measure(estimation, name, geo_points(workload_clouds))
+            timed = measure(estimation, name, workload_clouds)
             if timed is None:
                 return 1
             out[name] = timed
@@ -106,26 +109,32 @@ def main(argv=None) -> int:
     return compare(root, Path(args.against).resolve(), clouds)
 
 
-def geo_points(clouds: list) -> list:
-    """(lat, lon) lists as the GeoPoint lists grid_center is replayed with."""
+def replay_inputs(estimation, clouds: list) -> list:
+    """(lat, lon) lists as the grid_center inputs the checkout whose
+    estimation module this is replays: each cloud's _Cloud, built here as
+    estimate_target builds it once per target, or, before grid_center took
+    a _Cloud, its GeoPoint list."""
+    if hasattr(estimation._Cloud, "of"):
+        return [estimation._Cloud.of(*map(list, zip(*points))) for points in clouds]
     from latloc.geodesy import GeoPoint
 
     return [[GeoPoint(lat, lon) for lat, lon in points] for points in clouds]
 
 
-def centroid_and_cloud(estimation, points: list):
-    """The spherical centroid of a GeoPoint list and its _Cloud, as the
-    checkout whose estimation module this is builds them: from (lat, lon)
-    columns, or, before the centroid moved into _Cloud, from the points."""
+def centroid_and_cloud(estimation, cloud):
+    """The spherical centroid of a replay input and its _Cloud, as the
+    checkout whose estimation module this is builds them: the input itself,
+    or, before the centroid moved into _Cloud, from its GeoPoint list."""
     if hasattr(estimation, "spherical_centroid"):
-        return estimation.spherical_centroid(points), estimation._Cloud(points)
-    cloud = estimation._Cloud.of([p.lat for p in points], [p.lon for p in points])
+        return estimation.spherical_centroid(cloud), estimation._Cloud(cloud)
     return cloud.centroid(), cloud
 
 
 def measure(estimation, name: str, clouds: list) -> dict | None:
     """Steps and timings of grid_center over workload name's clouds, a list
-    of GeoPoint lists, with estimation the latloc.estimation module to time."""
+    of (lat, lon) lists, with estimation the latloc.estimation module to
+    time. The replay inputs are built before any timing starts."""
+    inputs = replay_inputs(estimation, clouds)
     count = 0
     method = estimation._Cloud.mean_distance_m
 
@@ -137,8 +146,8 @@ def measure(estimation, name: str, clouds: list) -> dict | None:
     # ε-steps over one replay of every cloud: mean-distance evaluations.
     estimation._Cloud.mean_distance_m = counted
     try:
-        for points in clouds:
-            estimation.grid_center(points)
+        for cloud in inputs:
+            estimation.grid_center(cloud)
     finally:
         estimation._Cloud.mean_distance_m = method
     if count <= 0:
@@ -148,8 +157,8 @@ def measure(estimation, name: str, clouds: list) -> dict | None:
     best = float("inf")
     for _ in range(REPEATS):
         start = time.perf_counter()
-        for points in clouds:
-            estimation.grid_center(points)
+        for cloud in inputs:
+            estimation.grid_center(cloud)
         best = min(best, time.perf_counter() - start)
 
     def per_call_s(fn, *args) -> float:
@@ -164,8 +173,8 @@ def measure(estimation, name: str, clouds: list) -> dict | None:
     # Building and scoring the first 7 x 7 grid around the centroid of a
     # cloud of the median size.
     size = statistics.median(len(points) for points in clouds)
-    median_cloud = min(clouds, key=lambda p: abs(len(p) - size))
-    center, cloud = centroid_and_cloud(estimation, median_cloud)
+    median = min(range(len(clouds)), key=lambda i: abs(len(clouds[i]) - size))
+    center, cloud = centroid_and_cloud(estimation, inputs[median])
     _, _, _, terms = estimation._grid(center, 100_000.0)
     return {
         "calls": len(clouds),
@@ -222,7 +231,7 @@ def replay(root: str, clouds_path: str) -> int:
 
     out = {}
     for name, clouds in json.loads(Path(clouds_path).read_text()).items():
-        timed = measure(estimation, name, geo_points(clouds))
+        timed = measure(estimation, name, clouds)
         if timed is None:
             return 1
         out[name] = timed

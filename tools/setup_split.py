@@ -5,10 +5,10 @@
 The steps are imports (`import latloc.cli, latloc.simulator` in a fresh
 child interpreter, which perfbench's setup_s includes; scipy is not among
 them) and the ones perfbench's LocateWorkload.setup runs, on its world:
-world (generate_topology, which also imports scipy.sparse, the first time a
-Topology is built, and builds the topology's CSR adjacency),
-dragoon_place, calibration_mesh, calibrate_all, and probes
-(simulate_measurement for every landmark and target). perfbench
+world (generate_topology, which builds the topology's CSR adjacency and
+checks connectivity with one search), dragoon_place, calibration_mesh,
+calibrate_all, and probes (simulate_measurement for every landmark and
+target). perfbench
 times the set-up as one number; this split shows which step a change moved.
 Times are unscaled wall seconds, in a fresh interpreter per run;
 imports_rss_mb is the child interpreter's peak RSS once the imports are
