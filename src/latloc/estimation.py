@@ -15,13 +15,24 @@ order. The first grid is centered on the spherical centroid, and its
 center's score equals the centroid's bit for bit, so the centroid needs no
 evaluation of its own.
 
-_Cloud.mean_distance_m is the one copy of the objective arithmetic, for the
-grid, the filter's distances and the residual, each on a subset of the one
-_Cloud that estimate_target builds of a target's candidates. It is the
-haversine form (Sinnott 1984, "Virtues of the Haversine"): the per-row term
-sin²(Δφ/2) and the per-column term cos φ'·sin²(Δλ/2) are computed at their
-own small shapes, so a grid step makes only one product, one sum, the square
-root, the clamp, the arcsine and the row sum at the full grid × cloud size.
+Two kernels compute the mean distance, each on a subset of the one _Cloud
+that estimate_target builds of a target's candidates:
+
+- _Cloud.grid_mean_m scores the grid search's steps, on unit vectors
+  (n-vectors; Gade 2010, "A non-singular horizontal position
+  representation", J. Navigation 63(3)). The cosine of the angle between a
+  grid point at (φ, λ) and a cloud point (x, y, z) is
+  cos φ·(cos λ·x + sin λ·y) + sin φ·z, with the sines and cosines taken once
+  per row and once per column, and x, y, z once per point, for the centroid
+  too. A step makes only one product, one sum, a clip to [-1, 1], the arccos
+  and the row sum at the full grid × cloud size.
+- _Cloud.mean_distance_m gives every distance latloc writes or ranks by: the
+  filter's distances and the residual. It is the haversine form (Sinnott
+  1984, "Virtues of the Haversine"), accurate where a cloud point is near the
+  query, where an arccos of a cosine near 1 can be off by a decimetre.
+
+The search compares only its own scores, so its scorer's rounding reaches an
+output only where it changes which grid point wins.
 """
 
 from __future__ import annotations
@@ -153,11 +164,13 @@ def _feature(lat: float, lon: float, properties: str) -> str:
 class _Cloud:
     """A point cloud as rows of one array, a column per point: latitude and
     longitude in degrees, then terms computed once per point: its _query_terms
-    (φ/2, cos φ, λ/2), the kernel's cos φ (numpy) and the centroid's x, y, z."""
+    (φ/2, cos φ, λ/2), the haversine kernel's cos φ (numpy) and the unit
+    vector x, y, z that the centroid and the grid's scorer read."""
 
     def __init__(self, columns: np.ndarray):
         self.columns = columns
-        self.lat, self.lon, self.half_lat, _, self.half_lon, self.cos_lat = columns[:6]
+        (self.lat, self.lon, self.half_lat, _, self.half_lon, self.cos_lat,
+         self.x, self.y, self.z) = columns
         self.query_terms = columns[2:5, :, None]
 
     @classmethod
@@ -188,10 +201,9 @@ class _Cloud:
 
         Query points come as _query_terms gives them: φ/2 and cos φ of their
         latitudes and λ/2 of their longitudes, in radians. The three broadcast
-        together against a trailing cloud axis, which the mean removes: a grid
-        passes rows of latitude terms and a column of longitudes, so the
-        latitude terms are computed once per row and the longitude terms once
-        per column.
+        together against a trailing cloud axis, which the mean removes: the
+        filter passes a cloud's own query_terms against its one-point center,
+        and the residual one query point.
 
         Each angle is 2·asin(min(√h, 1)) with h = sin²(φ'/2 − φ/2) +
         cos φ·(cos φ'·sin²(λ'/2 − λ/2)). Near an antipode h rounds to about
@@ -216,6 +228,35 @@ class _Cloud:
         # doubling is exact, so it waits for the mean.
         return np.add.reduce(h, axis=-1) / len(self.cos_lat) * (2.0 * EARTH_RADIUS_M)
 
+    def grid_mean_m(self, lats: list[float], lons: list[float]) -> np.ndarray:
+        """Mean great-circle distance in meters from each point of the grid
+        with row latitudes lats and column longitudes lons, in degrees, to the
+        cloud: the grid search's scores, one row per latitude.
+
+        Each angle is arccos(cos φ·(cos λ·x + sin λ·y) + sin φ·z), clipped to
+        [-1, 1] first, with the query's sines and cosines from math, once per
+        row and once per column. The cosine rounds to within a few ulps of 1,
+        and arccos magnifies that by 1 / sin of the angle d / R: a point's
+        distance agrees with the atan2 form of geodesy.orthodromic_distance to
+        within 4·ulp(1)·R / sin(d / R) plus four ulps of pi * R (under 4e-5 m)
+        while it lies at least 1 km from the query and from its antipode, and
+        to within 0.25 m otherwise. Near ±1 the cosine can round past ±1; the
+        clip keeps arccos finite there.
+        """
+        phi = list(map(math.radians, lats))
+        lam = list(map(math.radians, lons))
+        m, r = len(lam), len(phi)
+        # One array for all four sets of terms, sliced rather than unpacked.
+        trig = np.array([*map(math.cos, lam), *map(math.sin, lam),
+                         *map(math.cos, phi), *map(math.sin, phi)])
+        cos = trig[:m, None] * self.x
+        cos += trig[m:2 * m, None] * self.y
+        cos = trig[2 * m:2 * m + r, None, None] * cos
+        cos += (trig[2 * m + r:, None] * self.z)[:, None]
+        np.clip(cos, -1.0, 1.0, out=cos)
+        np.arccos(cos, out=cos)
+        return np.add.reduce(cos, axis=-1) / len(self.z) * EARTH_RADIUS_M
+
     def mean_at_m(self, point: GeoPoint) -> float:
         """Mean great-circle distance in meters from one point to the cloud."""
         return float(self.mean_distance_m(*_query_terms([point.lat], [point.lon]))[0])
@@ -236,11 +277,10 @@ def _query_terms(lats: list[float], lons: list[float]) -> tuple[np.ndarray, np.n
     return flat[:n].reshape(n, 1), flat[n + m:].reshape(n, 1), flat[n:n + m].reshape(m, 1)
 
 
-def _grid(center: GeoPoint, eps_m: float) -> tuple[int, list[float], list[float], tuple]:
+def _grid(center: GeoPoint, eps_m: float) -> tuple[int, list[float], list[float]]:
     """The search grid around center with spacing eps_m: the index of the
-    center's row, the row latitudes (rows past +-90 degrees skipped), the
-    column longitudes and their _query_terms, the row terms with one more axis
-    so that rows and columns broadcast against each other."""
+    center's row, the row latitudes (rows past +-90 degrees skipped) and the
+    column longitudes."""
     dlat_deg = math.degrees(eps_m / EARTH_RADIUS_M)
     cos_lat = math.cos(math.radians(center.lat))
     dlon_deg = math.degrees(eps_m / (EARTH_RADIUS_M * max(cos_lat, 1e-6)))
@@ -248,9 +288,7 @@ def _grid(center: GeoPoint, eps_m: float) -> tuple[int, list[float], list[float]
     # Rows past a pole are skipped; only those south of the center move it.
     center_row = EXTENT - sum(lat < -90.0 for lat in lats)
     lats = [lat for lat in lats if -90.0 <= lat <= 90.0]
-    lons = [normalize_lon(center.lon + j * dlon_deg) for j in STEPS]
-    half_phi, cos_phi, half_lam = _query_terms(lats, lons)
-    return center_row, lats, lons, (half_phi[..., None], cos_phi[..., None], half_lam)
+    return center_row, lats, [normalize_lon(center.lon + j * dlon_deg) for j in STEPS]
 
 
 def grid_center(points: _Cloud | list[GeoPoint]) -> GeoPoint:
@@ -259,7 +297,8 @@ def grid_center(points: _Cloud | list[GeoPoint]) -> GeoPoint:
     halved whenever no grid point improves, until it falls below EPS_MIN_M.
 
     Each step scores the whole grid around the current best point in one
-    array and moves to the winner _step_winner picks, if any.
+    array (_Cloud.grid_mean_m) and moves to the winner _step_winner picks,
+    if any.
     """
     cloud = points if isinstance(points, _Cloud) else _Cloud.of(
         [p.lat for p in points], [p.lon for p in points])
@@ -270,8 +309,8 @@ def grid_center(points: _Cloud | list[GeoPoint]) -> GeoPoint:
 
     eps = EPS0_M
     while eps >= EPS_MIN_M:
-        center_row, lats, lons, terms = _grid(best, eps)
-        obj = cloud.mean_distance_m(*terms)
+        center_row, lats, lons = _grid(best, eps)
+        obj = cloud.grid_mean_m(lats, lons)
         if best_obj is None:
             # The first grid's center is the centroid to the bit (normalized
             # longitudes are fixed points of normalize_lon; a latitude of -0.0

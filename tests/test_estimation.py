@@ -328,8 +328,9 @@ def test_geojson_writer_is_byte_identical_to_json(est):
 # ---------------------------------------------------------------------------
 # Oracle: the scalar grid search and filter, one objective evaluation per grid
 # point and per candidate. The array code must reproduce them bit for bit, so
-# the oracle computes the kernel's haversine in the kernel's operation order:
-# a near-tie between two grid points must not flip between them.
+# the oracle computes each kernel in that kernel's operation order: the grid's
+# scorer on unit vectors, and the filter's haversine. A near-tie between two
+# grid points or two candidates must not flip between them.
 
 
 class _ScalarCloud:
@@ -338,6 +339,18 @@ class _ScalarCloud:
         self.half_lat = lat / 2
         self.half_lon = np.radians([p.lon for p in points]) / 2
         self.cos_lat = np.cos(lat)
+        xyz = []
+        for p in points:
+            phi, lam = math.radians(p.lat), math.radians(p.lon)
+            xyz.append((math.cos(phi) * math.cos(lam), math.cos(phi) * math.sin(lam),
+                        math.sin(phi)))
+        self.x, self.y, self.z = np.array(xyz).T
+
+    def grid_score_m(self, p):
+        phi, lam = math.radians(p.lat), math.radians(p.lon)
+        cos = (math.cos(phi) * (math.cos(lam) * self.x + math.sin(lam) * self.y)
+               + math.sin(phi) * self.z)
+        return float(np.mean(np.arccos(np.clip(cos, -1.0, 1.0)))) * EARTH_RADIUS_M
 
     def mean_distance_m(self, p):
         phi = math.radians(p.lat)
@@ -382,13 +395,13 @@ def spherical_centroid(points):
 def scalar_grid_center(points):
     cloud = _ScalarCloud(points)
     best = spherical_centroid(points)
-    best_obj = cloud.mean_distance_m(best)
+    best_obj = cloud.grid_score_m(best)
     eps = 100_000.0  # the schedule: 100 km, halved while at least 500 m
     while eps >= 500.0:
         winner = None
         winner_key = None
         for cand_pt in _scalar_grid_offsets(best, eps):
-            key = (cloud.mean_distance_m(cand_pt), -cand_pt.lat, cand_pt.lon)
+            key = (cloud.grid_score_m(cand_pt), -cand_pt.lat, cand_pt.lon)
             if winner_key is None or key < winner_key:
                 winner_key = key
                 winner = cand_pt
@@ -562,10 +575,11 @@ def test_first_grid_center_scores_as_the_centroid(points, eps_m):
     cloud = cloud_of(points)
     centroid = cloud.centroid()
     assert bits(centroid) == bits(spherical_centroid(points))
-    center_row, lats, lons, terms = _grid(centroid, eps_m)
+    center_row, lats, lons = _grid(centroid, eps_m)
     assert (lats[center_row], lons[EXTENT]) == (centroid.lat, centroid.lon)
-    score = float(cloud.mean_distance_m(*terms)[center_row, EXTENT])
-    assert float.hex(score) == float.hex(cloud.mean_at_m(centroid))
+    score = float(cloud.grid_mean_m(lats, lons)[center_row, EXTENT])
+    alone = float(cloud.grid_mean_m([centroid.lat], [centroid.lon])[0, 0])
+    assert float.hex(score) == float.hex(alone)
     assert bits(grid_center(points)) == bits(scalar_grid_center(points))
 
 
@@ -624,15 +638,17 @@ def test_step_winner_matches_lexsort_reference(grid):
 
 
 # ---------------------------------------------------------------------------
-# The kernel's declared tolerance. It computes the haversine, not the atan2
-# form of geodesy.orthodromic_distance. While every cloud point lies within
+# The haversine kernel's declared tolerance (the filter's distances and the
+# residual). It computes the haversine, not the atan2 form of
+# geodesy.orthodromic_distance. While every cloud point lies within
 # 0.9 * pi * R of the query, per point the two angles differ by an ulp or so;
 # with the rounding of the sum and the mean, the two means agree to within
 # four ulps of the largest distance, pi * R (8 000 random cases of the
 # kind kernel_cases draws differed by 2.5 at most). Nearer an antipode h
 # rounds near 1, where asin magnifies its rounding: at an exact antipode a
 # point's distance was off by up to 0.19 m, so that band has a bound of its
-# own. No locate cloud spans 18 000 km, so the grid search never sees it.
+# own. No locate cloud spans 18 000 km, so neither the filter nor the
+# residual sees it.
 
 ULPS_M = 4 * math.ulp(math.pi * EARTH_RADIUS_M)  # about 1.5e-8 m
 
@@ -721,3 +737,73 @@ def test_kernel_is_finite_where_h_rounds_above_one(monkeypatch, trig):
         value = cloud_of([p]).mean_at_m(q)
         assert abs(value - math.pi * EARTH_RADIUS_M) <= ANTIPODAL_M
         assert abs(value - orthodromic_distance(p, q)) <= ANTIPODAL_M
+
+
+# ---------------------------------------------------------------------------
+# The grid scorer's declared tolerance. It takes the arccos of a cosine that
+# rounds to within a few ulps of 1 of its true value, and arccos magnifies
+# that error by 1 / sin of the angle: a point at distance d is off by up to
+# 4 * ulp(1) * R / sin(d / R) beyond the reference's own rounding, ULPS_M
+# (200 000 sampled pairs 1 km to 16 000 km apart, or that far from each
+# other's antipode, stayed under 0.44 of this bound). A point within 1 km of
+# the query or of its antipode has a cosine near +-1, where the error is
+# about the arccos of 1 minus a few ulps: up to 0.16 m was seen there, so
+# that band has the haversine's antipodal bound. The search compares only
+# these scores; every distance latloc writes comes from the haversine kernel.
+
+ILL_CONDITIONED_M = 1_000.0
+
+
+def scorer_bound_m(points, q) -> float:
+    """The per-point bound of the grid scorer at query q, which also bounds
+    the mean: set by the cloud point nearest to q or to its antipode."""
+    far = antipode(q)
+    d = min(min(orthodromic_distance(q, p), orthodromic_distance(far, p)) for p in points)
+    if d < ILL_CONDITIONED_M:
+        return ANTIPODAL_M
+    return 4 * math.ulp(1.0) * EARTH_RADIUS_M / math.sin(d / EARTH_RADIUS_M) + ULPS_M
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=kernel_cases())
+@example(case=([GeoPoint(0.0, 0.0), GeoPoint(0.0, 180.0)], [GeoPoint(0.0, 0.0)]))
+# The sampled pair nearest its bound, 1.57 km apart.
+@example(case=([GeoPoint(6.608675063661659, -126.16878189808779)],
+               [GeoPoint(6.613818735655789, -126.18206595517418)]))
+def test_grid_scorer_is_within_declared_tolerance(case):
+    points, queries = case
+    cloud = cloud_of(points)
+    for q, ref in zip(queries, hypot_mean_distances_m(points, queries).tolist()):
+        got = cloud.grid_mean_m([q.lat], [q.lon])
+        assert got.shape == (1, 1)
+        assert abs(float(got[0, 0]) - ref) <= scorer_bound_m(points, q)
+
+
+class _TrigOneUlpOut:
+    """math, except that cos and sin round one ulp away from zero, as a
+    one-ulp-accurate libm may."""
+
+    def __getattr__(self, name):
+        return getattr(math, name)
+
+    @staticmethod
+    def cos(x):
+        y = math.cos(x)
+        return math.nextafter(y, math.copysign(math.inf, y))
+
+    @staticmethod
+    def sin(x):
+        y = math.sin(x)
+        return math.nextafter(y, math.copysign(math.inf, y))
+
+
+@pytest.mark.parametrize("trig", [math, _TrigOneUlpOut()], ids=["math", "trig-one-ulp-out"])
+def test_grid_scorer_is_finite_where_the_cosine_rounds_past_one(monkeypatch, trig):
+    # With cos and sin rounded outward, a point's cosine to itself rounds
+    # above 1 and to its antipode below -1: only the clip keeps arccos from
+    # returning NaN there.
+    monkeypatch.setattr(estimation, "math", trig)
+    for p, q in ANTIPODES:
+        for cloud_point, query, expected in ((p, p, 0.0), (p, q, math.pi * EARTH_RADIUS_M)):
+            value = float(cloud_of([cloud_point]).grid_mean_m([query.lat], [query.lon])[0, 0])
+            assert abs(value - expected) <= ANTIPODAL_M

@@ -7,19 +7,20 @@ The clouds are every grid_center input of the seed-0 c6_dragoon pass
 (run_experiment on the criterion-6 world) and of the first 50 seed-0
 locate_k16 calls (latloc locate, in process, on perfbench's set-up). For
 each workload the line gives the grid_center calls, their ε-steps (one
-_Cloud.mean_distance_m call each: the first grid's center supplies the
-centroid's score), the median cloud size, the unscaled wall time per call
-and per step (best of REPEATS replays of all its clouds; each cloud is
-replayed as the _Cloud that estimate_target builds once per target, built
-before the timing, or as a GeoPoint list on checkouts whose grid_center
-takes no _Cloud), and, for the first
-step around the centroid of a cloud of the median size, the time of building
-its 7 x 7 grid (_grid: row and column coordinates and their query terms) and
-of scoring it (_Cloud.mean_distance_m). perfbench reports grid_center totals
-only; this shows what one step costs and how much of it the objective kernel
-takes. The script exits 1 when a workload makes no grid_center call or no
-step. --root selects the checkout whose src/ and perfbench/ are imported, so
-two commits can be timed with the same script.
+call of the grid's scorer each, _Cloud.grid_mean_m, or _Cloud.mean_distance_m
+on checkouts without it: the first grid's center supplies the centroid's
+score), the median cloud size, the unscaled wall time per call and per step
+(best of REPEATS replays of all its clouds; each cloud is replayed as the
+_Cloud that estimate_target builds once per target, built before the timing,
+or as a GeoPoint list on checkouts whose grid_center takes no _Cloud), and,
+for the first step around the centroid of a cloud of the median size, the
+time of building its 7 x 7 grid (_grid: row and column coordinates, and on
+older checkouts their query terms) and of scoring it with the same scorer.
+perfbench reports grid_center totals only; this shows what one step costs
+and how much of it the scorer takes. The script exits 1 when a workload
+makes no grid_center call or no step. --root selects the checkout whose src/
+and perfbench/ are imported, so two commits can be timed with the same
+script.
 
 --against CHECKOUT compares two commits in one run. The clouds are recorded
 once, with --root's code, and both checkouts' src/ replay the same clouds:
@@ -136,20 +137,21 @@ def measure(estimation, name: str, clouds: list) -> dict | None:
     time. The replay inputs are built before any timing starts."""
     inputs = replay_inputs(estimation, clouds)
     count = 0
-    method = estimation._Cloud.mean_distance_m
+    scorer_name = "grid_mean_m" if hasattr(estimation._Cloud, "grid_mean_m") else "mean_distance_m"
+    scorer = getattr(estimation._Cloud, scorer_name)
 
     def counted(self, *a):
         nonlocal count
         count += 1
-        return method(self, *a)
+        return scorer(self, *a)
 
-    # ε-steps over one replay of every cloud: mean-distance evaluations.
-    estimation._Cloud.mean_distance_m = counted
+    # ε-steps over one replay of every cloud: grid evaluations.
+    setattr(estimation._Cloud, scorer_name, counted)
     try:
         for cloud in inputs:
             estimation.grid_center(cloud)
     finally:
-        estimation._Cloud.mean_distance_m = method
+        setattr(estimation._Cloud, scorer_name, scorer)
     if count <= 0:
         print(f"{name}: {count} ε-steps in {len(clouds)} grid_center calls", file=sys.stderr)
         return None
@@ -175,7 +177,10 @@ def measure(estimation, name: str, clouds: list) -> dict | None:
     size = statistics.median(len(points) for points in clouds)
     median = min(range(len(clouds)), key=lambda i: abs(len(clouds[i]) - size))
     center, cloud = centroid_and_cloud(estimation, inputs[median])
-    _, _, _, terms = estimation._grid(center, 100_000.0)
+    _, lats, lons, *terms = estimation._grid(center, 100_000.0)
+    # The scorer's arguments: the grid's coordinates, or on checkouts whose
+    # _grid also returns query terms, those terms.
+    args = terms[0] if terms else (lats, lons)
     return {
         "calls": len(clouds),
         "eps_steps": count,
@@ -184,7 +189,7 @@ def measure(estimation, name: str, clouds: list) -> dict | None:
         "us_per_step": round(best / count * 1e6, 2),
         "grid_us_per_step": round(per_call_s(estimation._grid, center, 100_000.0) * 1e6, 2),
         "kernel_us_per_step": round(
-            per_call_s(cloud.mean_distance_m, *terms) * 1e6, 2),
+            per_call_s(getattr(cloud, scorer_name), *args) * 1e6, 2),
     }
 
 
