@@ -6,9 +6,11 @@ explicit --seed flags with fixed defaults, so repeated runs are
 byte-identical.
 
 `locate` reads only the node positions from the topology file: a node fault
-fails it as it fails `place`, but the edges are not parsed. Graph validation
-(dangling, duplicate and self-loop edges, connectivity) happens in `place`
-and `fit`. `main` builds its parser once per process, on its first call.
+fails it as it fails `place`. A JSON topology's edges are decoded with the
+rest of the file, so malformed JSON still fails `locate`, but no edge is
+checked: graph validation (dangling, duplicate and self-loop edges,
+connectivity) happens in `place` and `fit`. `main` builds its parser once
+per process, on its first call.
 """
 
 from __future__ import annotations
@@ -78,7 +80,7 @@ def _load_topology(args) -> "Topology":
 
 
 def _load_positions(args) -> dict[str, GeoPoint]:
-    """The topology's node positions, its edges left unread."""
+    """The topology's node positions, its edges left unchecked."""
     text, nodes = _topology_texts(args)
     return load_positions_json(text) if nodes is None else load_positions_edgelist(nodes)
 

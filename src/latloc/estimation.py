@@ -24,8 +24,9 @@ that estimate_target builds of a target's candidates:
   grid point at (φ, λ) and a cloud point (x, y, z) is
   cos φ·(cos λ·x + sin λ·y) + sin φ·z, with the sines and cosines taken once
   per row and once per column, and x, y, z once per point, for the centroid
-  too. A step makes only one product, one sum, a clip to [-1, 1], the arccos
-  and the row sum at the full grid × cloud size.
+  too. A step makes only one product, one sum, the arccos and the row sum
+  at the full grid × cloud size; only a step where a cosine rounds past ±1
+  makes a clip.
 - _Cloud.mean_distance_m gives every distance latloc writes or ranks by: the
   filter's distances and the residual. It is the haversine form (Sinnott
   1984, "Virtues of the Haversine"), accurate where a cloud point is near the
@@ -44,7 +45,7 @@ from json.encoder import encode_basestring_ascii as _string
 import numpy as np
 
 from .errors import EstimationError
-from .geodesy import EARTH_RADIUS_M, GeoPoint, normalize_lon, orthodromic_distance
+from .geodesy import EARTH_RADIUS_M, GeoPoint, orthodromic_distance
 from .lateration import CandidatePoint, Candidates, LandmarkCircle, all_candidates
 
 # Filter schedule: rounds, each dropping this share of the kept candidates.
@@ -88,13 +89,14 @@ class EstimatedLocation:
         and a newline write it, by the helpers of estimate_document_json.
         """
         c = self.candidates
+        tags, pairs = _texts(c, "        ")
         features = [_feature(self.point.lat, self.point.lon, '        "kind": "estimate",\n'
                              f'        "mean_residual_km": {_number(self.mean_residual_km)}')]
         for status, idx in (("kept", self.kept), ("dropped", self.dropped)):
             features.extend(_feature(c.lat[i], c.lon[i],
-                                     f'        "case_tag": {_string(c.case_tag[i])},\n'
+                                     f'        "case_tag": {tags[c.case_tag[i]]},\n'
                                      '        "kind": "candidate",\n'
-                                     f'        "source_pair": {_pair(c.source_pair[i], "        ")},\n'
+                                     f'        "source_pair": {pairs[c.source_pair[i]]},\n'
                                      f'        "status": "{status}"') for i in idx)
         return ('{\n  "features": [\n' + ",\n".join(features)
                 + '\n  ],\n  "type": "FeatureCollection"\n}\n')
@@ -111,11 +113,12 @@ def estimate_document_json(est: EstimatedLocation, truth: GeoPoint | None = None
     to_dict(). Every number in it is a float, written as json writes floats;
     strings go through json's own ASCII escaper.
     """
-    fields = [("dropped_points", _candidates(est.candidates, est.dropped))]
+    texts = _texts(est.candidates, "      ")
+    fields = [("dropped_points", _candidates(est.candidates, est.dropped, *texts))]
     if truth is not None:
         fields.append(("error_km", _number(orthodromic_distance(truth, est.point) / 1000.0)))
     fields += [("estimate", _latlon(est.point)),
-               ("kept_points", _candidates(est.candidates, est.kept)),
+               ("kept_points", _candidates(est.candidates, est.kept, *texts)),
                ("mean_residual_km", _number(est.mean_residual_km))]
     if truth is not None:
         fields.append(("truth", _latlon(truth)))
@@ -136,13 +139,20 @@ def _latlon(p: GeoPoint) -> str:
     return f'{{\n    "lat": {_number(p.lat)},\n    "lon": {_number(p.lon)}\n  }}'
 
 
-def _candidates(c: Candidates, idx: tuple[int, ...]) -> str:
+def _texts(c: Candidates, indent: str) -> tuple[dict, dict]:
+    """The JSON text of each distinct case tag, and of each distinct source
+    pair closing at indent: formatted once per document, not per candidate."""
+    return ({tag: _string(tag) for tag in set(c.case_tag)},
+            {ids: _pair(ids, indent) for ids in set(c.source_pair)})
+
+
+def _candidates(c: Candidates, idx: tuple[int, ...], tags: dict, pairs: dict) -> str:
     if not idx:
         return "[]"
     return "[\n" + ",\n".join(
-        f'    {{\n      "case_tag": {_string(c.case_tag[i])},\n'
+        f'    {{\n      "case_tag": {tags[c.case_tag[i]]},\n'
         f'      "lat": {_number(c.lat[i])},\n      "lon": {_number(c.lon[i])},\n'
-        f'      "source_pair": {_pair(c.source_pair[i], "      ")},\n'
+        f'      "source_pair": {pairs[c.source_pair[i]]},\n'
         f'      "weight": 1.0\n    }}'
         for i in idx) + "\n  ]"
 
@@ -228,20 +238,20 @@ class _Cloud:
         # doubling is exact, so it waits for the mean.
         return np.add.reduce(h, axis=-1) / len(self.cos_lat) * (2.0 * EARTH_RADIUS_M)
 
-    def grid_mean_m(self, lats: list[float], lons: list[float]) -> np.ndarray:
+    def grid_mean_m(self, lats: list[float], lons: list[float], clip: bool = True) -> list[float]:
         """Mean great-circle distance in meters from each point of the grid
         with row latitudes lats and column longitudes lons, in degrees, to the
-        cloud: the grid search's scores, one row per latitude.
+        cloud: the grid search's scores, as one flat list in row-major order.
 
-        Each angle is arccos(cos φ·(cos λ·x + sin λ·y) + sin φ·z), clipped to
-        [-1, 1] first, with the query's sines and cosines from math, once per
-        row and once per column. The cosine rounds to within a few ulps of 1,
-        and arccos magnifies that by 1 / sin of the angle d / R: a point's
-        distance agrees with the atan2 form of geodesy.orthodromic_distance to
-        within 4·ulp(1)·R / sin(d / R) plus four ulps of pi * R (under 4e-5 m)
-        while it lies at least 1 km from the query and from its antipode, and
-        to within 0.25 m otherwise. Near ±1 the cosine can round past ±1; the
-        clip keeps arccos finite there.
+        Each angle is arccos(cos φ·(cos λ·x + sin λ·y) + sin φ·z), with the
+        query's sines and cosines from math, once per row and once per column.
+        The cosine rounds to within a few ulps of 1, and arccos magnifies that
+        by 1 / sin of the angle d / R: a point's distance agrees with the atan2
+        form of geodesy.orthodromic_distance to within 4·ulp(1)·R / sin(d / R)
+        plus four ulps of pi * R (under 4e-5 m) while it lies at least 1 km
+        from the query and from its antipode, and to within 0.25 m otherwise.
+        Near ±1 the cosine can round past ±1, where arccos gives NaN; clip
+        clips it to [-1, 1] first. grid_center skips the clip under errstate.
         """
         phi = list(map(math.radians, lats))
         lam = list(map(math.radians, lons))
@@ -253,9 +263,13 @@ class _Cloud:
         cos += trig[m:2 * m, None] * self.y
         cos = trig[2 * m:2 * m + r, None, None] * cos
         cos += (trig[2 * m + r:, None] * self.z)[:, None]
-        np.clip(cos, -1.0, 1.0, out=cos)
+        if clip:
+            np.clip(cos, -1.0, 1.0, out=cos)
         np.arccos(cos, out=cos)
-        return np.add.reduce(cos, axis=-1) / len(self.z) * EARTH_RADIUS_M
+        obj = np.add.reduce(cos, axis=-1).ravel()
+        obj /= len(self.z)
+        obj *= EARTH_RADIUS_M
+        return obj.tolist()
 
     def mean_at_m(self, point: GeoPoint) -> float:
         """Mean great-circle distance in meters from one point to the cloud."""
@@ -280,15 +294,19 @@ def _query_terms(lats: list[float], lons: list[float]) -> tuple[np.ndarray, np.n
 def _grid(center: GeoPoint, eps_m: float) -> tuple[int, list[float], list[float]]:
     """The search grid around center with spacing eps_m: the index of the
     center's row, the row latitudes (rows past +-90 degrees skipped) and the
-    column longitudes."""
+    column longitudes, normalized as geodesy.normalize_lon normalizes them."""
     dlat_deg = math.degrees(eps_m / EARTH_RADIUS_M)
     cos_lat = math.cos(math.radians(center.lat))
     dlon_deg = math.degrees(eps_m / (EARTH_RADIUS_M * max(cos_lat, 1e-6)))
     lats = [center.lat + i * dlat_deg for i in STEPS]
-    # Rows past a pole are skipped; only those south of the center move it.
-    center_row = EXTENT - sum(lat < -90.0 for lat in lats)
-    lats = [lat for lat in lats if -90.0 <= lat <= 90.0]
-    return center_row, lats, [normalize_lon(center.lon + j * dlon_deg) for j in STEPS]
+    center_row = EXTENT
+    if lats[0] < -90.0 or lats[-1] > 90.0:
+        # Rows past a pole are skipped; only those south of the center move it.
+        center_row -= sum(lat < -90.0 for lat in lats)
+        lats = [lat for lat in lats if -90.0 <= lat <= 90.0]
+    # normalize_lon's bits, as x % 360.0 is never -0.0.
+    lons = [(center.lon + j * dlon_deg) % 360.0 for j in STEPS]
+    return center_row, lats, [lon - 360.0 if lon > 180.0 else lon for lon in lons]
 
 
 def grid_center(points: _Cloud | list[GeoPoint]) -> GeoPoint:
@@ -298,7 +316,9 @@ def grid_center(points: _Cloud | list[GeoPoint]) -> GeoPoint:
 
     Each step scores the whole grid around the current best point in one
     array (_Cloud.grid_mean_m) and moves to the winner _step_winner picks,
-    if any.
+    if any. Steps skip the clip, under one errstate per search (a step's
+    own would cost about 5% of it); a step whose scores hold a NaN, where a
+    cosine rounded past +-1, is scored again with it: every score is clipped.
     """
     cloud = points if isinstance(points, _Cloud) else _Cloud.of(
         [p.lat for p in points], [p.lon for p in points])
@@ -308,36 +328,39 @@ def grid_center(points: _Cloud | list[GeoPoint]) -> GeoPoint:
     best_obj = None
 
     eps = EPS0_M
-    while eps >= EPS_MIN_M:
-        center_row, lats, lons = _grid(best, eps)
-        obj = cloud.grid_mean_m(lats, lons)
-        if best_obj is None:
-            # The first grid's center is the centroid to the bit (normalized
-            # longitudes are fixed points of normalize_lon; a latitude of -0.0
-            # becomes 0.0, which scores the same), so it scores as the centroid.
-            best_obj = float(obj[center_row, EXTENT])
-        winner = _step_winner(obj, center_row, lats, lons, best_obj)
-        if winner is None:
-            eps /= 2.0
-        else:
-            row, col = winner
-            best = GeoPoint(lats[row], lons[col])
-            best_obj = float(obj[row, col])
+    with np.errstate(invalid="ignore"):
+        while eps >= EPS_MIN_M:
+            center_row, lats, lons = _grid(best, eps)
+            scores = cloud.grid_mean_m(lats, lons, clip=False)
+            if math.isnan(sum(scores)):
+                scores = cloud.grid_mean_m(lats, lons)
+            if best_obj is None:
+                # The first grid's center is the centroid to the bit (normalized
+                # longitudes are fixed points of normalize_lon; a latitude of -0.0
+                # becomes 0.0, which scores the same), so it scores as it.
+                best_obj = scores[center_row * len(lons) + EXTENT]
+            winner = _step_winner(scores, center_row, lats, lons, best_obj)
+            if winner is None:
+                eps /= 2.0
+            else:
+                row, col = winner
+                best = GeoPoint(lats[row], lons[col])
+                best_obj = scores[row * len(lons) + col]
     return best
 
 
-def _step_winner(obj: np.ndarray, center_row: int, lats: list[float], lons: list[float],
+def _step_winner(scores: list[float], center_row: int, lats: list[float], lons: list[float],
                  best_obj: float) -> tuple[int, int] | None:
-    """The (row, col) of obj a grid step moves to, or None when no grid point
+    """The (row, col) of the grid a step moves to, or None when no grid point
     scores below best_obj and the step halves its spacing instead.
 
-    obj holds the scores of the grid with row latitudes lats and column
-    longitudes lons; its center, at center_row and the middle column, is
-    masked out. The lowest score wins. Exact ties, and only those, break
-    north-most, then west-most, then first in row-major order.
+    scores holds the scores of the grid with row latitudes lats and column
+    longitudes lons, flat in row-major order; its center, at center_row and
+    the middle column, is masked out by overwriting it with +inf. The lowest
+    score wins. Exact ties, and only those, break north-most, then
+    west-most, then first in row-major order.
     """
     ncols = len(lons)
-    scores = obj.ravel().tolist()
     scores[center_row * ncols + EXTENT] = math.inf
     low = min(scores)
     if not low < best_obj:

@@ -443,6 +443,10 @@ def _node_faults(doc: dict) -> dict:
         "duplicate-id": {**doc, "nodes": nodes + [nodes[0]]},
         "lat-91": {**doc, "nodes": [{**nodes[0], "lat": 91}] + nodes[1:]},
         "missing-lon": {**doc, "nodes": [no_lon] + nodes[1:]},
+        # json.dumps writes a NaN literal, the sidecar "nan".
+        "lon-nan": {**doc, "nodes": [{**nodes[0], "lon": math.nan}] + nodes[1:]},
+        "lat-not-number": {**doc, "nodes": [{**nodes[0], "lat": "north"}] + nodes[1:]},
+        "lat-null": {**doc, "nodes": [{**nodes[0], "lat": None}] + nodes[1:]},
         "nodes-not-list": {**doc, "nodes": 5},
         "no-nodes": {**doc, "nodes": []},
     }
@@ -465,10 +469,12 @@ def test_locate_does_not_read_topology_edges(world_files, models_file, tmp_path,
     assert (tmp_path / "faulty.json").read_bytes() == (tmp_path / "valid.json").read_bytes()
 
 
-# The node sidecar of the edge-list format has no JSON shape to get wrong.
+# The node sidecar of the edge-list format has no JSON shape to get wrong,
+# and no null: a null latitude would be written there as the word None.
 NODE_FAULTS = [(fmt, fault) for fmt in ("json", "edge-list")
-               for fault in ("duplicate-id", "lat-91", "missing-lon", "nodes-not-list", "no-nodes")
-               if (fmt, fault) != ("edge-list", "nodes-not-list")]
+               for fault in ("duplicate-id", "lat-91", "missing-lon", "lon-nan", "lat-not-number",
+                             "lat-null", "nodes-not-list", "no-nodes")
+               if fmt == "json" or fault not in ("nodes-not-list", "lat-null")]
 
 
 @pytest.mark.parametrize("fmt, fault", NODE_FAULTS)

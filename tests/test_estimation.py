@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -577,8 +578,8 @@ def test_first_grid_center_scores_as_the_centroid(points, eps_m):
     assert bits(centroid) == bits(spherical_centroid(points))
     center_row, lats, lons = _grid(centroid, eps_m)
     assert (lats[center_row], lons[EXTENT]) == (centroid.lat, centroid.lon)
-    score = float(cloud.grid_mean_m(lats, lons)[center_row, EXTENT])
-    alone = float(cloud.grid_mean_m([centroid.lat], [centroid.lon])[0, 0])
+    score = cloud.grid_mean_m(lats, lons)[center_row * len(lons) + EXTENT]
+    alone = cloud.grid_mean_m([centroid.lat], [centroid.lon])[0]
     assert float.hex(score) == float.hex(alone)
     assert bits(grid_center(points)) == bits(scalar_grid_center(points))
 
@@ -634,7 +635,7 @@ def step_grids(draw):
 def test_step_winner_matches_lexsort_reference(grid):
     obj, center_row, lats, lons, best_obj = grid
     expected = lexsort_step_winner(obj, center_row, lats, lons, best_obj)
-    assert _step_winner(obj, center_row, lats, lons, best_obj) == expected
+    assert _step_winner(obj.ravel().tolist(), center_row, lats, lons, best_obj) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -775,8 +776,8 @@ def test_grid_scorer_is_within_declared_tolerance(case):
     cloud = cloud_of(points)
     for q, ref in zip(queries, hypot_mean_distances_m(points, queries).tolist()):
         got = cloud.grid_mean_m([q.lat], [q.lon])
-        assert got.shape == (1, 1)
-        assert abs(float(got[0, 0]) - ref) <= scorer_bound_m(points, q)
+        assert len(got) == 1
+        assert abs(got[0] - ref) <= scorer_bound_m(points, q)
 
 
 class _TrigOneUlpOut:
@@ -805,5 +806,29 @@ def test_grid_scorer_is_finite_where_the_cosine_rounds_past_one(monkeypatch, tri
     monkeypatch.setattr(estimation, "math", trig)
     for p, q in ANTIPODES:
         for cloud_point, query, expected in ((p, p, 0.0), (p, q, math.pi * EARTH_RADIUS_M)):
-            value = float(cloud_of([cloud_point]).grid_mean_m([query.lat], [query.lon])[0, 0])
+            value = cloud_of([cloud_point]).grid_mean_m([query.lat], [query.lon])[0]
             assert abs(value - expected) <= ANTIPODAL_M
+
+
+def test_grid_center_rescores_with_the_clip_where_the_cosine_rounds_past_one(monkeypatch):
+    # With cos and sin rounded outward, the first grid's center is a point of
+    # these clouds or its antipode, where the unclipped cosine rounds past +-1
+    # and leaves a NaN in the step's scores. The search must score such a step
+    # again with the clip, find the point that a search that always clips
+    # finds, and let no warning escape.
+    monkeypatch.setattr(estimation, "math", _TrigOneUlpOut())
+    clouds = [[p] for p, _ in ANTIPODES] + [[p, q] for p, q in ANTIPODES]
+    scorer, clips = _Cloud.grid_mean_m, []
+
+    def recorded(self, lats, lons, clip=True):
+        clips.append(clip)
+        return scorer(self, lats, lons, clip)
+
+    monkeypatch.setattr(_Cloud, "grid_mean_m", recorded)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = [bits(grid_center(points)) for points in clouds]
+    assert False in clips and True in clips
+    monkeypatch.setattr(_Cloud, "grid_mean_m", lambda self, lats, lons, clip=True:
+                        scorer(self, lats, lons))
+    assert got == [bits(grid_center(points)) for points in clouds]

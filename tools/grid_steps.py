@@ -6,21 +6,22 @@ print one JSON line.
 The clouds are every grid_center input of the seed-0 c6_dragoon pass
 (run_experiment on the criterion-6 world) and of the first 50 seed-0
 locate_k16 calls (latloc locate, in process, on perfbench's set-up). For
-each workload the line gives the grid_center calls, their ε-steps (one
-call of the grid's scorer each, _Cloud.grid_mean_m, or _Cloud.mean_distance_m
-on checkouts without it: the first grid's center supplies the centroid's
-score), the median cloud size, the unscaled wall time per call and per step
-(best of REPEATS replays of all its clouds; each cloud is replayed as the
-_Cloud that estimate_target builds once per target, built before the timing,
-or as a GeoPoint list on checkouts whose grid_center takes no _Cloud), and,
-for the first step around the centroid of a cloud of the median size, the
-time of building its 7 x 7 grid (_grid: row and column coordinates, and on
-older checkouts their query terms) and of scoring it with the same scorer.
-perfbench reports grid_center totals only; this shows what one step costs
-and how much of it the scorer takes. The script exits 1 when a workload
-makes no grid_center call or no step. --root selects the checkout whose src/
-and perfbench/ are imported, so two commits can be timed with the same
-script.
+each workload the line gives the grid_center calls, their ε-steps (one call
+of the grid's scorer each, _Cloud.grid_mean_m, or _Cloud.mean_distance_m on
+checkouts without it: the first grid's center supplies the centroid's score;
+a step that grid_center scores again with the clip, because a cosine rounded
+past +-1, counts twice), the median cloud size, the unscaled wall time per
+call and per step (best of REPEATS replays of all its clouds; each cloud is
+replayed as the _Cloud that estimate_target builds once per target, built
+before the timing, or as a GeoPoint list on checkouts whose grid_center
+takes no _Cloud), and, for the first step around the centroid of a cloud of
+the median size, the time of building its 7 x 7 grid (_grid: row and column
+coordinates, and on older checkouts their query terms) and of scoring it
+with the same scorer, as grid_center calls it. perfbench reports grid_center
+totals only; this shows what one step costs and how much of it the scorer
+takes. The script exits 1 when a workload makes no grid_center call or no
+step. --root selects the checkout whose src/ and perfbench/ are imported, so
+two commits can be timed with the same script.
 
 --against CHECKOUT compares two commits in one run. The clouds are recorded
 once, with --root's code, and both checkouts' src/ replay the same clouds:
@@ -33,6 +34,7 @@ changes.
 """
 
 import argparse
+import inspect
 import json
 import statistics
 import subprocess
@@ -40,6 +42,8 @@ import sys
 import tempfile
 import time
 from pathlib import Path
+
+import numpy as np
 
 LOCATE_CALLS = 50
 REPEATS = 5
@@ -140,10 +144,10 @@ def measure(estimation, name: str, clouds: list) -> dict | None:
     scorer_name = "grid_mean_m" if hasattr(estimation._Cloud, "grid_mean_m") else "mean_distance_m"
     scorer = getattr(estimation._Cloud, scorer_name)
 
-    def counted(self, *a):
+    def counted(self, *a, **kw):
         nonlocal count
         count += 1
-        return scorer(self, *a)
+        return scorer(self, *a, **kw)
 
     # ε-steps over one replay of every cloud: grid evaluations.
     setattr(estimation._Cloud, scorer_name, counted)
@@ -163,12 +167,12 @@ def measure(estimation, name: str, clouds: list) -> dict | None:
             estimation.grid_center(cloud)
         best = min(best, time.perf_counter() - start)
 
-    def per_call_s(fn, *args) -> float:
+    def per_call_s(fn, *args, **kwargs) -> float:
         best = float("inf")
         for _ in range(REPEATS):
             start = time.perf_counter()
             for _ in range(100):
-                fn(*args)
+                fn(*args, **kwargs)
             best = min(best, (time.perf_counter() - start) / 100)
         return best
 
@@ -179,8 +183,13 @@ def measure(estimation, name: str, clouds: list) -> dict | None:
     center, cloud = centroid_and_cloud(estimation, inputs[median])
     _, lats, lons, *terms = estimation._grid(center, 100_000.0)
     # The scorer's arguments: the grid's coordinates, or on checkouts whose
-    # _grid also returns query terms, those terms.
+    # _grid also returns query terms, those terms. A scorer that can skip its
+    # clip is timed as grid_center calls it, without the clip, under one
+    # errstate.
     args = terms[0] if terms else (lats, lons)
+    kwargs = {"clip": False} if "clip" in inspect.signature(scorer).parameters else {}
+    with np.errstate(invalid="ignore"):
+        kernel_s = per_call_s(getattr(cloud, scorer_name), *args, **kwargs)
     return {
         "calls": len(clouds),
         "eps_steps": count,
@@ -188,8 +197,7 @@ def measure(estimation, name: str, clouds: list) -> dict | None:
         "ms_per_call": round(best / len(clouds) * 1e3, 4),
         "us_per_step": round(best / count * 1e6, 2),
         "grid_us_per_step": round(per_call_s(estimation._grid, center, 100_000.0) * 1e6, 2),
-        "kernel_us_per_step": round(
-            per_call_s(getattr(cloud, scorer_name), *args) * 1e6, 2),
+        "kernel_us_per_step": round(kernel_s * 1e6, 2),
     }
 
 
