@@ -5,12 +5,15 @@ Subcommands: place, fit, locate, simulate, eval. Exit codes: 0 on success,
 explicit --seed flags with fixed defaults, so repeated runs are
 byte-identical.
 
-`locate` reads only the node positions from the topology file: a node fault
-fails it as it fails `place`. A JSON topology's edges are decoded with the
-rest of the file, so malformed JSON still fails `locate`, but no edge is
-checked: graph validation (dangling, duplicate and self-loop edges,
-connectivity) happens in `place` and `fit`. `main` builds its parser once
-per process, on its first call.
+`locate` takes each landmark's position from its model: `fit` writes it
+there. It opens the topology only when some measured landmark's model has
+no position, as in a models file written before models carried positions,
+and then reads only the node positions from it: a node fault fails it as it
+fails `place`. A JSON topology's edges are decoded with the rest of the
+file, so malformed JSON still fails `locate` then, but no edge is checked:
+graph validation (dangling, duplicate and self-loop edges, connectivity)
+happens in `place` and `fit`. `main` builds its parser once per process, on
+its first call.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from .geodesy import GeoPoint
 from .lateration import LandmarkCircle, build_circle
 from .latency import (
     DEFAULT_PER_HOP_MS,
+    LatencyModel,
     calibrate_all,
     measurements_from_csv,
     models_from_json,
@@ -79,10 +83,30 @@ def _load_topology(args) -> "Topology":
     return load_topology_json(text) if nodes is None else load_topology_edgelist(text, nodes)
 
 
-def _load_positions(args) -> dict[str, GeoPoint]:
-    """The topology's node positions, its edges left unchecked."""
-    text, nodes = _topology_texts(args)
-    return load_positions_json(text) if nodes is None else load_positions_edgelist(nodes)
+def _landmark_positions(args, models: dict[str, LatencyModel],
+                        landmark_ids: list[str]) -> list[GeoPoint]:
+    """Each landmark's position, in order: the one its model carries, or,
+    for a model written without one, its node's in the topology. The
+    topology is read, its edges left unchecked, only for such a model."""
+    nodes = None
+    positions = []
+    for lm in landmark_ids:
+        if lm not in models:
+            raise UsageError(f"no model for landmark {lm!r}")
+        position = models[lm].position
+        if position is None:
+            if nodes is None:
+                if args.topology is None:
+                    raise UsageError(f"model for landmark {lm!r} has no position; "
+                                     "pass the topology with --topology")
+                text, sidecar = _topology_texts(args)
+                nodes = (load_positions_json(text) if sidecar is None
+                         else load_positions_edgelist(sidecar))
+            if lm not in nodes:
+                raise UsageError(f"landmark {lm!r} not in topology")
+            position = nodes[lm]
+        positions.append(position)
+    return positions
 
 
 def cmd_place(args) -> int:
@@ -119,23 +143,17 @@ def cmd_locate(args) -> int:
             truth = GeoPoint(float(lat_s), float(lon_s))
         except ValueError as exc:
             raise UsageError(f"--truth must be 'lat,lon': {exc}") from exc
-    positions = _load_positions(args)
     models = models_from_json(_read(args.models))
     measurements = measurements_from_csv(_read(args.measurements))
     targets = sorted({m.target_id for m in measurements})
     if len(targets) > 1:
         raise UsageError(f"measurements name more than one target: {', '.join(targets)}")
-    circles = []
-    for m in measurements:
-        if m.landmark_id not in models:
-            raise UsageError(f"no model for landmark {m.landmark_id!r}")
-        if m.landmark_id not in positions:
-            raise UsageError(f"landmark {m.landmark_id!r} not in topology")
-        circles.append(LandmarkCircle(
-            m.landmark_id,
-            build_circle(positions[m.landmark_id], models[m.landmark_id], m,
-                         per_hop_ms=args.per_hop_ms),
-        ))
+    positions = _landmark_positions(args, models, [m.landmark_id for m in measurements])
+    circles = [
+        LandmarkCircle(m.landmark_id, build_circle(position, models[m.landmark_id], m,
+                                                   per_hop_ms=args.per_hop_ms))
+        for m, position in zip(measurements, positions)
+    ]
     if len(circles) < 2:
         raise UsageError(f"need measurements from >= 2 landmarks, got {len(circles)}")
     estimate = estimate_target(circles)
@@ -214,8 +232,8 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _add_topology_args(p) -> None:
-    p.add_argument("--topology", required=True, help="topology file path")
+def _add_topology_args(p, required: bool = True, help: str = "topology file path") -> None:
+    p.add_argument("--topology", required=required, help=help)
     p.add_argument("--format", choices=["json", "edge-list"], default="json")
     p.add_argument("--nodes", help="node sidecar file (edge-list format only)")
 
@@ -256,7 +274,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
 
     p = sub.add_parser("locate", help="estimate a target location from probes")
-    _add_topology_args(p)
+    _add_topology_args(p, required=False, help=(
+        "topology file path; opened only if some measured landmark's model has no "
+        "position (a models file written before models carried positions)"))
     p.add_argument("--models", required=True, help="fitted models JSON")
     p.add_argument("--measurements", required=True, help="target probe CSV")
     p.add_argument("--per-hop-ms", type=float, default=DEFAULT_PER_HOP_MS)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
@@ -76,7 +76,8 @@ class CalibrationSample:
 
 @dataclass(frozen=True)
 class LatencyModel:
-    """Fitted parameters of the logarithmic latency-distance curve."""
+    """Fitted parameters of the logarithmic latency-distance curve, and the
+    position of the landmark it was fitted for, where that is known."""
 
     p: float
     q: float
@@ -84,6 +85,7 @@ class LatencyModel:
     m: float
     fit_rss: float
     sample_count: int
+    position: GeoPoint | None = None
 
 
 def effective_latency(m: Measurement, per_hop_ms: float = DEFAULT_PER_HOP_MS) -> EffectiveLatency:
@@ -217,7 +219,8 @@ def calibrate_all(landmark_ids: Iterable[str], measurements: list[Measurement],
     """Fit one model per landmark from its measurements to the other landmarks.
 
     Models come out in landmark_ids order. Distances come from the known
-    landmark positions.
+    landmark positions, and each model carries its own landmark's position,
+    so a models file is all `latloc locate` needs to place the circles.
     """
     ids = list(landmark_ids)
     id_set = set(ids)
@@ -233,7 +236,7 @@ def calibrate_all(landmark_ids: Iterable[str], measurements: list[Measurement],
             dist_km = orthodromic_distance(positions[lm], positions[meas.target_id]) / 1000.0
             samples.append(CalibrationSample(latency_ms=latency, distance_km=dist_km))
         try:
-            models[lm] = fit_model(samples)
+            models[lm] = replace(fit_model(samples), position=positions[lm])
         except InsufficientDataError as exc:
             raise InsufficientDataError(f"landmark {lm!r}: {exc}") from exc
     return models
@@ -280,20 +283,25 @@ def measurements_from_csv(text: str) -> list[Measurement]:
 
 
 def models_to_json(models: dict[str, LatencyModel]) -> str:
-    doc = {
-        lm: {
+    """The models as JSON, with "lat" and "lon" for a model that has a position."""
+    doc = {}
+    for lm, model in models.items():
+        entry = {
             "p": model.p, "q": model.q, "n": model.n, "m": model.m,
             "fit_rss": model.fit_rss, "sample_count": model.sample_count,
         }
-        for lm, model in models.items()
-    }
+        if model.position is not None:
+            entry["lat"], entry["lon"] = model.position.lat, model.position.lon
+        doc[lm] = entry
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 def models_from_json(data: str) -> dict[str, LatencyModel]:
     """Parse a models file, naming the landmark of a missing or malformed
     entry. json accepts NaN and Infinity literals, so a non-finite
-    parameter is rejected here too."""
+    parameter is rejected here too. An entry with "lat" or "lon" needs both,
+    and they are read as a GeoPoint; an entry with neither, as files written
+    before models carried positions are, gets no position."""
     doc = json.loads(data)
     if not isinstance(doc, dict):
         raise ValueError(f"models JSON must be an object, got {type(doc).__name__}")
@@ -303,6 +311,8 @@ def models_from_json(data: str) -> dict[str, LatencyModel]:
             model = LatencyModel(
                 p=float(v["p"]), q=float(v["q"]), n=float(v["n"]), m=float(v["m"]),
                 fit_rss=float(v["fit_rss"]), sample_count=int(v["sample_count"]),
+                position=(GeoPoint(float(v["lat"]), float(v["lon"]))
+                          if "lat" in v or "lon" in v else None),
             )
         except KeyError as exc:
             raise ValueError(f"model for landmark {lm!r} has no entry {exc}") from None

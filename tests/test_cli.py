@@ -405,6 +405,19 @@ def models_file(world_files):
     return models
 
 
+@pytest.fixture(scope="module")
+def legacy_models_file(world_files, models_file):
+    """The fit output with every model's lat and lon removed, as models files
+    were written before models carried positions: locate reads the landmark
+    positions from the topology for it."""
+    doc = json.loads(models_file.read_text())
+    for entry in doc.values():
+        del entry["lat"], entry["lon"]
+    legacy = world_files / "legacy_models.json"
+    legacy.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    return legacy
+
+
 def _topology_args(doc: dict, root: Path, fmt: str) -> list:
     """--topology flags for doc, written in the given format under root."""
     if fmt == "json":
@@ -454,8 +467,8 @@ def _node_faults(doc: dict) -> dict:
 
 @pytest.mark.parametrize("fmt", ["json", "edge-list"])
 @pytest.mark.parametrize("fault", ["disconnected", "dangling", "duplicated"])
-def test_locate_does_not_read_topology_edges(world_files, models_file, tmp_path, capsys,
-                                             fmt, fault):
+def test_locate_does_not_read_topology_edges(world_files, legacy_models_file, tmp_path,
+                                             capsys, fmt, fault):
     # locate reads node positions only; place and fit validate the graph.
     doc = _topology_doc(world_files)
     (tmp_path / "valid").mkdir()
@@ -464,8 +477,8 @@ def test_locate_does_not_read_topology_edges(world_files, models_file, tmp_path,
     faulty = _topology_args(_edge_faults(doc)[fault], tmp_path / "faulty", fmt)
     assert run(["place", *faulty, "--k", 3]) == 1
     capsys.readouterr()
-    assert _locate(world_files, models_file, valid, tmp_path / "valid.json") == 0
-    assert _locate(world_files, models_file, faulty, tmp_path / "faulty.json") == 0
+    assert _locate(world_files, legacy_models_file, valid, tmp_path / "valid.json") == 0
+    assert _locate(world_files, legacy_models_file, faulty, tmp_path / "faulty.json") == 0
     assert (tmp_path / "faulty.json").read_bytes() == (tmp_path / "valid.json").read_bytes()
 
 
@@ -478,27 +491,110 @@ NODE_FAULTS = [(fmt, fault) for fmt in ("json", "edge-list")
 
 
 @pytest.mark.parametrize("fmt, fault", NODE_FAULTS)
-def test_locate_rejects_node_faults_as_place_does(world_files, models_file, tmp_path, capsys,
-                                                  fmt, fault):
+def test_locate_rejects_node_faults_as_place_does(world_files, legacy_models_file, tmp_path,
+                                                  capsys, fmt, fault):
     topology = _topology_args(_node_faults(_topology_doc(world_files))[fault], tmp_path, fmt)
     assert run(["place", *topology, "--k", 3]) == 1
     place_err = capsys.readouterr().err
     out = tmp_path / "estimate.json"
-    assert _locate(world_files, models_file, topology, out) == 1
+    assert _locate(world_files, legacy_models_file, topology, out) == 1
     assert capsys.readouterr().err == place_err
     assert place_err.startswith("error: ")
     assert not out.exists()
 
 
 @pytest.mark.parametrize("fmt", ["json", "edge-list"])
-def test_locate_landmark_missing_from_nodes(world_files, models_file, tmp_path, capsys, fmt):
+def test_locate_landmark_missing_from_nodes(world_files, legacy_models_file, tmp_path, capsys,
+                                            fmt):
     doc = _topology_doc(world_files)
     landmark = (world_files / "target.csv").read_text().splitlines()[1].split(",")[0]
     doc["nodes"] = [n for n in doc["nodes"] if n["id"] != landmark]
     doc["edges"] = [e for e in doc["edges"] if landmark not in e]
     topology = _topology_args(doc, tmp_path, fmt)
-    assert _locate(world_files, models_file, topology, tmp_path / "estimate.json") == 1
+    assert _locate(world_files, legacy_models_file, topology, tmp_path / "estimate.json") == 1
     assert capsys.readouterr().err == f"error: landmark {landmark!r} not in topology\n"
+
+
+def _locate_outputs(world_files, models, topology_args, root: Path) -> tuple[bytes, bytes]:
+    """The bytes of a successful locate's estimate and GeoJSON, written under root."""
+    root.mkdir()
+    out, geojson = root / "estimate.json", root / "cloud.geojson"
+    assert run(["locate", *topology_args, "--models", models,
+                "--measurements", world_files / "target.csv",
+                "--truth", (world_files / "truth.txt").read_text(),
+                "--out", out, "--geojson", geojson]) == 0
+    return out.read_bytes(), geojson.read_bytes()
+
+
+@pytest.fixture(scope="module")
+def legacy_outputs(world_files, legacy_models_file, tmp_path_factory):
+    """locate's outputs with the positions read from a valid JSON topology."""
+    return _locate_outputs(world_files, legacy_models_file,
+                           ["--topology", world_files / "topology.json"],
+                           tmp_path_factory.mktemp("legacy") / "out")
+
+
+def _unopened_topologies(world_files, root: Path) -> dict:
+    """--topology flags that fail any locate that reads them."""
+    doc = _topology_doc(world_files)
+    faults = _node_faults(doc)
+    (root / "json").mkdir()
+    (root / "edge-list").mkdir()
+    return {
+        "none": [],
+        "missing-file": ["--topology", root / "missing.json"],
+        "missing-sidecar": ["--topology", root / "missing.txt", "--format", "edge-list"],
+        "json-lat-91": _topology_args(faults["lat-91"], root / "json", "json"),
+        "edge-list-duplicate-id": _topology_args(faults["duplicate-id"], root / "edge-list",
+                                                 "edge-list"),
+    }
+
+
+@pytest.mark.parametrize("topology", ["none", "missing-file", "missing-sidecar", "json-lat-91",
+                                      "edge-list-duplicate-id"])
+def test_locate_takes_positions_from_the_models(world_files, models_file, legacy_outputs,
+                                                tmp_path, topology):
+    # A models file from fit carries every landmark's position, so locate
+    # does not open --topology: the output is the legacy path's, byte for
+    # byte, whether the flag is absent or names a file locate would reject.
+    args = _unopened_topologies(world_files, tmp_path)[topology]
+    assert _locate_outputs(world_files, models_file, args, tmp_path / "out") == legacy_outputs
+
+
+@pytest.mark.parametrize("fmt", ["json", "edge-list"])
+def test_locate_with_positioned_models_reads_no_nodes(world_files, models_file, legacy_outputs,
+                                                       tmp_path, monkeypatch, fmt):
+    from latloc import cli
+
+    def unread(*args):
+        raise AssertionError("the topology's nodes were read")
+
+    monkeypatch.setattr(cli, "load_positions_json", unread)
+    monkeypatch.setattr(cli, "load_positions_edgelist", unread)
+    args = _topology_args(_topology_doc(world_files), tmp_path, fmt)
+    assert _locate_outputs(world_files, models_file, args, tmp_path / "out") == legacy_outputs
+
+
+@pytest.mark.parametrize("unplaced", ["all", "last"])
+def test_locate_needs_topology_for_a_model_without_position(world_files, models_file, tmp_path,
+                                                            capsys, unplaced):
+    measured = [line.split(",")[0]
+                for line in (world_files / "target.csv").read_text().splitlines()[1:]]
+    landmark = measured[0] if unplaced == "all" else measured[-1]
+    doc = json.loads(models_file.read_text())
+    for lm in measured if unplaced == "all" else [landmark]:
+        del doc[lm]["lat"], doc[lm]["lon"]
+    models = tmp_path / "models.json"
+    models.write_text(json.dumps(doc))
+    out = tmp_path / "estimate.json"
+    assert run(["locate", "--models", models, "--measurements", world_files / "target.csv",
+                "--out", out]) == 1
+    assert capsys.readouterr().err == (
+        f"error: model for landmark {landmark!r} has no position; "
+        "pass the topology with --topology\n")
+    assert not out.exists()
+    # Given the topology, the one model without a position takes its node's.
+    assert _locate(world_files, models, ["--topology", world_files / "topology.json"], out) == 0
 
 
 def test_main_reuses_one_parser(world_files, models_file, tmp_path):

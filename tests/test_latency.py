@@ -284,6 +284,70 @@ def test_models_json_roundtrip():
     assert models_from_json(models_to_json(models)) == models
 
 
+def test_calibrate_all_models_carry_their_landmarks_positions():
+    points = landmark_grid(6)
+    models = calibrate_all(points.keys(), full_mesh(points), points)
+    assert {lm: model.position for lm, model in models.items()} == points
+
+
+def test_models_json_with_positions_roundtrips_bit_for_bit():
+    # Odd bits in both fields, and longitudes either side of the antimeridian
+    # and of zero, each already normalised by GeoPoint.
+    points = {**landmark_grid(5), "west": GeoPoint(-33.123456789012345, -179.99999999999997),
+              "east": GeoPoint(64.1, 180.0), "tiny": GeoPoint(1e-300, -1e-300)}
+    models = calibrate_all(points.keys(), full_mesh(points), points)
+    text = models_to_json(models)
+    loaded = models_from_json(text)
+    assert loaded == models
+    for lm, model in models.items():
+        doc = json.loads(text)[lm]
+        assert (doc["lat"], doc["lon"]) == (model.position.lat, model.position.lon)
+        got = loaded[lm].position
+        assert (got.lat.hex(), got.lon.hex()) == (model.position.lat.hex(),
+                                                  model.position.lon.hex())
+    assert models_to_json(loaded) == text
+
+
+def test_fit_model_result_roundtrips_without_a_position():
+    model = fit_model(make_samples(100, 2, 1, 10, list(np.linspace(1, 100, 20))))
+    assert model.position is None
+    text = models_to_json({"lm": model})
+    assert "lat" not in json.loads(text)["lm"] and "lon" not in json.loads(text)["lm"]
+    assert models_from_json(text) == {"lm": model}
+
+
+_POSITIONED = {"p": 1.5, "q": 0.25, "n": 1.0, "m": -2.0, "fit_rss": 0.5, "sample_count": 9,
+               "lat": 48.1, "lon": 11.6}
+
+
+@pytest.mark.parametrize("fault, message", [
+    ({"lat": None, "lon": 11.6}, "is malformed: float() argument"),
+    ({"lat": "north"}, "is malformed: could not convert string to float: 'north'"),
+    ({"lon": "east"}, "is malformed: could not convert string to float: 'east'"),
+    ({"lat": 91}, "is malformed: latitude 91.0 outside [-90, 90]"),
+    ({"lat": -90.5}, "is malformed: latitude -90.5 outside [-90, 90]"),
+    ({"lat": math.nan}, "is malformed: latitude nan outside [-90, 90]"),
+    ({"lat": math.inf}, "is malformed: latitude inf outside [-90, 90]"),
+    ({"lon": math.nan}, "is malformed: longitude nan is not finite"),
+    ({"lon": -math.inf}, "is malformed: longitude -inf is not finite"),
+    ("no-lon", "has no entry 'lon'"),
+    ("no-lat", "has no entry 'lat'"),
+])
+def test_models_json_rejects_bad_positions(fault, message):
+    if fault == "no-lon":
+        bad = {k: v for k, v in _POSITIONED.items() if k != "lon"}
+    elif fault == "no-lat":
+        bad = {k: v for k, v in _POSITIONED.items() if k != "lat"}
+    else:
+        bad = {**_POSITIONED, **fault}
+    text = json.dumps({"ok": _POSITIONED, "bad": bad})
+    with pytest.raises(ValueError) as info:
+        models_from_json(text)
+    assert str(info.value).startswith("model for landmark 'bad' ")
+    assert message in str(info.value)
+    assert models_from_json(json.dumps({"ok": _POSITIONED}))["ok"].position == GeoPoint(48.1, 11.6)
+
+
 @pytest.mark.parametrize("param", ["p", "q", "n", "m", "fit_rss"])
 @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
 def test_models_json_rejects_non_finite(param, literal):
@@ -361,7 +425,10 @@ def test_fit_no_worse_than_reference_on_criterion_6_meshes(world_seed, strategy,
         # As run_experiment places them, with the world seed as its seed.
         landmarks = sorted(random.Random(world_seed).sample(topology.node_ids, 8))
     fitted = []
-    monkeypatch.setattr(latency, "fit_model", lambda samples: fitted.append(samples))
+    # calibrate_all attaches each landmark's position to the model, so the
+    # recorder hands back a real fit.
+    monkeypatch.setattr(latency, "fit_model",
+                        lambda samples: fitted.append(samples) or fit_model(samples))
     calibrate_all(landmarks, calibration_mesh(world, landmarks), topology.positions)
     monkeypatch.undo()
     assert len(fitted) == 8

@@ -15,9 +15,11 @@ outputs are, with S running over SEEDS:
   criterion-6 world (n=120, 400 km, k=8, 100 targets, 2 ms noise, world and
   experiment seed S);
 - fit/locate_k16: `latloc fit` on the locate_k16 world (the place world,
-  k=16 dragoon landmarks, 2 ms noise, world seed 0) and its calibration mesh;
+  k=16 dragoon landmarks, 2 ms noise, world seed 0) and its calibration mesh:
+  the models file, each model with its landmark's position;
 - locate_k16/seed{S}: all 200 `latloc locate` outputs on that world and
-  those models, with probe-noise seed S, hashed in target order;
+  those models, with probe-noise seed S, hashed in target order. The models
+  carry every landmark's position, so these calls do not open the topology;
 - locate_k16_geojson/seed{S}: the `--geojson` outputs of the same 200 calls,
   hashed in target order;
 - lateration_cases: all_candidates on the fixed circle lists of
