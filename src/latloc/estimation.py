@@ -45,7 +45,7 @@ from json.encoder import encode_basestring_ascii as _string
 import numpy as np
 
 from .errors import EstimationError
-from .geodesy import EARTH_RADIUS_M, GeoPoint, orthodromic_distance
+from .geodesy import EARTH_RADIUS_M, GeoPoint, normalize_lon, orthodromic_distance, unit_vectors
 from .lateration import CandidatePoint, Candidates, LandmarkCircle, all_candidates
 
 # Filter schedule: rounds, each dropping this share of the kept candidates.
@@ -174,23 +174,26 @@ def _feature(lat: float, lon: float, properties: str) -> str:
 class _Cloud:
     """A point cloud as rows of one array, a column per point: latitude and
     longitude in degrees, then terms computed once per point: its _query_terms
-    (φ/2, cos φ, λ/2), the haversine kernel's cos φ (numpy) and the unit
-    vector x, y, z that the centroid and the grid's scorer read."""
+    (φ/2, cos φ, λ/2), whose cos φ the haversine kernel also reads on the
+    cloud side, and the unit vector x, y, z that the centroid and the grid's
+    scorer read."""
 
     def __init__(self, columns: np.ndarray):
         self.columns = columns
-        (self.lat, self.lon, self.half_lat, _, self.half_lon, self.cos_lat,
+        (self.lat, self.lon, self.half_lat, self.cos_lat, self.half_lon,
          self.x, self.y, self.z) = columns
         self.query_terms = columns[2:5, :, None]
 
     @classmethod
-    def of(cls, lat, lon) -> _Cloud:
-        rad = np.radians([lat, lon])  # math.radians' bits: one product each
-        phi, lam = rad.tolist()
-        cos_phi = np.array(list(map(math.cos, phi)))
-        return cls(np.array([lat, lon, rad[0] / 2, cos_phi, rad[1] / 2, np.cos(rad[0]),
-                             cos_phi * list(map(math.cos, lam)), cos_phi * list(map(math.sin, lam)),
-                             list(map(math.sin, phi))]))
+    def of(cls, lat, lon, xyz: np.ndarray | None = None) -> _Cloud:
+        """The cloud of the points at lat, lon in degrees, with unit vectors
+        xyz (x, y and z rows) if given, else geodesy.unit_vectors'."""
+        degrees = np.array([lat, lon])
+        rad = np.radians(degrees)  # math.radians' bits: one product each
+        cos_lat = np.cos(rad[:1])
+        rad /= 2
+        return cls(np.concatenate([degrees, rad[:1], cos_lat, rad[1:],
+                                   unit_vectors(lat, lon) if xyz is None else xyz]))
 
     def take(self, idx) -> _Cloud:
         # Rows stay contiguous, as columns[:, idx] would not keep them.
@@ -200,7 +203,7 @@ class _Cloud:
         """The 3D Cartesian mean projected back onto the sphere, or the first
         point if the mean is within 1e-12 of the center. As in a loop from 0.0,
         cumsum adds left to right and 0.0 + makes an all -0.0 sum 0.0."""
-        x, y, z = (0.0 + np.cumsum(self.columns[6:], axis=1)[:, -1]).tolist()
+        x, y, z = (0.0 + np.cumsum(self.columns[5:], axis=1)[:, -1]).tolist()
         norm = math.sqrt(x * x + y * y + z * z)
         if norm < 1e-12:
             return GeoPoint(float(self.lat[0]), float(self.lon[0]))
@@ -304,9 +307,12 @@ def _grid(center: GeoPoint, eps_m: float) -> tuple[int, list[float], list[float]
         # Rows past a pole are skipped; only those south of the center move it.
         center_row -= sum(lat < -90.0 for lat in lats)
         lats = [lat for lat in lats if -90.0 <= lat <= 90.0]
-    # normalize_lon's bits, as x % 360.0 is never -0.0.
-    lons = [(center.lon + j * dlon_deg) % 360.0 for j in STEPS]
-    return center_row, lats, [lon - 360.0 if lon > 180.0 else lon for lon in lons]
+    lons = [center.lon + j * dlon_deg for j in STEPS]
+    if not -180.0 < lons[0] <= lons[-1] <= 180.0:
+        # The grid crosses the antimeridian. In range, normalize_lon changes
+        # only -0.0, which center.lon + j * dlon_deg never is.
+        lons = list(map(normalize_lon, lons))
+    return center_row, lats, lons
 
 
 def grid_center(points: _Cloud | list[GeoPoint]) -> GeoPoint:
@@ -409,7 +415,7 @@ def estimate_target(circles: list[LandmarkCircle]) -> EstimatedLocation:
     candidates = all_candidates(circles)
     if not candidates:
         raise EstimationError("every landmark pair was dropped; no candidate points")
-    cloud = _Cloud.of(candidates.lat, candidates.lon)
+    cloud = _Cloud.of(candidates.lat, candidates.lon, candidates.xyz)
     kept, dropped = filter_outliers(cloud)
     kept_cloud = cloud.take(kept)
     point = grid_center(kept_cloud)

@@ -4,20 +4,20 @@ intersections of geodesic circles.
 All public functions take and return degrees; radians are internal only.
 The sphere radius is the WGS84 mean radius.
 
-solve_circle_pairs classifies every pair of a set of circles in one loop
-and computes all their candidate points in one numpy pass, with each
-circle's trigonometry computed once. numpy does only arithmetic,
-comparisons and unit conversions, and the math module each sine, cosine,
-inverse and hypot, element by element, so the points carry the bits of the
-scalar formulas on any numpy build; it returns them as latitude and
-longitude lists. circle_intersections and destination_point are its batches
-of one; orthodromic_distance stays scalar for its many one-pair callers.
+solve_circle_pairs classifies every pair of a set of circles and computes
+all their candidate points on unit vectors (n-vectors), where each circle is
+the plane a·x = cos(r/R) about its center's vector a: one fixed sequence of
+numpy array calls covers every pair, whatever the number of circles, with
+no trigonometry per case and no loop over pairs. It returns the points as
+latitude and longitude lists and as the unit vectors it computed them as.
+circle_intersections and destination_point are its batches of one;
+orthodromic_distance stays scalar for its many one-pair callers.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from itertools import combinations
 from dataclasses import dataclass
 from typing import NamedTuple, Union
 
@@ -29,11 +29,6 @@ EARTH_RADIUS_M = 6_371_008.8
 
 # Classification tolerance for circle intersections, in meters.
 INTERSECTION_TOLERANCE_M = 1.0
-
-# destination_point switches to its pole-safe form when the origin's cos(lat)
-# is below this, within about 6 m of a pole. Farther out the usual form is
-# off by at most R * 1e-16 / cos(lat), under a millimetre.
-POLE_COS = 1e-6
 
 
 @dataclass(frozen=True)
@@ -56,7 +51,19 @@ class GeoPoint:
 
 def normalize_lon(lon):
     """Longitude in degrees mapped into (-180, 180]: a float, or each element
-    of a float array. (lon % 360.0 lies in [0, 360], so -180 never results.)"""
+    of a float array. A longitude already in range comes back unchanged,
+    except that -0.0 becomes 0.0; one outside it is wrapped by lon % 360.0,
+    which lies in [0, 360], so -180 becomes 180."""
+    if not isinstance(lon, np.ndarray):
+        return lon + 0.0 if -180.0 < lon <= 180.0 else _wrap(lon)
+    out = lon + 0.0
+    outside = (lon <= -180.0) | (lon > 180.0)
+    if outside.any():
+        out[outside] = _wrap(lon[outside])
+    return out
+
+
+def _wrap(lon):
     lon = lon % 360.0
     return lon - 360.0 * (lon > 180.0)
 
@@ -130,70 +137,48 @@ def orthodromic_distance(a: GeoPoint, b: GeoPoint) -> float:
     return EARTH_RADIUS_M * math.atan2(num, den)
 
 
-def _each(f, *columns: np.ndarray) -> np.ndarray:
-    """f of the columns' elements, one math-module call per element.
-
-    numpy's arctan2, arcsin, arccos and hypot round some values differently
-    from math's, and by how much depends on the build; with math the array
-    forms here give the bits the scalar forms give."""
-    values = [c.tolist() for c in columns]
-    return np.fromiter(map(f, *values), dtype=float, count=len(values[0]))
-
-
-def _distance_bearing(sin1: float, cos1: float, lon1: float,
-                      sin2: float, cos2: float, lon2: float) -> tuple[float, float]:
-    """Great-circle distance in meters and initial bearing in degrees
-    [0, 360) from point 1 to point 2, given the sine and cosine of each
-    latitude: orthodromic_distance's arithmetic, in its order."""
-    dlon = math.radians(lon2 - lon1)
-    sin_dlon, cos_dlon = math.sin(dlon), math.cos(dlon)
-    x = cos2 * sin_dlon
-    y = cos1 * sin2 - sin1 * cos2 * cos_dlon
-    den = sin1 * sin2 + cos1 * cos2 * cos_dlon
-    return (EARTH_RADIUS_M * math.atan2(math.hypot(x, y), den),
-            math.degrees(math.atan2(x, y)) % 360.0)
+def _frames(lat, lon) -> np.ndarray:
+    """A (3, 3, n) array: per point at lat, lon in degrees, its unit vector
+    (n-vector), then the unit vectors due north and due east of it, each as
+    x, y, z rows. Both tangents are defined at the poles too, from the
+    longitude."""
+    rad = np.radians([lat, lon])
+    (cos_phi, cos_lam), (sin_phi, sin_lam) = np.cos(rad), np.sin(rad)
+    return np.array([[cos_phi * cos_lam, cos_phi * sin_lam, sin_phi],
+                     [-sin_phi * cos_lam, -sin_phi * sin_lam, cos_phi],
+                     [-sin_lam, cos_lam, 0.0 * cos_lam]])
 
 
-def _arc_trig(distance_m: float) -> tuple[float, float]:
-    """Sine and cosine of the arc distance_m / R, for a distance in [0, pi*R]."""
-    if distance_m < 0 or distance_m > math.pi * EARTH_RADIUS_M + 1e-6:
-        raise ValueError(f"distance {distance_m} outside [0, pi*R]")
-    sigma = distance_m / EARTH_RADIUS_M
-    return math.sin(sigma), math.cos(sigma)
+def unit_vectors(lat, lon) -> np.ndarray:
+    """The (3, n) unit vectors (n-vectors) of points at lat, lon in degrees."""
+    return _frames(lat, lon)[0]
 
 
-def _destinations(sin_phi1: np.ndarray, cos_phi1: np.ndarray, lon1: np.ndarray,
-                  bearing_deg: np.ndarray, sin_sigma: np.ndarray,
-                  cos_sigma: np.ndarray) -> tuple[list[float], list[float]]:
-    """Latitudes and normalized longitudes, in degrees, of the points
-    reached from origins (sine and cosine of latitude, longitude in
-    degrees) along initial bearings after arcs sigma, elementwise: the
-    arithmetic of destination_point, in its order, with numpy for the
-    arithmetic and math for the rest."""
-    sin_theta, cos_theta = (_each(f, np.radians(bearing_deg)) for f in (math.sin, math.cos))
-    sin_phi2 = np.maximum(np.minimum(sin_phi1 * cos_sigma + cos_phi1 * sin_sigma * cos_theta,
-                                     1.0), -1.0)
-    y = sin_theta * sin_sigma * cos_phi1
-    x = cos_sigma - sin_phi1 * sin_phi2
-    pole = np.abs(cos_phi1) < POLE_COS
-    if pole.any():
-        # At a pole x = cos(sigma) - sin(phi1) * sin(phi2) cancels to
-        # rounding noise, and the longitude with it; this form does not.
-        c, s = cos_phi1[pole], sin_phi1[pole]
-        x[pole] = c * (c * cos_sigma[pole] - s * sin_sigma[pole] * cos_theta[pole])
-    lam2 = np.radians(lon1) + _each(math.atan2, y, x)
-    lat2 = np.degrees(_each(math.asin, sin_phi2))
-    return lat2.tolist(), normalize_lon(np.degrees(lam2)).tolist()
+def _lat_lon(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Latitudes and normalized longitudes, in degrees, of the points whose
+    vectors are v[0], v[1], v[2] (x, y, z). atan2 keeps the latitude as
+    accurate at the poles as anywhere else, where asin(z) would not."""
+    x, y = v[0], v[1]
+    den = np.empty((2, x.shape[-1]))
+    np.sqrt(x * x + y * y, out=den[0])
+    den[1] = x
+    lat, lon = np.degrees(np.arctan2(v[2:0:-1], den))
+    return lat, normalize_lon(lon)
 
 
 def destination_point(origin: GeoPoint, bearing_deg: float, distance_m: float) -> GeoPoint:
     """Point reached by travelling distance_m along the given initial
-    bearing: a batch of one for the solver's destination pass."""
-    sin_sigma, cos_sigma = _arc_trig(distance_m)
-    phi1 = math.radians(origin.lat)
-    lat, lon = _destinations(*(np.array([x], dtype=float) for x in (
-        math.sin(phi1), math.cos(phi1), origin.lon, bearing_deg, sin_sigma, cos_sigma)))
-    return GeoPoint(lat[0], lon[0])
+    bearing: cos(s)·a + sin(s)·(cos(b)·north + sin(b)·east) for the arc s,
+    the bearing b and the origin's frame, as solve_circle_pairs builds its
+    points. From a pole, the bearing is measured from the origin's meridian."""
+    if not 0.0 <= distance_m <= math.pi * EARTH_RADIUS_M + 1e-6:
+        raise ValueError(f"distance {distance_m} outside [0, pi*R]")
+    sigma, theta = distance_m / EARTH_RADIUS_M, math.radians(bearing_deg)
+    coef = np.array([math.cos(sigma), math.sin(sigma) * math.cos(theta),
+                     math.sin(sigma) * math.sin(theta)])
+    v = np.add.reduce(coef[:, None, None] * _frames([origin.lat], [origin.lon]), axis=0)
+    (lat,), (lon,) = _lat_lon(v)
+    return GeoPoint(float(lat), float(lon))
 
 
 class PairSolutions(NamedTuple):
@@ -204,7 +189,8 @@ class PairSolutions(NamedTuple):
     CROSSING), gap_m[k] = d - r1 - r2 and inner[k], 1 if the first circle is
     the smaller and 2 otherwise, both on the circles classified. The
     candidate points come pair after pair: point m lies at latitude lat[m]
-    and normalized longitude lon[m], and pair_of_point[m] is its pair."""
+    and normalized longitude lon[m], its unit vector is xyz[:, m], and
+    pair_of_point[m] is its pair."""
 
     case: list[int]
     gap_m: list[float]
@@ -212,11 +198,38 @@ class PairSolutions(NamedTuple):
     lat: list[float]
     lon: list[float]
     pair_of_point: list[int]
+    xyz: np.ndarray
 
 
 DEGENERATE, NON_OVERLAPPING, CONTAINED, TANGENT, CROSSING = range(5)
 
 DEGENERATE_MESSAGE = "circles share a center and radius within tolerance: infinite intersections"
+
+# The case of each rule of solve_circle_pairs, in the order they are tried.
+_RULE_CASES = np.array([DEGENERATE, CONTAINED, NON_OVERLAPPING, CONTAINED, TANGENT, TANGENT,
+                        CROSSING])
+_GAP_RULE, _CROSSING_RULE = 2, 6
+# Per rule, and per whether the first classified circle is the smaller: the
+# arc of the rule's point from the first center toward the second, in
+# radians, as coefficients of (r1, r2, d). A crossing's row gives r1 / R.
+_ARCS = np.array([
+    [[0.0, 0.0, 0.0], [0.0, 0.0, 0.0]],     # degenerate: no point
+    [[0.0, 1.0, 1.0], [-1.0, 0.0, 0.0]],    # centers within 1e-9 m: beyond the inner center
+    [[0.5, -0.5, 0.5], [0.5, -0.5, 0.5]],   # gap: the middle of the gap
+    [[0.0, 1.0, 1.0], [-1.0, 0.0, 0.0]],    # contained: beyond the inner center
+    [[0.5, -0.5, 0.5], [0.5, -0.5, 0.5]],   # external tangency
+    [[0.5, 0.5, 0.5], [-0.5, -0.5, 0.5]],   # internal tangency, beyond the smaller center
+    [[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]],     # crossing
+]) / EARTH_RADIUS_M
+
+
+@functools.cache
+def _pairs(n: int) -> np.ndarray:
+    """The (2, n(n-1)/2) indices i < j of the pairs of n circles, in
+    combinations order; read-only, as every caller shares it."""
+    pairs = np.array(np.triu_indices(n, 1))
+    pairs.flags.writeable = False
+    return pairs
 
 
 def solve_circle_pairs(lat, lon, radius_m, gap_max_m: float) -> PairSolutions:
@@ -244,92 +257,103 @@ def solve_circle_pairs(lat, lon, radius_m, gap_max_m: float) -> PairSolutions:
     - CROSSING: the two crossing points, northern first (tie: smaller
       longitude).
 
-    The sine and cosine of each circle's latitude and radius are computed
-    once. One loop over the pairs finds each pair's case, and the origin,
-    bearing and arc of each of its points, computing a case only on its own
-    pairs; one numpy pass over those rows then finds every point, as latitude
-    and longitude lists. (The pair stage as numpy arrays took a few
-    hundred array calls per call, whatever the size: at 28 pairs that cost
-    more than the scalar loop it replaced.)
+    The solver works on unit vectors (n-vectors; Gade 2010, "A non-singular
+    horizontal position representation", J. Navigation 63(3)): a circle is
+    the plane a·x = cos(r/R) about its center's vector a. With b_t the
+    other center's offset (b - a) along the north and east vectors at a
+    (exactly 0 for coincident centers), d = R·atan2(|b_t|, a·b), t = b_t /
+    |b_t| points from a toward b, and e = a × t is the normal of the center
+    geodesic. A point is cos(s)·a + sin(s)·t for the arc s its rule gives
+    (negative away from b), and a crossing's two are cos(r1/R)·a + q·t
+    +- sqrt(sin²(r1/R) - q²)·e, q = (cos(r2/R) - cos(r1/R)·a·b) / |b_t|,
+    northern first where e points north. Past the wrap bound, a, t and the
+    radii become -a, -t and pi*R - r. Where b_t is 0 (coincident or exactly
+    antipodal centers) t is due north, or due south if the first circle is
+    the smaller, so that a contained point lies due north of a shared center.
+
+    Every pair goes through one fixed sequence of about 130 numpy calls on
+    arrays of one element per circle or pair, whatever n is; only exactly
+    coincident or antipodal centers and crossing points of exactly equal
+    latitude add a few. No call is a matrix product, so none loads BLAS.
     """
-    n = len(radius_m)
+    pairs = _pairs(len(radius_m))
+    frames = _frames(lat, lon)
+    first = frames[:, :, pairs[0]]  # a, north and east of each pair's first center
+    b_a = frames[0][:, pairs[1]] - first[0]
+    # (b - a)·a = b·a - 1, then (b - a)·north and (b - a)·east, which are
+    # exactly 0 for coincident centers.
+    dots = first[:, 0] * b_a[0] + first[:, 1] * b_a[1] + first[:, 2] * b_a[2]
+    cos_d = dots[0] + 1.0
+    sin_d = np.hypot(dots[1], dots[2])
+    # r1, r2 and d; past the wrap bound, the antipodal circles' radii.
+    rrd = np.empty((3, len(cos_d)))
+    rrd[:2] = np.asarray(radius_m, dtype=float)[pairs]
+    rrd[2] = d = EARTH_RADIUS_M * np.arctan2(sin_d, cos_d)
     pi_r = math.pi * EARTH_RADIUS_M
-    # Circles n..2n-1 are the antipodal circles, for pairs past the wrap bound.
-    lat = [*lat, *(-x for x in lat)]
-    lon = [*lon, *(normalize_lon(x + 180.0) for x in lon)]
-    r = [*radius_m, *(pi_r - x for x in radius_m)]
-    phi = [math.radians(x) for x in lat]
-    sin_phi, cos_phi = list(map(math.sin, phi)), list(map(math.cos, phi))
-    arc = [x / EARTH_RADIUS_M for x in r]
-    sin_r, cos_r = list(map(math.sin, arc)), list(map(math.cos, arc))
-
-    def distance_bearing(a: int, b: int) -> tuple[float, float]:
-        return _distance_bearing(sin_phi[a], cos_phi[a], lon[a], sin_phi[b], cos_phi[b], lon[b])
-
+    flip = rrd[0] + rrd[1] + d > 2.0 * pi_r
+    r1, r2 = rrd[:2] = np.where(flip, pi_r - rrd[:2], rrd[:2])
+    spread = np.abs(r1 - r2)
+    gap = d - r1 - r2
+    smaller_first = r1 < r2
     tau = INTERSECTION_TOLERANCE_M
-    cases, gaps, inners = [], [], []
-    # Per point: pair, origin circle, bearing, sine and cosine of the arc.
-    rows: list[tuple[int, int, float, float, float]] = []
-    crossings = []  # the first row of each crossing pair
-    for k, (a, b) in enumerate(combinations(range(n), 2)):
-        d0, bearing0 = distance_bearing(a, b)
-        i, j, d, bearing = a, b, d0, bearing0
-        if r[a] + r[b] + d0 > 2.0 * pi_r:
-            i, j = a + n, b + n
-            d, bearing = distance_bearing(i, j)
-        r1, r2 = r[i], r[j]
-        spread = abs(r1 - r2)
-        gap = d - r1 - r2
-        inner = 1 if r1 < r2 else 2
-        if d <= 2.0 * tau and spread <= 2.0 * tau:
-            case = DEGENERATE
-        elif d < 1e-9:
-            case = CONTAINED
-        elif d > r1 + r2 + tau:
-            case = NON_OVERLAPPING
-        elif d < spread - tau:
-            case = CONTAINED
-        elif abs(d - (r1 + r2)) <= tau and d >= spread:
-            case = TANGENT
-            rows.append((k, i, bearing, *_arc_trig((d + r1 - r2) / 2.0)))
-        elif abs(d - spread) <= tau:
-            case = TANGENT
-            if r1 >= r2:
-                rows.append((k, i, bearing, *_arc_trig((d + r1 + r2) / 2.0)))
-            else:
-                rows.append((k, j, distance_bearing(j, i)[1], *_arc_trig((d + r1 + r2) / 2.0)))
-        else:
-            case = CROSSING
-            # The angle at center1 between the center geodesic and the
-            # point, from the spherical triangle (center1, center2, point).
-            c = d / EARTH_RADIUS_M
-            cos_alpha = (cos_r[j] - cos_r[i] * math.cos(c)) / (sin_r[i] * math.sin(c))
-            alpha = math.degrees(math.acos(max(-1.0, min(1.0, cos_alpha))))
-            crossings.append(len(rows))
-            rows.append((k, i, bearing - alpha, sin_r[i], cos_r[i]))
-            rows.append((k, i, bearing + alpha, sin_r[i], cos_r[i]))
-        if case == NON_OVERLAPPING and gap <= gap_max_m:
-            rows.append((k, i, bearing, *_arc_trig(r1 + gap / 2.0)))
-        elif case == CONTAINED:
-            if inner == 1:
-                d_outer, bearing_outer = distance_bearing(b, a)
-                rows.append((k, b, bearing_outer, *_arc_trig(d_outer + r[a])))
-            else:
-                rows.append((k, a, bearing0, *_arc_trig(d0 + r[b])))
-        cases.append(case)
-        gaps.append(gap)
-        inners.append(inner)
+    tests = np.empty((7, len(d)), dtype=bool)  # each rule's test; the last always holds
+    np.less_equal(np.maximum(d, spread), 2.0 * tau, out=tests[0])
+    np.less(d, 1e-9, out=tests[1])
+    beyond = d - [r1 + r2, spread]  # d - (r1 + r2) and d - |r1 - r2|
+    np.greater(beyond[0], tau, out=tests[2])
+    np.less(beyond[1], -tau, out=tests[3])
+    np.less_equal(np.abs(beyond), tau, out=tests[4:6])
+    tests[4] &= beyond[1] >= 0.0
+    tests[6] = True
+    rule = tests.argmax(axis=0)
+    case = _RULE_CASES[rule]
+    crossing = rule == _CROSSING_RULE
 
-    pair_of_point, origin, heading, sin_sigma, cos_sigma = (
-        (list(column) for column in zip(*rows)) if rows else ([],) * 5)
-    at = np.array(origin, dtype=np.intp)
-    lat2, lon2 = _destinations(np.array(sin_phi)[at], np.array(cos_phi)[at], np.array(lon)[at],
-                               np.array(heading), np.array(sin_sigma), np.array(cos_sigma))
-    for s in crossings:
-        if (lat2[s], -lon2[s]) < (lat2[s + 1], -lon2[s + 1]):
-            lat2[s], lat2[s + 1] = lat2[s + 1], lat2[s]
-            lon2[s], lon2[s + 1] = lon2[s + 1], lon2[s]
-    return PairSolutions(cases, gaps, inners, lat2, lon2, pair_of_point)
+    angles = np.empty((2, len(d)))  # each point's arc s, then r2 / R
+    np.add.reduce(_ARCS[rule, smaller_first.view(np.int8)].T * rrd, axis=0, out=angles[0])
+    np.divide(r2, EARTH_RADIUS_M, out=angles[1])
+    cos, sin_s = np.cos(angles), np.sin(angles[0])
+    with np.errstate(all="ignore"):  # coincident or antipodal centers: 0 / 0
+        direction = dots[1:] / sin_d  # cos and sin of the bearing from a to b
+        q = (cos[1] - cos[0] * cos_d) / sin_d
+    no_direction = sin_d == 0.0
+    if no_direction.any():
+        direction[0, no_direction] = np.where(smaller_first[no_direction], -1.0, 1.0)
+        direction[1, no_direction] = 0.0
+    # Off a crossing, q = sin(s) and so the normal's coefficient w is 0.
+    q = np.where(crossing, np.minimum(np.maximum(q, -sin_s), sin_s), sin_s)
+    w = np.sqrt((sin_s - q) * (sin_s + q))
+    # The normal's z is sin(bearing)·cos φ: with this sign, slot 0 holds the
+    # northern crossing point.
+    w = np.copysign(w, direction[1])
+    sign = np.where(flip, -1.0, 1.0)
+    # Slot 0 holds base + w·e and slot 1 base - w·e, with base =
+    # sign·(cos(s)·a + q·t), t = cos(b)·north + sin(b)·east and the normal
+    # e = sin(b)·north - cos(b)·east.
+    coef = np.empty((3, len(d)))
+    coef[0] = sign * cos[0]
+    coef[1:] = (sign * q) * direction
+    base = np.add.reduce(first * coef[:, None], axis=0)
+    normal = first[1] * (w * direction[1]) - first[2] * (w * direction[0])
+    points = np.empty((3, len(d), 2))
+    np.add(base, normal, out=points[:, :, 0])
+    np.subtract(base, normal, out=points[:, :, 1])
+    taken = np.empty((len(d), 2), dtype=bool)
+    taken[:, 0] = np.where(rule == _GAP_RULE, gap <= gap_max_m, rule != 0)
+    taken[:, 1] = crossing
+    xyz = points[:, taken]
+    lat2, lon2 = (x.tolist() for x in _lat_lon(xyz))
+    pair_of_point = taken.nonzero()[0]
+    tied = crossing & (direction[1] == 0.0)
+    if tied.any():
+        # Crossing points of equal latitude: the smaller longitude first.
+        for m in np.searchsorted(pair_of_point, tied.nonzero()[0]).tolist():
+            if (lat2[m], -lon2[m]) < (lat2[m + 1], -lon2[m + 1]):
+                lat2[m], lat2[m + 1] = lat2[m + 1], lat2[m]
+                lon2[m], lon2[m + 1] = lon2[m + 1], lon2[m]
+                xyz[:, [m, m + 1]] = xyz[:, [m + 1, m]]
+    return PairSolutions(case.tolist(), gap.tolist(), (2 - smaller_first).tolist(), lat2, lon2,
+                         pair_of_point.tolist(), xyz)
 
 
 def circle_intersections(c1: GeoCircle, c2: GeoCircle) -> IntersectionResult:

@@ -4,14 +4,19 @@ two circles intersect (gap midpoint, forced tangency, tangent point, or both
 crossing points).
 
 all_candidates solves every pair of a target's circles in one call to
-geodesy.solve_circle_pairs and returns the candidates as columns (Candidates)."""
+geodesy.solve_circle_pairs, a fixed sequence of array calls on unit vectors
+(each circle the plane a·x = cos(r/R) about its center's vector a), and
+returns the candidates as columns (Candidates), with the unit vectors the
+solver computed them as, from which estimation builds its cloud."""
 
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
+
+import numpy as np
 
 from .errors import LaterationError
 from .geodesy import (  # noqa: F401  (circle_intersections: a name perfbench's tracer wraps)
@@ -51,12 +56,15 @@ class CandidatePoint:
 
 @dataclass(frozen=True)
 class Candidates:
-    """Candidates as equal-length columns; item k is read as a CandidatePoint."""
+    """Candidates as equal-length columns; item k is read as a CandidatePoint.
+    xyz, when given, holds the points' unit vectors as the solver computed
+    them, as x, y and z rows: the cloud estimation builds starts from them."""
 
     lat: tuple[float, ...]
     lon: tuple[float, ...]
     source_pair: tuple[tuple[str, str], ...]
     case_tag: tuple[str, ...]
+    xyz: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     def __len__(self) -> int:
         return len(self.lat)
@@ -109,5 +117,6 @@ def all_candidates(circles: list[LandmarkCircle],
         if case == DEGENERATE:
             log.warning("skipping pair (%s, %s): %s", *pair, DEGENERATE_MESSAGE)
     at = solved.pair_of_point
-    return Candidates(tuple(solved.lat), tuple(solved.lon), tuple(pairs[k] for k in at),
-                      tuple(CASE_TAGS[solved.case[k]] for k in at))
+    tags = [CASE_TAGS.get(case) for case in solved.case]
+    return Candidates(tuple(solved.lat), tuple(solved.lon), tuple(map(pairs.__getitem__, at)),
+                      tuple(map(tags.__getitem__, at)), solved.xyz)

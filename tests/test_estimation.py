@@ -192,12 +192,14 @@ def test_estimate_two_circles_pair_ambiguity():
     c2 = LandmarkCircle("b", GeoCircle(GeoPoint(0, 10), 700_000))
     result = estimate_target([c1, c2])
     # Two mirror branches and no third landmark: the estimate is the grid
-    # center of both by definition. The mean-distance objective is flat
-    # along the geodesic joining the branches, so assert objective
-    # optimality rather than a unique position.
+    # center of both, as the solver gave their unit vectors, by definition.
+    # The mean-distance objective is flat along the geodesic joining the
+    # branches, so assert objective optimality rather than a unique position.
     assert len(result.kept_points) == 2
     branches = [c.point for c in result.kept_points]
-    assert result.point == grid_center(branches)
+    cloud = _Cloud.of([p.lat for p in branches], [p.lon for p in branches],
+                      result.candidates.xyz[:, list(result.kept)])
+    assert result.point == grid_center(cloud)
     midpoint = GeoPoint(0.0, 5.0)
     assert mean_distance(result.point, branches) <= \
         mean_distance(midpoint, branches) + EPS_MIN_M
@@ -334,18 +336,26 @@ def test_geojson_writer_is_byte_identical_to_json(est):
 # grid points or two candidates must not flip between them.
 
 
+def _unit_vectors(points, xyz=None) -> list[tuple[float, float, float]]:
+    """Each point's unit vector: xyz's, as the circle solver gave them, or
+    from its degrees."""
+    if xyz is not None:
+        return xyz
+    vectors = []
+    for p in points:
+        phi, lam = math.radians(p.lat), math.radians(p.lon)
+        vectors.append((math.cos(phi) * math.cos(lam), math.cos(phi) * math.sin(lam),
+                        math.sin(phi)))
+    return vectors
+
+
 class _ScalarCloud:
-    def __init__(self, points):
+    def __init__(self, points, xyz=None):
         lat = np.radians([p.lat for p in points])
         self.half_lat = lat / 2
         self.half_lon = np.radians([p.lon for p in points]) / 2
         self.cos_lat = np.cos(lat)
-        xyz = []
-        for p in points:
-            phi, lam = math.radians(p.lat), math.radians(p.lon)
-            xyz.append((math.cos(phi) * math.cos(lam), math.cos(phi) * math.sin(lam),
-                        math.sin(phi)))
-        self.x, self.y, self.z = np.array(xyz).T
+        self.x, self.y, self.z = np.array(_unit_vectors(points, xyz)).T
 
     def grid_score_m(self, p):
         phi, lam = math.radians(p.lat), math.radians(p.lon)
@@ -357,7 +367,7 @@ class _ScalarCloud:
         phi = math.radians(p.lat)
         sin_dlon = np.sin(self.half_lon - math.radians(p.lon) / 2)
         sin_dlat = np.sin(self.half_lat - phi / 2)
-        h = math.cos(phi) * (sin_dlon * sin_dlon * self.cos_lat) + sin_dlat * sin_dlat
+        h = np.cos(phi) * (sin_dlon * sin_dlon * self.cos_lat) + sin_dlat * sin_dlat
         return float(np.mean(2 * np.arcsin(np.minimum(np.sqrt(h), 1.0)))) * EARTH_RADIUS_M
 
 
@@ -378,24 +388,22 @@ def _scalar_grid_offsets(center, eps_m):
     return offsets
 
 
-def spherical_centroid(points):
+def spherical_centroid(points, xyz=None):
     """3D Cartesian mean projected back onto the sphere."""
     x = y = z = 0.0
-    for p in points:
-        phi = math.radians(p.lat)
-        lam = math.radians(p.lon)
-        x += math.cos(phi) * math.cos(lam)
-        y += math.cos(phi) * math.sin(lam)
-        z += math.sin(phi)
+    for px, py, pz in _unit_vectors(points, xyz):
+        x += px
+        y += py
+        z += pz
     norm = math.sqrt(x * x + y * y + z * z)
     if norm < 1e-12:
         return points[0]
     return GeoPoint(math.degrees(math.asin(z / norm)), math.degrees(math.atan2(y, x)))
 
 
-def scalar_grid_center(points):
-    cloud = _ScalarCloud(points)
-    best = spherical_centroid(points)
+def scalar_grid_center(points, xyz=None):
+    cloud = _ScalarCloud(points, xyz)
+    best = spherical_centroid(points, xyz)
     best_obj = cloud.grid_score_m(best)
     eps = 100_000.0  # the schedule: 100 km, halved while at least 500 m
     while eps >= 500.0:
@@ -414,13 +422,16 @@ def scalar_grid_center(points):
     return best
 
 
-def scalar_filter_outliers(points):
+def scalar_filter_outliers(points, xyz=None):
+    """The kept and the dropped candidates, and the kept ones' unit vectors
+    (xyz's, or from their degrees)."""
     kept = list(points)
+    vectors = _unit_vectors([c.point for c in kept], xyz)
     dropped = []
     for _ in range(2):  # two rounds, each dropping the farthest 25%
         if len(kept) <= 3:
             break
-        center = scalar_grid_center([c.point for c in kept])
+        center = scalar_grid_center([c.point for c in kept], vectors)
         cloud = _ScalarCloud([center])
         n_drop = min(math.ceil(0.25 * len(kept)), len(kept) - 3)
         ranked = sorted(range(len(kept)),
@@ -428,7 +439,8 @@ def scalar_filter_outliers(points):
         drop_idx = set(ranked[:n_drop])
         dropped.extend(kept[i] for i in sorted(drop_idx))
         kept = [c for i, c in enumerate(kept) if i not in drop_idx]
-    return kept, dropped
+        vectors = [v for i, v in enumerate(vectors) if i not in drop_idx]
+    return kept, dropped, vectors
 
 
 def bits(p: GeoPoint) -> tuple[str, str]:
@@ -490,7 +502,7 @@ def test_grid_center_matches_scalar_oracle(points):
 def test_filter_outliers_matches_scalar_oracle(points):
     cands = [cand(p.lat, p.lon, pair=(f"a{i}", "b")) for i, p in enumerate(points)]
     kept, dropped = ([cands[i] for i in positions] for positions in filter_outliers(cands))
-    ref_kept, ref_dropped = scalar_filter_outliers(cands)
+    ref_kept, ref_dropped, _ = scalar_filter_outliers(cands)
     # Identity, not equality: duplicate points must keep their input order.
     assert [id(c) for c in kept] == [id(c) for c in ref_kept]
     assert [id(c) for c in dropped] == [id(c) for c in ref_dropped]
@@ -518,20 +530,21 @@ def candidate_keys(cands) -> list:
 @given(circles=st.one_of(noisy_circles(), circle_sets()))
 def test_estimate_target_matches_the_scalar_oracle(circles):
     # The cloud path from the solver's columns to the estimate against the
-    # list path: the oracles on all_candidates' CandidatePoints.
+    # list path: the oracles on all_candidates' CandidatePoints and the unit
+    # vectors the solver gave them.
     try:
-        cands = list(all_candidates(circles))
+        columns = all_candidates(circles)
     except ValueError as exc:
         with pytest.raises(type(exc)):
             estimate_target(circles)
         return
-    if not cands:
+    if not columns:
         with pytest.raises(EstimationError, match="no candidate points"):
             estimate_target(circles)
         return
     est = estimate_target(circles)
-    ref_kept, ref_dropped = scalar_filter_outliers(cands)
-    assert bits(est.point) == bits(scalar_grid_center([c.point for c in ref_kept]))
+    ref_kept, ref_dropped, ref_xyz = scalar_filter_outliers(list(columns), columns.xyz.T.tolist())
+    assert bits(est.point) == bits(scalar_grid_center([c.point for c in ref_kept], ref_xyz))
     assert candidate_keys(est.kept_points) == candidate_keys(ref_kept)
     assert candidate_keys(est.dropped_points) == candidate_keys(ref_dropped)
 

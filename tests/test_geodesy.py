@@ -1,11 +1,13 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import scalar_pairs
+from scalar_pairs import LOOSE_BOUND_M, POINT_BOUND_M
 from latloc.errors import DegenerateCirclesError
 from latloc.geodesy import (
     EARTH_RADIUS_M,
@@ -15,9 +17,9 @@ from latloc.geodesy import (
     NonOverlapping,
     PairIntersection,
     Tangent,
-    _distance_bearing,
     circle_intersections,
     destination_point,
+    normalize_lon,
     orthodromic_distance,
 )
 
@@ -231,6 +233,37 @@ def test_geopoint_validation():
     assert GeoPoint(0.0, 360.0).lon == 0.0
 
 
+@given(lon=st.floats(-180.0, 180.0, exclude_min=True))
+def test_normalize_lon_is_the_identity_in_range(lon):
+    # A negative longitude went through lon % 360.0, that is lon + 360 - 360,
+    # and lost its low bits: -87.97055015365046 came back as ...049.
+    assert normalize_lon(lon).hex() == (lon + 0.0).hex()
+    assert GeoPoint(0.0, lon).lon.hex() == (lon + 0.0).hex()
+
+
+@given(lon=st.floats(-1e6, 1e6))
+def test_normalize_lon_is_idempotent_and_in_range(lon):
+    once = normalize_lon(lon)
+    assert -180.0 < once <= 180.0
+    assert normalize_lon(once).hex() == once.hex()
+    turns = round((lon - once) / 360.0)
+    assert once == pytest.approx(lon - 360.0 * turns, abs=1e-9 * max(1.0, abs(lon)))
+
+
+def test_normalize_lon_edges():
+    assert GeoPoint(0, -87.97055015365046).lon == -87.97055015365046
+    for lon, want in ((-0.0, 0.0), (0.0, 0.0), (-180.0, 180.0), (180.0, 180.0), (540.0, 180.0),
+                      (-540.0, 180.0), (360.0, 0.0), (-360.0, 0.0), (-1e-300, -1e-300)):
+        got = normalize_lon(lon)
+        assert type(got) is float and got.hex() == want.hex(), lon
+
+
+@given(lons=st.lists(st.floats(-1e4, 1e4) | st.sampled_from([-0.0, -180.0, 180.0]), max_size=20))
+def test_normalize_lon_on_arrays_matches_the_scalar_form(lons):
+    got = normalize_lon(np.array(lons, dtype=float))
+    assert [x.hex() for x in got.tolist()] == [normalize_lon(x).hex() for x in lons]
+
+
 @pytest.mark.parametrize("lat, lon", [(0.0, math.nan), (0.0, math.inf), (0.0, -math.inf),
                                       (math.nan, 0.0), (math.inf, 0.0)])
 def test_geopoint_rejects_non_finite(lat, lon):
@@ -332,36 +365,49 @@ def test_intersection_is_the_same_point_set_when_swapped(pair):
         assert min(orthodromic_distance(p, q) for p in points12) <= TAU
 
 
-def _exact(result) -> tuple:
-    """A circle_intersections result with its floats as exact bit strings."""
-    if isinstance(result, NonOverlapping):
-        return ("gap", result.gap_m.hex())
-    if isinstance(result, Contained):
-        return ("contained", result.inner)
-    return (type(result).__name__,) + tuple((p.lat.hex(), p.lon.hex()) for p in result_points(result))
-
-
 @settings(max_examples=1000, deadline=None)
 @given(pair=circle_pairs())
-def test_circle_intersections_matches_the_scalar_reference(pair):
-    # A batch of one for the array solver, bit for bit the scalar code.
+def test_circle_intersections_agrees_with_the_scalar_reference(pair):
+    # A batch of one for the array solver against the scalar code: the same
+    # case, unless the pair lies within rounding of a case boundary, and
+    # points within scalar_pairs.point_bound_m of the scalar ones.
     try:
-        want = _exact(scalar_pairs.circle_intersections(*pair))
+        got = circle_intersections(*pair)
     except DegenerateCirclesError:
-        with pytest.raises(DegenerateCirclesError):
-            circle_intersections(*pair)
+        got = None
+    try:
+        want = scalar_pairs.circle_intersections(*pair)
+    except DegenerateCirclesError:
+        want = None
+    except ValueError:
+        # The scalar destination formula rejects an internal tangency's arc
+        # (d + r1 + r2) / 2 up to tau / 2 past pi * R; the solver takes it.
+        assert isinstance(got, Tangent)
+        for c in pair:
+            assert abs(orthodromic_distance(c.center, got.point) - c.radius_m) <= TAU
         return
-    assert _exact(circle_intersections(*pair)) == want
+    if (type(got), getattr(got, "inner", None)) != (type(want), getattr(want, "inner", None)):
+        assert scalar_pairs.boundary_margin_m(*pair) <= scalar_pairs.BOUNDARY_M
+        return
+    if isinstance(want, NonOverlapping):
+        assert got.gap_m == pytest.approx(want.gap_m, abs=1e-6)
+    for p in result_points(got):
+        assert normalize_lon(p.lon).hex() == p.lon.hex()
+    scalar_pairs.check_points(*pair, result_points(got), result_points(want))
 
 
 @settings(max_examples=1000, deadline=None)
 @given(a=st.one_of(ANY_CENTERS, NEAR_POLE_CENTERS, ANTIMERIDIAN_CENTERS), b=ANY_CENTERS,
        bearing=st.floats(-720.0, 720.0), distance=st.floats(0.0, PI_R))
-def test_destination_and_bearing_match_the_scalar_reference(a, b, bearing, distance):
+def test_destination_point_agrees_with_the_scalar_reference(a, b, bearing, distance):
     got, want = destination_point(a, bearing, distance), scalar_pairs.destination_point(a, bearing, distance)
-    assert (got.lat.hex(), got.lon.hex()) == (want.lat.hex(), want.lon.hex())
-    # The solver's bearing, the one its gap midpoints and tangent points use.
-    phi1, phi2 = math.radians(a.lat), math.radians(b.lat)
-    _, bearing = _distance_bearing(math.sin(phi1), math.cos(phi1), a.lon,
-                                   math.sin(phi2), math.cos(phi2), b.lon)
-    assert bearing.hex() == scalar_pairs.initial_bearing(a, b).hex()
+    assert normalize_lon(got.lon).hex() == got.lon.hex()
+    well = max(abs(a.lat), abs(want.lat)) <= 89.99
+    assert orthodromic_distance(got, want) <= (POINT_BOUND_M if well else LOOSE_BOUND_M)
+    # The bearing convention is the scalar initial bearing's: along it, the
+    # distance from a to b leads to b.
+    d = orthodromic_distance(a, b)
+    if 1.0 <= d <= PI_R - 1.0:
+        reached = destination_point(a, scalar_pairs.initial_bearing(a, b), d)
+        well = max(abs(a.lat), abs(b.lat)) <= 89.99
+        assert orthodromic_distance(reached, b) <= (POINT_BOUND_M if well else LOOSE_BOUND_M)

@@ -1,21 +1,27 @@
+import collections
 import logging
 import math
 import random
+from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import scalar_pairs
-from latloc.errors import LaterationError
+from latloc.errors import DegenerateCirclesError, LaterationError
 from latloc.geodesy import (
+    DEGENERATE_MESSAGE,
     EARTH_RADIUS_M,
     INTERSECTION_TOLERANCE_M,
     GeoCircle,
     GeoPoint,
     destination_point,
+    normalize_lon,
     orthodromic_distance,
 )
+from scalar_pairs import BOUNDARY_M
 from latloc.lateration import (
     DEFAULT_GAP_MAX_KM,
     CandidatePoint,
@@ -222,7 +228,9 @@ def test_all_candidates_rejects_a_repeated_landmark():
 
 # ---------------------------------------------------------------------------
 # The solver against the scalar pair code it replaced (tests/scalar_pairs.py):
-# equal point bits, case tags, source pairs, order and skipped pairs.
+# the same cases and skipped pairs, except within rounding of a case
+# boundary, points within scalar_pairs.point_bound_m, candidates in pair
+# order.
 
 PI_R = math.pi * EARTH_RADIUS_M
 TAU = INTERSECTION_TOLERANCE_M
@@ -274,31 +282,113 @@ def circle_sets(draw):
     return [LandmarkCircle(f"l{k}", circles[k]) for k in order]
 
 
-def _outcome(all_candidates_fn, logger_name, circles, gap_max_km):
-    """The candidates as exact keys (or the exception raised) and the
-    messages logged."""
+def compare_with_scalar(circles, gap_max_km) -> int:
+    """Assert that all_candidates agrees with the scalar reference, pair by
+    pair, and return the number of pairs classified differently, each of
+    them within BOUNDARY_M of a boundary of the case rules."""
     messages = []
     handler = logging.Handler()
     handler.emit = lambda record: messages.append(record.getMessage())
-    logger = logging.getLogger(logger_name)
+    logger = logging.getLogger("latloc.lateration")
     logger.addHandler(handler)
     try:
-        cands = all_candidates_fn(circles, gap_max_km=gap_max_km)
-    except ValueError as exc:
-        return ("raised", type(exc).__name__, str(exc)), messages
+        cands = list(all_candidates(circles, gap_max_km=gap_max_km))
     finally:
         logger.removeHandler(handler)
+    by_pair = collections.defaultdict(list)
     for c in cands:
         assert type(c.point.lat) is float and type(c.point.lon) is float
-    return [(c.source_pair, c.case_tag, c.point.lat.hex(), c.point.lon.hex()) for c in cands], messages
+        assert normalize_lon(c.point.lon).hex() == c.point.lon.hex()
+        by_pair[c.source_pair].append(c)
+    assert list(by_pair) == sorted(by_pair)
+    changed = 0
+    for lc1, lc2 in combinations(sorted(circles, key=lambda lc: lc.landmark_id), 2):
+        pair, c1, c2 = (lc1.landmark_id, lc2.landmark_id), lc1.circle, lc2.circle
+        got = by_pair.pop(pair, [])
+        skipped = f"skipping pair ({pair[0]}, {pair[1]}): {DEGENERATE_MESSAGE}" in messages
+        try:
+            want = scalar_pairs.pair_candidates(*pair[:1], c1, pair[1], c2, gap_max_km)
+        except DegenerateCirclesError:
+            want = None
+        except ValueError:
+            # The scalar destination formula rejects an internal tangency's
+            # arc (d + r1 + r2) / 2 up to tau / 2 past pi * R.
+            assert [c.case_tag for c in got] == ["tangent"]
+            for c in (c1, c2):
+                assert abs(orthodromic_distance(c.center, got[0].point) - c.radius_m) <= TAU
+            continue
+        if (skipped, [c.case_tag for c in got]) != (want is None, [c.case_tag for c in want or []]):
+            assert scalar_pairs.boundary_margin_m(c1, c2, gap_max_km * 1000.0) <= BOUNDARY_M
+            changed += 1
+        elif want:
+            scalar_pairs.check_points(c1, c2, [c.point for c in got], [c.point for c in want],
+                                      gap_max_km * 1000.0)
+    assert not by_pair
+    return changed
 
 
 @settings(max_examples=1000, deadline=None)
 @given(circles=circle_sets(), gap_max_km=st.sampled_from([DEFAULT_GAP_MAX_KM, 1e9]))
-def test_all_candidates_matches_the_scalar_reference(circles, gap_max_km):
-    got = _outcome(all_candidates, "latloc.lateration", circles, gap_max_km)
-    want = _outcome(scalar_pairs.all_candidates, "scalar_pairs", circles, gap_max_km)
-    assert got == want
+def test_all_candidates_agrees_with_the_scalar_reference(circles, gap_max_km):
+    compare_with_scalar(circles, gap_max_km)
+
+
+def test_case_changes_from_the_scalar_reference_are_few():
+    # The circle sets place circles on the case boundaries on purpose; a pair
+    # classified differently there must stay rare.
+    counts = collections.Counter()
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(circles=circle_sets())
+    def sweep(circles):
+        counts["changed"] += compare_with_scalar(circles, DEFAULT_GAP_MAX_KM)
+        counts["pairs"] += math.comb(len(circles), 2)
+
+    sweep()
+    assert counts["changed"] <= 0.02 * counts["pairs"], counts
+
+
+def _rotated(p: GeoPoint, shift: float) -> GeoPoint:
+    return GeoPoint(p.lat, p.lon + shift)
+
+
+@settings(max_examples=300, deadline=None)
+@given(circles=circle_sets(), shift=st.floats(-360.0, 360.0) | st.sampled_from([180.0, -180.0]),
+       rnd=st.randoms(use_true_random=False))
+def test_candidates_turn_with_the_centers_and_ignore_landmark_order(circles, shift, rnd):
+    # Turning every center about the polar axis, across the antimeridian
+    # too, turns every candidate with it; shuffling the circles changes no
+    # candidate, and swapping the ids, so that each pair is taken the other
+    # way round, moves none beyond rounding.
+    base = all_candidates(circles, gap_max_km=1e9)
+    shuffled = list(circles)
+    rnd.shuffle(shuffled)
+    again = all_candidates(shuffled, gap_max_km=1e9)
+    assert again == base and np.array_equal(again.xyz, base.xyz)
+    ids = sorted(lc.landmark_id for lc in circles)
+    swapped = dict(zip(ids, reversed(ids)))
+    turned = [LandmarkCircle(lc.landmark_id, GeoCircle(_rotated(lc.circle.center, shift),
+                                                       lc.circle.radius_m)) for lc in circles]
+    renamed = [LandmarkCircle(swapped[lc.landmark_id], lc.circle) for lc in circles]
+    circle_of = {lc.landmark_id: lc.circle for lc in circles}
+    by_pair = collections.defaultdict(list)
+    for c in base:
+        by_pair[c.source_pair].append(c)
+    # Each variant: its circles, the original id of each of its ids, and
+    # where it should put an original candidate.
+    for moved, original_id, move in ((turned, {i: i for i in ids}, lambda p: _rotated(p, shift)),
+                                     (renamed, swapped, lambda p: p)):
+        moved_by_pair = collections.defaultdict(list)
+        for c in all_candidates(moved, gap_max_km=1e9):
+            moved_by_pair[tuple(sorted(original_id[i] for i in c.source_pair))].append(c)
+        for pair in set(by_pair) | set(moved_by_pair):
+            got, want = moved_by_pair[pair], by_pair[pair]
+            c1, c2 = circle_of[pair[0]], circle_of[pair[1]]
+            if [c.case_tag for c in got] != [c.case_tag for c in want]:
+                assert scalar_pairs.boundary_margin_m(c1, c2) <= BOUNDARY_M
+                continue
+            scalar_pairs.check_points(c1, c2, [c.point for c in got],
+                                      [move(c.point) for c in want])
 
 
 @settings(max_examples=500, deadline=None)

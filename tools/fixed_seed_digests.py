@@ -26,7 +26,10 @@ outputs are, with S running over SEEDS:
   lateration_cases(), which reach every intersection case, the tolerance
   boundaries, pairs past the wrap bound, gaps either side of gap_max_km,
   poles and the antimeridian; the fixed-seed worlds reach few of these.
-  Their centers are placed with latloc's destination_point.
+  Their centers are placed with this script's own math-only destination
+  formula, and every longitude is wrapped into (-180, 180] here, as a value
+  that each latloc version's GeoPoint keeps unchanged, so every checkout
+  solves the same circle lists.
 
 CLI commands run in process through latloc.cli.main, with their summary
 lines on stdout discarded. --root selects the checkout whose src/ is
@@ -57,25 +60,55 @@ def sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def wrap_lon(lon: float) -> float:
+    """lon wrapped into (-180, 180] by lon % 360.0: a second wrap leaves the
+    result unchanged, and so does any latloc version's GeoPoint."""
+    lon = lon % 360.0
+    return lon - 360.0 if lon > 180.0 else lon
+
+
+def destination(lat: float, lon: float, bearing_deg: float, d_m: float,
+                radius_m: float) -> tuple[float, float]:
+    """(lat, lon) in degrees reached from (lat, lon) along the initial
+    bearing after d_m meters on a sphere of radius radius_m, with the math
+    module only (the spherical destination formula)."""
+    sigma, theta = d_m / radius_m, math.radians(bearing_deg)
+    phi1, lam1 = math.radians(lat), math.radians(lon)
+    sin_phi2 = (math.sin(phi1) * math.cos(sigma)
+                + math.cos(phi1) * math.sin(sigma) * math.cos(theta))
+    sin_phi2 = max(-1.0, min(1.0, sin_phi2))
+    y = math.sin(theta) * math.sin(sigma) * math.cos(phi1)
+    x = math.cos(sigma) - math.sin(phi1) * sin_phi2
+    return math.degrees(math.asin(sin_phi2)), math.degrees(lam1 + math.atan2(y, x))
+
+
 def lateration_cases(geodesy, lateration) -> list[tuple[float, list]]:
     """(gap_max_km, circles) lists for all_candidates, ids unique per list."""
-    GeoCircle, GeoPoint = geodesy.GeoCircle, geodesy.GeoPoint
+    GeoCircle = geodesy.GeoCircle
     pi_r = math.pi * geodesy.EARTH_RADIUS_M
 
+    def point(lat, lon):
+        lon = wrap_lon(lon)
+        p = geodesy.GeoPoint(lat, lon)
+        if p.lon != lon:
+            raise SystemExit(f"GeoPoint changed the longitude {lon!r} to {p.lon!r}")
+        return p
+
     def near(center, bearing, d_m, r_m):
-        return GeoCircle(geodesy.destination_point(center, bearing, d_m), r_m)
+        lat, lon = destination(center.lat, center.lon, bearing, d_m, geodesy.EARTH_RADIUS_M)
+        return GeoCircle(point(lat, lon), r_m)
 
     def named(circles):
         return [lateration.LandmarkCircle(f"c{k:02d}", c) for k, c in enumerate(circles)]
 
     rng = random.Random(12)
-    target = GeoPoint(48.2, 11.1)
+    target = point(48.2, 11.1)
     europe = []
     for _ in range(12):
-        c = GeoPoint(rng.uniform(*EUROPE[:2]), rng.uniform(*EUROPE[2:]))
+        c = point(rng.uniform(*EUROPE[:2]), rng.uniform(*EUROPE[2:]))
         europe.append(GeoCircle(c, geodesy.orthodromic_distance(c, target) * rng.uniform(0.7, 1.5)))
 
-    o = GeoPoint(10.0, 20.0)
+    o = point(10.0, 20.0)
     km = 1000.0
     tangent = [GeoCircle(o, 500 * km),
                near(o, 90.0, 1000 * km + 0.5, 500 * km),    # external, inside tau
@@ -91,23 +124,23 @@ def lateration_cases(geodesy, lateration) -> list[tuple[float, list]]:
     gaps = [GeoCircle(o, 400 * km),
             near(o, 0.0, 800 * km + 999 * km, 400 * km),    # gap 999 km: kept
             near(o, 180.0, 800 * km + 1001 * km, 400 * km)]  # gap 1 001 km: dropped
-    wrapped = [GeoCircle(GeoPoint(0.0, 0.0), 0.95 * pi_r),
-               GeoCircle(GeoPoint(0.0, 30.0), 0.95 * pi_r),
-               GeoCircle(GeoPoint(20.0, -100.0), 0.9 * pi_r),
-               GeoCircle(GeoPoint(-5.0, 170.0), pi_r),
+    wrapped = [GeoCircle(point(0.0, 0.0), 0.95 * pi_r),
+               GeoCircle(point(0.0, 30.0), 0.95 * pi_r),
+               GeoCircle(point(20.0, -100.0), 0.9 * pi_r),
+               GeoCircle(point(-5.0, 170.0), pi_r),
                # a point circle at (5, -10) and a circle touching it within tau
-               near(GeoPoint(-5.0, 170.0), 30.0, pi_r - 4000 * km + 0.5, 4000 * km),
-               GeoCircle(GeoPoint(5.0, 10.0), 0.1 * pi_r)]
-    poles = [GeoCircle(GeoPoint(90.0, 0.0), 1000 * km),
-             GeoCircle(GeoPoint(89.9999999, 10.0), 1500 * km),
-             GeoCircle(GeoPoint(85.0, -120.0), 800 * km),
-             GeoCircle(GeoPoint(-90.0, 45.0), 3000 * km),
-             GeoCircle(GeoPoint(-89.5, 179.9), 500 * km),
-             GeoCircle(GeoPoint(-80.0, -170.0), 900 * km),
-             GeoCircle(GeoPoint(0.0, 179.95), 800 * km),
-             GeoCircle(GeoPoint(3.0, -179.0), 700 * km),
-             GeoCircle(GeoPoint(60.0, -179.99), 700 * km),
-             GeoCircle(GeoPoint(55.0, 178.0), 600 * km)]
+               near(point(-5.0, 170.0), 30.0, pi_r - 4000 * km + 0.5, 4000 * km),
+               GeoCircle(point(5.0, 10.0), 0.1 * pi_r)]
+    poles = [GeoCircle(point(90.0, 0.0), 1000 * km),
+             GeoCircle(point(89.9999999, 10.0), 1500 * km),
+             GeoCircle(point(85.0, -120.0), 800 * km),
+             GeoCircle(point(-90.0, 45.0), 3000 * km),
+             GeoCircle(point(-89.5, 179.9), 500 * km),
+             GeoCircle(point(-80.0, -170.0), 900 * km),
+             GeoCircle(point(0.0, 179.95), 800 * km),
+             GeoCircle(point(3.0, -179.0), 700 * km),
+             GeoCircle(point(60.0, -179.99), 700 * km),
+             GeoCircle(point(55.0, 178.0), 600 * km)]
     return [(1000.0, named(europe)), (1000.0, named(tangent)), (1000.0, named(contained)),
             (1000.0, named(gaps)), (5000.0, named(wrapped)), (2000.0, named(poles))]
 

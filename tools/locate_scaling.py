@@ -1,22 +1,25 @@
 """Time `latloc locate` in process on topologies of several sizes and print
 one JSON line.
 
-    python3 tools/locate_scaling.py [--root CHECKOUT] [--nodes 300,1000,3000]
+    python3 tools/locate_scaling.py [--root CHECKOUT] [--nodes 300,1000,3000] [--k 16]
 
 For each size n the world is generate_topology(n, EUROPE, r, 0) with
 r = 300 km * sqrt(300 / n), so that the mean degree stays about that of
 perfbench's locate_k16 world (n = 300, 300 km) and the topology file grows
-linearly with n. Its 16 dragoon landmarks are fitted with `latloc fit` on
-their noisy calibration mesh (2 ms mean), so the models file is the one the
-checkout writes. TARGETS free nodes, drawn with seed 0, are probed once
-each (probe-noise seed 1), and each is located with `latloc locate
---topology ... --truth ...` through latloc.cli.main, as perfbench calls it.
-The line gives, per n, the topology file's size, the median over targets of
-each call's unscaled wall time (the best of PASSES passes per target), and a
-SHA-256 digest of all the locate outputs in target order, so two checkouts
-that print equal digests wrote the same bytes. --root selects the checkout
-whose src/ is imported, so two commits can be timed with the same script;
-alternate the runs, since a shared host drifts.
+linearly with n. Its k dragoon landmarks (--k, 16 by default, as in
+locate_k16) are fitted with `latloc fit` on their noisy calibration mesh
+(2 ms mean), so the models file is the one the checkout writes. TARGETS
+free nodes, drawn with seed 0, are probed once each (probe-noise seed 1),
+and each is located with `latloc locate --topology ... --truth ...` through
+latloc.cli.main, as perfbench calls it. The line gives, per n, the topology
+file's size, the median over targets of each call's unscaled wall time (the
+best of PASSES passes per target), the median over targets of one
+all_candidates call on the target's circles (recorded in one more, untimed
+pass, then timed alone, best of PASSES), and a SHA-256 digest of all the
+locate outputs in target order, so two checkouts that print equal digests
+wrote the same bytes. --root selects the checkout whose src/ is imported,
+so two commits can be timed with the same script; alternate the runs, since
+a shared host drifts.
 """
 
 import argparse
@@ -33,7 +36,6 @@ import time
 from pathlib import Path
 
 EUROPE = (35.0, 60.0, -10.0, 30.0)
-K = 16
 TARGETS = 40
 PASSES = 5
 
@@ -42,10 +44,11 @@ def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--root", default=str(Path(__file__).resolve().parent.parent))
     p.add_argument("--nodes", default="300,1000,3000", help="comma-separated topology sizes")
+    p.add_argument("--k", type=int, default=16, help="landmarks per world")
     args = p.parse_args(argv)
     sys.path.insert(0, str(Path(args.root).resolve() / "src"))
 
-    from latloc import cli
+    from latloc import cli, estimation
     from latloc.latency import measurements_to_csv
     from latloc.placement import dragoon_place
     from latloc.simulator import (
@@ -65,7 +68,7 @@ def main(argv=None) -> int:
     for n in (int(v) for v in args.nodes.split(",")):
         t = generate_topology(n, EUROPE, 300.0 * math.sqrt(300.0 / n), 0)
         world = SimWorld(t, 0, DelayParams(stochastic_mean_ms=2.0))
-        ls = dragoon_place(t, K)
+        ls = dragoon_place(t, args.k)
         landmarks = list(ls.landmarks)
         with tempfile.TemporaryDirectory() as tmp:
             d = Path(tmp)
@@ -102,10 +105,39 @@ def main(argv=None) -> int:
             line[f"n{n}"] = {
                 "topology_kb": round(topo.stat().st_size / 1024, 1),
                 "locate_ms_p50": round(1000 * statistics.median(best), 3),
+                "all_candidates_ms_p50": round(1000 * statistics.median(
+                    all_candidates_s(estimation, [argv for argv, _out in calls], run)), 4),
                 "digest": digest.hexdigest(),
             }
     print(json.dumps(line, sort_keys=True))
     return 0
+
+
+def all_candidates_s(estimation, calls: list[list], run) -> list[float]:
+    """Per call in calls, the best of PASSES wall times of one
+    all_candidates call on the circles it builds, recorded by running each
+    call once with estimation.all_candidates wrapped."""
+    real, recorded = estimation.all_candidates, []
+
+    def record(circles, *args, **kwargs):
+        recorded.append(circles)
+        return real(circles, *args, **kwargs)
+
+    estimation.all_candidates = record
+    try:
+        for argv in calls:
+            run(argv)
+    finally:
+        estimation.all_candidates = real
+    best = []
+    for circles in recorded:
+        times = []
+        for _ in range(PASSES):
+            start = time.perf_counter()
+            real(circles)
+            times.append(time.perf_counter() - start)
+        best.append(min(times))
+    return best
 
 
 if __name__ == "__main__":
