@@ -21,12 +21,14 @@ that estimate_target builds of a target's candidates:
 - _Cloud.grid_mean_m scores the grid search's steps, on unit vectors
   (n-vectors; Gade 2010, "A non-singular horizontal position
   representation", J. Navigation 63(3)). The cosine of the angle between a
-  grid point at (φ, λ) and a cloud point (x, y, z) is
-  cos φ·(cos λ·x + sin λ·y) + sin φ·z, with the sines and cosines taken once
-  per row and once per column, and x, y, z once per point, for the centroid
-  too. A step makes only one product, one sum, the arccos and the row sum
-  at the full grid × cloud size; only a step where a cosine rounds past ±1
-  makes a clip.
+  grid point and a cloud point is the dot product of their unit vectors, so
+  a step's cosines are one matrix product, G @ xyz, of the grid's unit
+  vectors (cos φ·cos λ, cos φ·sin λ, sin φ), one row per grid point, with
+  the cloud's x, y and z rows, taken once per point, for the centroid too.
+  The grid's sines and cosines come from math, once per row and once per
+  column. Past the product, only the arccos and the row sum run at the full
+  grid × cloud size; only a step where a cosine rounds past ±1 makes a
+  clip.
 - _Cloud.mean_distance_m gives every distance latloc writes or ranks by: the
   filter's distances and the residual. It is the haversine form (Sinnott
   1984, "Virtues of the Haversine"), accurate where a cloud point is near the
@@ -175,24 +177,20 @@ class _Cloud:
     """A point cloud as rows of one array, a column per point: latitude and
     longitude in degrees, then terms computed once per point: its _query_terms
     (φ/2, cos φ, λ/2), whose cos φ the haversine kernel also reads on the
-    cloud side, and the unit vector x, y, z that the centroid and the grid's
-    scorer read."""
+    cloud side, and the unit vector x, y, z, whose contiguous (3, n) block xyz
+    the centroid and the grid's scorer read."""
 
     def __init__(self, columns: np.ndarray):
         self.columns = columns
-        (self.lat, self.lon, self.half_lat, self.cos_lat, self.half_lon,
-         self.x, self.y, self.z) = columns
+        self.lat, self.lon, self.half_lat, self.cos_lat, self.half_lon = columns[:5]
+        self.xyz = columns[5:]
         self.query_terms = columns[2:5, :, None]
 
     @classmethod
     def of(cls, lat, lon, xyz: np.ndarray | None = None) -> _Cloud:
         """The cloud of the points at lat, lon in degrees, with unit vectors
         xyz (x, y and z rows) if given, else geodesy.unit_vectors'."""
-        degrees = np.array([lat, lon])
-        rad = np.radians(degrees)  # math.radians' bits: one product each
-        cos_lat = np.cos(rad[:1])
-        rad /= 2
-        return cls(np.concatenate([degrees, rad[:1], cos_lat, rad[1:],
+        return cls(np.concatenate([*_haversine_rows(lat, lon),
                                    unit_vectors(lat, lon) if xyz is None else xyz]))
 
     def take(self, idx) -> _Cloud:
@@ -203,7 +201,7 @@ class _Cloud:
         """The 3D Cartesian mean projected back onto the sphere, or the first
         point if the mean is within 1e-12 of the center. As in a loop from 0.0,
         cumsum adds left to right and 0.0 + makes an all -0.0 sum 0.0."""
-        x, y, z = (0.0 + np.cumsum(self.columns[5:], axis=1)[:, -1]).tolist()
+        x, y, z = (0.0 + np.cumsum(self.xyz, axis=1)[:, -1]).tolist()
         norm = math.sqrt(x * x + y * y + z * z)
         if norm < 1e-12:
             return GeoPoint(float(self.lat[0]), float(self.lon[0]))
@@ -246,8 +244,13 @@ class _Cloud:
         with row latitudes lats and column longitudes lons, in degrees, to the
         cloud: the grid search's scores, as one flat list in row-major order.
 
-        Each angle is arccos(cos φ·(cos λ·x + sin λ·y) + sin φ·z), with the
-        query's sines and cosines from math, once per row and once per column.
+        Each angle is the arccos of the dot product of the grid point's unit
+        vector (cos φ·cos λ, cos φ·sin λ, sin φ), with its sines and cosines
+        from math, once per row and once per column, and the cloud point's
+        (x, y, z). All the grid's dot products are one BLAS matrix product,
+        whose three-term dot may be fused (FMA), so a cosine's last bits may
+        differ from an unfused sum's, and a one-row grid, a matrix-vector
+        product, may round differently from a row of a larger one.
         The cosine rounds to within a few ulps of 1, and arccos magnifies that
         by 1 / sin of the angle d / R: a point's distance agrees with the atan2
         form of geodesy.orthodromic_distance to within 4·ulp(1)·R / sin(d / R)
@@ -262,21 +265,33 @@ class _Cloud:
         # One array for all four sets of terms, sliced rather than unpacked.
         trig = np.array([*map(math.cos, lam), *map(math.sin, lam),
                          *map(math.cos, phi), *map(math.sin, phi)])
-        cos = trig[:m, None] * self.x
-        cos += trig[m:2 * m, None] * self.y
-        cos = trig[2 * m:2 * m + r, None, None] * cos
-        cos += (trig[2 * m + r:, None] * self.z)[:, None]
+        grid = np.empty((r, m, 3))
+        np.multiply(trig[2 * m:2 * m + r, None, None], trig[:2 * m].reshape(2, m).T,
+                    out=grid[:, :, :2])
+        grid[:, :, 2] = trig[2 * m + r:, None]
+        cos = grid.reshape(r * m, 3) @ self.xyz
         if clip:
             np.clip(cos, -1.0, 1.0, out=cos)
         np.arccos(cos, out=cos)
-        obj = np.add.reduce(cos, axis=-1).ravel()
-        obj /= len(self.z)
+        obj = np.add.reduce(cos, axis=-1)
+        obj /= cos.shape[1]
         obj *= EARTH_RADIUS_M
         return obj.tolist()
 
     def mean_at_m(self, point: GeoPoint) -> float:
         """Mean great-circle distance in meters from one point to the cloud."""
         return float(self.mean_distance_m(*_query_terms([point.lat], [point.lon]))[0])
+
+
+def _haversine_rows(lat, lon) -> list[np.ndarray]:
+    """The first rows of a _Cloud of the points at lat, lon in degrees: the
+    degrees, then φ/2, cos φ and λ/2. A _Cloud of these rows alone has no
+    unit vectors; mean_distance_m reads none."""
+    degrees = np.array([lat, lon])
+    rad = np.radians(degrees)  # math.radians' bits: one product each
+    cos_lat = np.cos(rad[:1])
+    rad /= 2
+    return [degrees, rad[:1], cos_lat, rad[1:]]
 
 
 def _query_terms(lats: list[float], lons: list[float]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -398,8 +413,9 @@ def filter_outliers(points: _Cloud | list[CandidatePoint]) -> tuple[tuple[int, .
         center = grid_center(sub)
         n_drop = min(math.ceil(DROP_FRACTION * len(kept)), len(kept) - 3)
         # The center stays on the cloud side: the kernel is not bitwise
-        # symmetric in its two points.
-        dist = _Cloud.of([center.lat], [center.lon]).mean_distance_m(*sub.query_terms)
+        # symmetric in its two points. It needs no unit vectors there.
+        at_center = _Cloud(np.concatenate(_haversine_rows([center.lat], [center.lon])))
+        dist = at_center.mean_distance_m(*sub.query_terms)
         # Farthest first; the stable sort keeps ties in index order.
         far = np.sort(np.argsort(-dist, kind="stable")[:n_drop])
         dropped += kept[far].tolist()

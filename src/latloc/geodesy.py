@@ -274,7 +274,7 @@ def solve_circle_pairs(lat, lon, radius_m, gap_max_m: float) -> PairSolutions:
     Every pair goes through one fixed sequence of about 130 numpy calls on
     arrays of one element per circle or pair, whatever n is; only exactly
     coincident or antipodal centers and crossing points of exactly equal
-    latitude add a few. No call is a matrix product, so none loads BLAS.
+    latitude add a few.
     """
     pairs = _pairs(len(radius_m))
     frames = _frames(lat, lon)
