@@ -11,9 +11,9 @@ Each step scores the whole grid in one array, masks the current center with
 step halves the spacing and needs no winner. Otherwise the search moves to
 the minimum; only grid points whose scores are exactly equal to it count as
 ties, and those break north-most, then west-most, then first in row-major
-order. The first grid is centered on the spherical centroid, and its
-center's score equals the centroid's bit for bit, so the centroid needs no
-evaluation of its own.
+order. The first grid is centered on the spherical centroid to the bit, so
+its center's score is the centroid's, and the centroid needs no evaluation
+of its own.
 
 Two kernels compute the mean distance, each on a subset of the one _Cloud
 that estimate_target builds of a target's candidates:
@@ -29,10 +29,11 @@ that estimate_target builds of a target's candidates:
   column. Past the product, only the arccos and the row sum run at the full
   grid × cloud size; only a step where a cosine rounds past ±1 makes a
   clip.
-- _Cloud.mean_distance_m gives every distance latloc writes or ranks by: the
-  filter's distances and the residual. It is the haversine form (Sinnott
-  1984, "Virtues of the Haversine"), accurate where a cloud point is near the
-  query, where an arccos of a cosine near 1 can be off by a decimetre.
+- _haversine_mean_m (on a _Cloud, _Cloud.mean_distance_m) gives every
+  distance latloc writes or ranks by: the filter's distances and the
+  residual. It is the haversine form (Sinnott 1984, "Virtues of the
+  Haversine"), accurate where a cloud point is near the query, where an
+  arccos of a cosine near 1 can be off by a decimetre.
 
 The search compares only its own scores, so its scorer's rounding reaches an
 output only where it changes which grid point wins.
@@ -182,7 +183,7 @@ class _Cloud:
 
     def __init__(self, columns: np.ndarray):
         self.columns = columns
-        self.lat, self.lon, self.half_lat, self.cos_lat, self.half_lon = columns[:5]
+        self.lat, self.lon = columns[:2]
         self.xyz = columns[5:]
         self.query_terms = columns[2:5, :, None]
 
@@ -190,7 +191,8 @@ class _Cloud:
     def of(cls, lat, lon, xyz: np.ndarray | None = None) -> _Cloud:
         """The cloud of the points at lat, lon in degrees, with unit vectors
         xyz (x, y and z rows) if given, else geodesy.unit_vectors'."""
-        return cls(np.concatenate([*_haversine_rows(lat, lon),
+        degrees = np.array([lat, lon])
+        return cls(np.concatenate([degrees, *_haversine_terms(degrees),
                                    unit_vectors(lat, lon) if xyz is None else xyz]))
 
     def take(self, idx) -> _Cloud:
@@ -208,36 +210,10 @@ class _Cloud:
         return GeoPoint(math.degrees(math.asin(z / norm)), math.degrees(math.atan2(y, x)))
 
     def mean_distance_m(self, half_phi, cos_phi, half_lam) -> np.ndarray:
-        """Mean great-circle distance in meters from each query point to the cloud.
-
-        Query points come as _query_terms gives them: φ/2 and cos φ of their
-        latitudes and λ/2 of their longitudes, in radians. The three broadcast
-        together against a trailing cloud axis, which the mean removes: the
-        filter passes a cloud's own query_terms against its one-point center,
-        and the residual one query point.
-
-        Each angle is 2·asin(min(√h, 1)) with h = sin²(φ'/2 − φ/2) +
-        cos φ·(cos φ'·sin²(λ'/2 − λ/2)). Near an antipode h rounds to about
-        1, and √h can round above 1 where sin or cos rounds a little high;
-        the clamp keeps asin finite there. The means agree with the atan2 form
-        of geodesy.orthodromic_distance to within four ulps of pi * R (about
-        1.5e-8 m) while every cloud point lies within 0.9·pi·R of the query,
-        and to within 0.25 m beyond: at an antipode h rounds near 1, where
-        asin is ill-conditioned.
-        """
-        h = np.sin(self.half_lon - half_lam)
-        h *= h
-        h *= self.cos_lat
-        h = cos_phi * h
-        row = np.sin(self.half_lat - half_phi)
-        row *= row
-        h += row
-        np.sqrt(h, out=h)
-        np.minimum(h, 1.0, out=h)
-        np.arcsin(h, out=h)
-        # The sum and the division np.mean would make, without its overhead;
-        # doubling is exact, so it waits for the mean.
-        return np.add.reduce(h, axis=-1) / len(self.cos_lat) * (2.0 * EARTH_RADIUS_M)
+        """Mean great-circle distance in meters from each query point, given
+        as _query_terms gives them, to the cloud: _haversine_mean_m on the
+        cloud's own terms."""
+        return _haversine_mean_m(self.columns[2:5], half_phi, cos_phi, half_lam)
 
     def grid_mean_m(self, lats: list[float], lons: list[float], clip: bool = True) -> list[float]:
         """Mean great-circle distance in meters from each point of the grid
@@ -248,9 +224,11 @@ class _Cloud:
         vector (cos φ·cos λ, cos φ·sin λ, sin φ), with its sines and cosines
         from math, once per row and once per column, and the cloud point's
         (x, y, z). All the grid's dot products are one BLAS matrix product,
-        whose three-term dot may be fused (FMA), so a cosine's last bits may
-        differ from an unfused sum's, and a one-row grid, a matrix-vector
-        product, may round differently from a row of a larger one.
+        whose three-term dot may be fused (FMA; OpenBLAS's AVX2 and AVX-512
+        kernels fuse it, older x86 kernels do not), so a cosine's last bits
+        may differ from an unfused sum's, and a one-point grid, a
+        matrix-vector product, may round differently from a row of a larger
+        one.
         The cosine rounds to within a few ulps of 1, and arccos magnifies that
         by 1 / sin of the angle d / R: a point's distance agrees with the atan2
         form of geodesy.orthodromic_distance to within 4·ulp(1)·R / sin(d / R)
@@ -283,15 +261,49 @@ class _Cloud:
         return float(self.mean_distance_m(*_query_terms([point.lat], [point.lon]))[0])
 
 
-def _haversine_rows(lat, lon) -> list[np.ndarray]:
-    """The first rows of a _Cloud of the points at lat, lon in degrees: the
-    degrees, then φ/2, cos φ and λ/2. A _Cloud of these rows alone has no
-    unit vectors; mean_distance_m reads none."""
-    degrees = np.array([lat, lon])
+def _haversine_terms(degrees: np.ndarray) -> list[np.ndarray]:
+    """The rows φ/2, cos φ and λ/2, in radians, of the points whose latitudes
+    and longitudes in degrees are the two rows of degrees: a _Cloud's, or a
+    filter round's center's."""
     rad = np.radians(degrees)  # math.radians' bits: one product each
     cos_lat = np.cos(rad[:1])
     rad /= 2
-    return [degrees, rad[:1], cos_lat, rad[1:]]
+    return [rad[:1], cos_lat, rad[1:]]
+
+
+def _haversine_mean_m(cloud_terms, half_phi, cos_phi, half_lam) -> np.ndarray:
+    """Mean great-circle distance in meters from each query point to the cloud
+    points whose φ/2, cos φ and λ/2 rows are cloud_terms.
+
+    Query points come as _query_terms gives them: φ/2 and cos φ of their
+    latitudes and λ/2 of their longitudes, in radians. The three broadcast
+    together against a trailing cloud axis, which the mean removes: the
+    filter passes a cloud's own query_terms against its one-point center,
+    and the residual one query point.
+
+    Each angle is 2·asin(min(√h, 1)) with h = sin²(φ'/2 − φ/2) +
+    cos φ·(cos φ'·sin²(λ'/2 − λ/2)). Near an antipode h rounds to about
+    1, and √h can round above 1 where sin or cos rounds a little high;
+    the clamp keeps asin finite there. The means agree with the atan2 form
+    of geodesy.orthodromic_distance to within four ulps of pi * R (about
+    1.5e-8 m) while every cloud point lies within 0.9·pi·R of the query,
+    and to within 0.25 m beyond: at an antipode h rounds near 1, where
+    asin is ill-conditioned.
+    """
+    half_lat, cos_lat, half_lon = cloud_terms
+    h = np.sin(half_lon - half_lam)
+    h *= h
+    h *= cos_lat
+    h = cos_phi * h
+    row = np.sin(half_lat - half_phi)
+    row *= row
+    h += row
+    np.sqrt(h, out=h)
+    np.minimum(h, 1.0, out=h)
+    np.arcsin(h, out=h)
+    # The sum and the division np.mean would make, without its overhead;
+    # doubling is exact, so it waits for the mean.
+    return np.add.reduce(h, axis=-1) / cos_lat.shape[-1] * (2.0 * EARTH_RADIUS_M)
 
 
 def _query_terms(lats: list[float], lons: list[float]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -413,9 +425,9 @@ def filter_outliers(points: _Cloud | list[CandidatePoint]) -> tuple[tuple[int, .
         center = grid_center(sub)
         n_drop = min(math.ceil(DROP_FRACTION * len(kept)), len(kept) - 3)
         # The center stays on the cloud side: the kernel is not bitwise
-        # symmetric in its two points. It needs no unit vectors there.
-        at_center = _Cloud(np.concatenate(_haversine_rows([center.lat], [center.lon])))
-        dist = at_center.mean_distance_m(*sub.query_terms)
+        # symmetric in its two points.
+        dist = _haversine_mean_m(_haversine_terms(np.array([[center.lat], [center.lon]])),
+                                 *sub.query_terms)
         # Farthest first; the stable sort keeps ties in index order.
         far = np.sort(np.argsort(-dist, kind="stable")[:n_drop])
         dropped += kept[far].tolist()
