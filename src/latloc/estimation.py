@@ -15,25 +15,24 @@ order. The first grid is centered on the spherical centroid to the bit, so
 its center's score is the centroid's, and the centroid needs no evaluation
 of its own.
 
-Two kernels compute the mean distance, each on a subset of the one _Cloud
-that estimate_target builds of a target's candidates:
+estimate_target builds one _Cloud of a target's candidates, with the unit
+vectors (n-vectors; Gade 2010, "A non-singular horizontal position
+representation", J. Navigation 63(3)) the circle solver gave them, and every
+distance is taken on those vectors, a query point's (cos φ·cos λ,
+cos φ·sin λ, sin φ) from math:
 
-- _Cloud.grid_mean_m scores the grid search's steps, on unit vectors
-  (n-vectors; Gade 2010, "A non-singular horizontal position
-  representation", J. Navigation 63(3)). The cosine of the angle between a
-  grid point and a cloud point is the dot product of their unit vectors, so
-  a step's cosines are one matrix product, G @ xyz, of the grid's unit
-  vectors (cos φ·cos λ, cos φ·sin λ, sin φ), one row per grid point, with
-  the cloud's x, y and z rows, taken once per point, for the centroid too.
-  The grid's sines and cosines come from math, once per row and once per
-  column. Past the product, only the arccos and the row sum run at the full
-  grid × cloud size; only a step where a cosine rounds past ±1 makes a
+- _Cloud.grid_mean_m scores the grid search's steps. The cosine of the angle
+  between a grid point and a cloud point is the dot product of their unit
+  vectors, so a step's cosines are one matrix product, G @ xyz, of the
+  grid's unit vectors, one row per grid point, with the cloud's x, y and z
+  rows. The grid's sines and cosines come from math, once per row and once
+  per column. Past the product, only the arccos and the row sum run at the
+  full grid × cloud size; only a step where a cosine rounds past ±1 makes a
   clip.
-- _haversine_mean_m (on a _Cloud, _Cloud.mean_distance_m) gives every
-  distance latloc writes or ranks by: the filter's distances and the
-  residual. It is the haversine form (Sinnott 1984, "Virtues of the
-  Haversine"), accurate where a cloud point is near the query, where an
-  arccos of a cosine near 1 can be off by a decimetre.
+- _Cloud.distances_m gives every distance latloc writes or ranks by: the
+  filter's distances and the residual. It is the angle atan2(|q × p|, q · p),
+  well conditioned at every separation, where an arccos of a cosine near ±1
+  can be off by a decimetre.
 
 The search compares only its own scores, so its scorer's rounding reaches an
 output only where it changes which grid point wins.
@@ -49,7 +48,9 @@ import numpy as np
 
 from .errors import EstimationError
 from .geodesy import EARTH_RADIUS_M, GeoPoint, normalize_lon, orthodromic_distance, unit_vectors
-from .lateration import CandidatePoint, Candidates, LandmarkCircle, all_candidates
+# perfbench's tracer test builds the CandidatePoint list that filter_outliers
+# still accepts from estimation.CandidatePoint.
+from .lateration import CandidatePoint, Candidates, LandmarkCircle, all_candidates  # noqa: F401
 
 # Filter schedule: rounds, each dropping this share of the kept candidates.
 FILTER_ROUNDS = 2
@@ -69,20 +70,6 @@ class EstimatedLocation:
     kept: tuple[int, ...]  # positions into candidates, in the filter's order
     dropped: tuple[int, ...]
     mean_residual_km: float
-
-    kept_points = property(lambda self: tuple(map(self.candidates.__getitem__, self.kept)))
-    dropped_points = property(lambda self: tuple(map(self.candidates.__getitem__, self.dropped)))
-
-    def to_dict(self) -> dict:
-        """The estimate and its kept and dropped candidates as plain dicts,
-        lists and floats: the document `latloc locate` writes. Every
-        candidate counts equally, so each carries weight 1.0."""
-        def cands(points: tuple[CandidatePoint, ...]) -> list[dict]:
-            return [{"lat": c.point.lat, "lon": c.point.lon, "source_pair": list(c.source_pair),
-                     "case_tag": c.case_tag, "weight": 1.0} for c in points]
-        return {"estimate": {"lat": self.point.lat, "lon": self.point.lon},
-                "kept_points": cands(self.kept_points), "dropped_points": cands(self.dropped_points),
-                "mean_residual_km": self.mean_residual_km}
 
     def to_geojson(self) -> str:
         """A FeatureCollection any map viewer can render: the estimate, then
@@ -108,13 +95,16 @@ class EstimatedLocation:
 def estimate_document_json(est: EstimatedLocation, truth: GeoPoint | None = None) -> str:
     """The document `latloc locate` writes, byte for byte as
     json.dumps(doc, indent=2, sort_keys=True) and a newline write it, where
-    doc is est.to_dict() plus, when the target's position is known, "truth"
-    and its great-circle "error_km" to the estimate.
+    doc holds the "estimate", the "kept_points" and "dropped_points" (each
+    candidate's lat, lon, source_pair, case_tag and a weight of 1.0: every
+    candidate counts equally) and the "mean_residual_km", plus, when the
+    target's position is known, "truth" and its great-circle "error_km" to
+    the estimate.
 
     json's indent-2 encoder is pure Python, so this schema, like
-    to_geojson's, has its own writer, which reads the candidate columns, not
-    to_dict(). Every number in it is a float, written as json writes floats;
-    strings go through json's own ASCII escaper.
+    to_geojson's, has its own writer, which reads the candidate columns.
+    Every number in it is a float, written as json writes floats; strings go
+    through json's own ASCII escaper.
     """
     texts = _texts(est.candidates, "      ")
     fields = [("dropped_points", _candidates(est.candidates, est.dropped, *texts))]
@@ -176,23 +166,19 @@ def _feature(lat: float, lon: float, properties: str) -> str:
 
 class _Cloud:
     """A point cloud as rows of one array, a column per point: latitude and
-    longitude in degrees, then terms computed once per point: its _query_terms
-    (φ/2, cos φ, λ/2), whose cos φ the haversine kernel also reads on the
-    cloud side, and the unit vector x, y, z, whose contiguous (3, n) block xyz
-    the centroid and the grid's scorer read."""
+    longitude in degrees, then the unit vector x, y, z, whose contiguous
+    (3, n) block xyz every distance reads."""
 
     def __init__(self, columns: np.ndarray):
         self.columns = columns
         self.lat, self.lon = columns[:2]
-        self.xyz = columns[5:]
-        self.query_terms = columns[2:5, :, None]
+        self.xyz = columns[2:]
 
     @classmethod
     def of(cls, lat, lon, xyz: np.ndarray | None = None) -> _Cloud:
         """The cloud of the points at lat, lon in degrees, with unit vectors
         xyz (x, y and z rows) if given, else geodesy.unit_vectors'."""
-        degrees = np.array([lat, lon])
-        return cls(np.concatenate([degrees, *_haversine_terms(degrees),
+        return cls(np.concatenate([np.array([lat, lon]),
                                    unit_vectors(lat, lon) if xyz is None else xyz]))
 
     def take(self, idx) -> _Cloud:
@@ -209,11 +195,19 @@ class _Cloud:
             return GeoPoint(float(self.lat[0]), float(self.lon[0]))
         return GeoPoint(math.degrees(math.asin(z / norm)), math.degrees(math.atan2(y, x)))
 
-    def mean_distance_m(self, half_phi, cos_phi, half_lam) -> np.ndarray:
-        """Mean great-circle distance in meters from each query point, given
-        as _query_terms gives them, to the cloud: _haversine_mean_m on the
-        cloud's own terms."""
-        return _haversine_mean_m(self.columns[2:5], half_phi, cos_phi, half_lam)
+    def distances_m(self, q: GeoPoint) -> np.ndarray:
+        """Great-circle distance in meters from q to each cloud point p:
+        R·atan2(|q × p|, q · p), with q's unit vector (cos φ·cos λ,
+        cos φ·sin λ, sin φ) from math. atan2 is well conditioned at every
+        angle, so each distance agrees with the atan2 form of
+        geodesy.orthodromic_distance to within a few ulps of pi * R, at q and
+        at its antipode too, where arccos and a haversine's asin are not."""
+        phi, lam = math.radians(q.lat), math.radians(q.lon)
+        cos_phi = math.cos(phi)
+        qx, qy, qz = cos_phi * math.cos(lam), cos_phi * math.sin(lam), math.sin(phi)
+        x, y, z = self.xyz
+        cross = np.sqrt((qy * z - qz * y) ** 2 + (qz * x - qx * z) ** 2 + (qx * y - qy * x) ** 2)
+        return np.arctan2(cross, qx * x + qy * y + qz * z) * EARTH_RADIUS_M
 
     def grid_mean_m(self, lats: list[float], lons: list[float], clip: bool = True) -> list[float]:
         """Mean great-circle distance in meters from each point of the grid
@@ -258,67 +252,7 @@ class _Cloud:
 
     def mean_at_m(self, point: GeoPoint) -> float:
         """Mean great-circle distance in meters from one point to the cloud."""
-        return float(self.mean_distance_m(*_query_terms([point.lat], [point.lon]))[0])
-
-
-def _haversine_terms(degrees: np.ndarray) -> list[np.ndarray]:
-    """The rows φ/2, cos φ and λ/2, in radians, of the points whose latitudes
-    and longitudes in degrees are the two rows of degrees: a _Cloud's, or a
-    filter round's center's."""
-    rad = np.radians(degrees)  # math.radians' bits: one product each
-    cos_lat = np.cos(rad[:1])
-    rad /= 2
-    return [rad[:1], cos_lat, rad[1:]]
-
-
-def _haversine_mean_m(cloud_terms, half_phi, cos_phi, half_lam) -> np.ndarray:
-    """Mean great-circle distance in meters from each query point to the cloud
-    points whose φ/2, cos φ and λ/2 rows are cloud_terms.
-
-    Query points come as _query_terms gives them: φ/2 and cos φ of their
-    latitudes and λ/2 of their longitudes, in radians. The three broadcast
-    together against a trailing cloud axis, which the mean removes: the
-    filter passes a cloud's own query_terms against its one-point center,
-    and the residual one query point.
-
-    Each angle is 2·asin(min(√h, 1)) with h = sin²(φ'/2 − φ/2) +
-    cos φ·(cos φ'·sin²(λ'/2 − λ/2)). Near an antipode h rounds to about
-    1, and √h can round above 1 where sin or cos rounds a little high;
-    the clamp keeps asin finite there. The means agree with the atan2 form
-    of geodesy.orthodromic_distance to within four ulps of pi * R (about
-    1.5e-8 m) while every cloud point lies within 0.9·pi·R of the query,
-    and to within 0.25 m beyond: at an antipode h rounds near 1, where
-    asin is ill-conditioned.
-    """
-    half_lat, cos_lat, half_lon = cloud_terms
-    h = np.sin(half_lon - half_lam)
-    h *= h
-    h *= cos_lat
-    h = cos_phi * h
-    row = np.sin(half_lat - half_phi)
-    row *= row
-    h += row
-    np.sqrt(h, out=h)
-    np.minimum(h, 1.0, out=h)
-    np.arcsin(h, out=h)
-    # The sum and the division np.mean would make, without its overhead;
-    # doubling is exact, so it waits for the mean.
-    return np.add.reduce(h, axis=-1) / cos_lat.shape[-1] * (2.0 * EARTH_RADIUS_M)
-
-
-def _query_terms(lats: list[float], lons: list[float]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The arguments of _Cloud.mean_distance_m for query points given in
-    degrees: half the latitudes and the cosines of the latitudes, then half
-    the longitudes, in radians, each with a trailing axis for the cloud. The
-    i-th latitude goes with the i-th longitude. The values come from math,
-    point by point: math and numpy may round differently."""
-    phi = list(map(math.radians, lats))
-    n, m = len(phi), len(lons)
-    # One array for all three, sliced rather than unpacked: iterating over an
-    # array is slow. Halving is exact.
-    flat = np.array([*phi, *map(math.radians, lons), *map(math.cos, phi)])
-    flat[:n + m] /= 2
-    return flat[:n].reshape(n, 1), flat[n + m:].reshape(n, 1), flat[n:n + m].reshape(m, 1)
+        return float(np.add.reduce(self.distances_m(point)) / self.lat.size)
 
 
 def _grid(center: GeoPoint, eps_m: float) -> tuple[int, list[float], list[float]]:
@@ -342,7 +276,7 @@ def _grid(center: GeoPoint, eps_m: float) -> tuple[int, list[float], list[float]
     return center_row, lats, lons
 
 
-def grid_center(points: _Cloud | list[GeoPoint]) -> GeoPoint:
+def grid_center(cloud: _Cloud) -> GeoPoint:
     """Point minimizing the mean great-circle distance to the cloud, found by
     local grid search from the spherical centroid, with spacing EPS0_M
     halved whenever no grid point improves, until it falls below EPS_MIN_M.
@@ -353,8 +287,6 @@ def grid_center(points: _Cloud | list[GeoPoint]) -> GeoPoint:
     own would cost about 5% of it); a step whose scores hold a NaN, where a
     cosine rounded past +-1, is scored again with it: every score is clipped.
     """
-    cloud = points if isinstance(points, _Cloud) else _Cloud.of(
-        [p.lat for p in points], [p.lon for p in points])
     if not cloud.lat.size:
         raise EstimationError("cannot center an empty point cloud")
     best = cloud.centroid()
@@ -405,15 +337,18 @@ def _step_winner(scores: list[float], center_row: int, lats: list[float], lons: 
     return divmod(k, ncols)
 
 
-def filter_outliers(points: _Cloud | list[CandidatePoint]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Center the cloud and drop the farthest candidates, FILTER_ROUNDS times.
+def filter_outliers(cloud: _Cloud) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Center the cloud and drop the candidates farthest from the center
+    (_Cloud.distances_m), FILTER_ROUNDS times.
 
     Each round drops ceil(DROP_FRACTION * kept) points, never going below 3
-    kept points. Returns (kept, dropped) as positions into points: kept in
+    kept points. Returns (kept, dropped) as positions into the cloud: kept in
     input order, dropped round after round, each round's in input order.
     """
-    cloud = points if isinstance(points, _Cloud) else _Cloud.of(
-        [c.point.lat for c in points], [c.point.lon for c in points])
+    if not isinstance(cloud, _Cloud):
+        # A CandidatePoint list, as perfbench's tracer test passes; latloc
+        # itself always passes a _Cloud.
+        cloud = _Cloud.of([c.point.lat for c in cloud], [c.point.lon for c in cloud])
     if not cloud.lat.size:
         raise EstimationError("cannot filter an empty point cloud")
     kept = np.arange(cloud.lat.size)
@@ -422,14 +357,9 @@ def filter_outliers(points: _Cloud | list[CandidatePoint]) -> tuple[tuple[int, .
         if len(kept) <= 3:
             break
         sub = cloud.take(kept)
-        center = grid_center(sub)
         n_drop = min(math.ceil(DROP_FRACTION * len(kept)), len(kept) - 3)
-        # The center stays on the cloud side: the kernel is not bitwise
-        # symmetric in its two points.
-        dist = _haversine_mean_m(_haversine_terms(np.array([[center.lat], [center.lon]])),
-                                 *sub.query_terms)
         # Farthest first; the stable sort keeps ties in index order.
-        far = np.sort(np.argsort(-dist, kind="stable")[:n_drop])
+        far = np.sort(np.argsort(-sub.distances_m(grid_center(sub)), kind="stable")[:n_drop])
         dropped += kept[far].tolist()
         kept = np.delete(kept, far)
     return tuple(kept.tolist()), tuple(dropped)

@@ -17,7 +17,6 @@ from latloc.estimation import (
     EstimatedLocation,
     _Cloud,
     _grid,
-    _query_terms,
     _step_winner,
     estimate_document_json,
     estimate_target,
@@ -33,6 +32,7 @@ from latloc.geodesy import (
     orthodromic_distance,
 )
 from latloc.lateration import CandidatePoint, Candidates, LandmarkCircle, all_candidates
+from test_acceptance import C6_K, C6_N_NODES, C6_NOISE_MS, C6_RADIUS_KM, EUROPE
 from test_lateration import circle_sets
 
 def cand(lat, lon, tag="pair_branch", pair=("a", "b")) -> CandidatePoint:
@@ -43,20 +43,24 @@ def cloud_of(points) -> _Cloud:
     return _Cloud.of([p.lat for p in points], [p.lon for p in points])
 
 
+def candidate_cloud(cands) -> _Cloud:
+    return cloud_of([c.point for c in cands])
+
+
 def mean_distance(p: GeoPoint, points) -> float:
     return sum(orthodromic_distance(p, q) for q in points) / len(points)
 
 
 def test_grid_center_single_point():
     p = GeoPoint(48.0, 11.0)
-    center = grid_center([p])
+    center = grid_center(cloud_of([p]))
     assert orthodromic_distance(center, p) <= 2 * EPS_MIN_M
 
 
 def test_grid_center_two_points_geodesic_midpoint():
     a = GeoPoint(0.0, 0.0)
     b = GeoPoint(0.0, 8.0)
-    center = grid_center([a, b])
+    center = grid_center(cloud_of([a, b]))
     midpoint = GeoPoint(0.0, 4.0)
     # Any point on the connecting geodesic minimizes the mean, so compare
     # objectives rather than positions.
@@ -65,7 +69,7 @@ def test_grid_center_two_points_geodesic_midpoint():
 
 def test_grid_center_empty_cloud():
     with pytest.raises(EstimationError):
-        grid_center([])
+        grid_center(cloud_of([]))
 
 
 def test_grid_center_matches_dense_grid_oracle():
@@ -75,7 +79,7 @@ def test_grid_center_matches_dense_grid_oracle():
         destination_point(origin, rng.uniform(0, 360), rng.uniform(0, 250_000))
         for _ in range(50)
     ]
-    found = grid_center(points)
+    found = grid_center(cloud_of(points))
     found_obj = mean_distance(found, points)
 
     # Independent brute force: dense lat/lon grid at 100 m spacing around the
@@ -105,7 +109,7 @@ def test_grid_center_matches_dense_grid_oracle():
 def test_grid_center_deterministic():
     rng = random.Random(12)
     points = [GeoPoint(rng.uniform(40, 50), rng.uniform(0, 10)) for _ in range(15)]
-    assert grid_center(points) == grid_center(points)
+    assert grid_center(cloud_of(points)) == grid_center(cloud_of(points))
 
 
 def test_spherical_centroid_symmetric_pair():
@@ -116,16 +120,16 @@ def test_spherical_centroid_symmetric_pair():
 
 def test_filter_identical_points_keeps_center():
     points = [cand(45.0, 7.0) for _ in range(6)]
-    kept, dropped = filter_outliers(points)
+    kept, dropped = filter_outliers(candidate_cloud(points))
     assert len(kept) >= 3
-    center = grid_center([points[i].point for i in kept])
+    center = grid_center(candidate_cloud([points[i] for i in kept]))
     assert orthodromic_distance(center, GeoPoint(45.0, 7.0)) <= 2 * EPS_MIN_M
 
 
 def test_filter_drops_far_outlier():
     cluster = [cand(45.0 + 0.01 * i, 7.0) for i in range(9)]
     outlier = cand(30.0, -20.0)
-    kept, dropped = filter_outliers(cluster + [outlier])
+    kept, dropped = filter_outliers(candidate_cloud(cluster + [outlier]))
     # Round one drops ceil(10 / 4) = 3 farthest, round two ceil(7 / 4) = 2.
     assert len(cluster) in dropped[:3]
     assert (len(kept), len(dropped)) == (5, 5)
@@ -135,20 +139,20 @@ def test_filter_never_drops_below_three():
     # 4 to 7 points reach 3 in the first round or the second; 8 stop at 4.
     for n, n_kept in [(3, 3), (4, 3), (5, 3), (6, 3), (7, 3), (8, 4)]:
         points = [cand(40.0 + i, 5.0 * i) for i in range(n)]
-        kept, dropped = filter_outliers(points)
+        kept, dropped = filter_outliers(candidate_cloud(points))
         assert (len(kept), len(dropped)) == (n_kept, n - n_kept)
 
 
 def test_filter_drop_order_respects_distance():
     points = [cand(45.0, 7.0 + 0.5 * i) for i in range(8)]
     kept, dropped = (
-        [points[i] for i in positions] for positions in filter_outliers(points))
+        [points[i] for i in positions] for positions in filter_outliers(candidate_cloud(points)))
     # Each round drops the quarter of its input farthest from that input's
     # grid center, in input order: 2 of 8, then 2 of 6.
     assert len(dropped) == 4
     remaining = points
     for round_dropped in (dropped[:2], dropped[2:]):
-        center = grid_center([c.point for c in remaining])
+        center = grid_center(candidate_cloud(remaining))
         stay = [c for c in remaining if c not in round_dropped]
         assert [c for c in remaining if c in round_dropped] == round_dropped
         assert min(orthodromic_distance(center, c.point) for c in round_dropped) > \
@@ -160,7 +164,7 @@ def test_filter_drop_order_respects_distance():
 def test_filter_partition_is_complete():
     rng = random.Random(6)
     points = [cand(rng.uniform(40, 50), rng.uniform(0, 10)) for i in range(12)]
-    kept, dropped = filter_outliers(points)
+    kept, dropped = filter_outliers(candidate_cloud(points))
     assert sorted(kept + dropped) == list(range(12))
 
 
@@ -195,8 +199,8 @@ def test_estimate_two_circles_pair_ambiguity():
     # center of both, as the solver gave their unit vectors, by definition.
     # The mean-distance objective is flat along the geodesic joining the
     # branches, so assert objective optimality rather than a unique position.
-    assert len(result.kept_points) == 2
-    branches = [c.point for c in result.kept_points]
+    assert len(kept_points(result)) == 2
+    branches = [c.point for c in kept_points(result)]
     cloud = _Cloud.of([p.lat for p in branches], [p.lon for p in branches],
                       result.candidates.xyz[:, list(result.kept)])
     assert result.point == grid_center(cloud)
@@ -229,15 +233,35 @@ def test_estimate_serializes():
     target = GeoPoint(50.0, 12.0)
     circles = exact_circles(target, [GeoPoint(45, 5), GeoPoint(55, 15), GeoPoint(45, 20)])
     result = estimate_target(circles)
-    doc = result.to_dict()
+    doc = to_dict(result)
     assert set(doc) == {"estimate", "kept_points", "dropped_points", "mean_residual_km"}
     assert json.loads(json.dumps(doc)) == doc
 
 
+def kept_points(est: EstimatedLocation) -> tuple[CandidatePoint, ...]:
+    return tuple(map(est.candidates.__getitem__, est.kept))
+
+
+def dropped_points(est: EstimatedLocation) -> tuple[CandidatePoint, ...]:
+    return tuple(map(est.candidates.__getitem__, est.dropped))
+
+
+def to_dict(est: EstimatedLocation) -> dict:
+    """The estimate and its kept and dropped candidates as plain dicts,
+    lists and floats: the document `latloc locate` writes, without the
+    truth. Every candidate counts equally, so each carries weight 1.0."""
+    def cands(points: tuple[CandidatePoint, ...]) -> list[dict]:
+        return [{"lat": c.point.lat, "lon": c.point.lon, "source_pair": list(c.source_pair),
+                 "case_tag": c.case_tag, "weight": 1.0} for c in points]
+    return {"estimate": {"lat": est.point.lat, "lon": est.point.lon},
+            "kept_points": cands(kept_points(est)), "dropped_points": cands(dropped_points(est)),
+            "mean_residual_km": est.mean_residual_km}
+
+
 def json_document(est: EstimatedLocation, truth: GeoPoint | None = None) -> str:
-    """The writer's oracle: one indent-2 dump of to_dict(), with the truth
+    """The writer's oracle: one indent-2 dump of to_dict(est), with the truth
     and its error when given."""
-    doc = est.to_dict()
+    doc = to_dict(est)
     if truth is not None:
         doc["truth"] = {"lat": truth.lat, "lon": truth.lon}
         doc["error_km"] = orthodromic_distance(truth, est.point) / 1000.0
@@ -313,7 +337,7 @@ def json_geojson(est: EstimatedLocation) -> str:
         }
     features = [feature(est.point, {"kind": "estimate",
                                     "mean_residual_km": est.mean_residual_km})]
-    for status, points in (("kept", est.kept_points), ("dropped", est.dropped_points)):
+    for status, points in (("kept", kept_points(est)), ("dropped", dropped_points(est))):
         features.extend(feature(c.point, {
             "kind": "candidate", "status": status,
             "case_tag": c.case_tag, "source_pair": list(c.source_pair),
@@ -331,9 +355,9 @@ def test_geojson_writer_is_byte_identical_to_json(est):
 # ---------------------------------------------------------------------------
 # Oracle: the scalar grid search and filter, one objective evaluation per grid
 # point and per candidate. The array code must reproduce them bit for bit, so
-# the oracle computes each kernel in that kernel's operation order: the grid's
-# scorer on unit vectors, and the filter's haversine. A near-tie between two
-# grid points or two candidates must not flip between them.
+# the oracle computes each kernel in that kernel's operation order, on unit
+# vectors: the grid's scorer, and the filter's atan2 distances. A near-tie
+# between two grid points or two candidates must not flip between them.
 
 
 def _unit_vectors(points, xyz=None) -> list[tuple[float, float, float]]:
@@ -351,10 +375,6 @@ def _unit_vectors(points, xyz=None) -> list[tuple[float, float, float]]:
 
 class _ScalarCloud:
     def __init__(self, points, xyz=None):
-        lat = np.radians([p.lat for p in points])
-        self.half_lat = lat / 2
-        self.half_lon = np.radians([p.lon for p in points]) / 2
-        self.cos_lat = np.cos(lat)
         self.x, self.y, self.z = np.array(_unit_vectors(points, xyz)).T
 
     def grid_score_m(self, p):
@@ -364,11 +384,16 @@ class _ScalarCloud:
         return float(np.mean(np.arccos(np.clip(cos, -1.0, 1.0)))) * EARTH_RADIUS_M
 
     def mean_distance_m(self, p):
-        phi = math.radians(p.lat)
-        sin_dlon = np.sin(self.half_lon - math.radians(p.lon) / 2)
-        sin_dlat = np.sin(self.half_lat - phi / 2)
-        h = np.cos(phi) * (sin_dlon * sin_dlon * self.cos_lat) + sin_dlat * sin_dlat
-        return float(np.mean(2 * np.arcsin(np.minimum(np.sqrt(h), 1.0)))) * EARTH_RADIUS_M
+        """R·atan2(|p × c|, p · c) for each cloud point c, with p's unit
+        vector from math, then the mean."""
+        phi, lam = math.radians(p.lat), math.radians(p.lon)
+        px, py, pz = math.cos(phi) * math.cos(lam), math.cos(phi) * math.sin(lam), math.sin(phi)
+        cross_x = py * self.z - pz * self.y
+        cross_y = pz * self.x - px * self.z
+        cross_z = px * self.y - py * self.x
+        norm = np.sqrt(cross_x * cross_x + cross_y * cross_y + cross_z * cross_z)
+        dot = px * self.x + py * self.y + pz * self.z
+        return float(np.mean(np.arctan2(norm, dot) * EARTH_RADIUS_M))
 
 
 def _scalar_grid_offsets(center, eps_m):
@@ -448,7 +473,8 @@ def scalar_filter_outliers(points, xyz=None):
     """The kept and the dropped candidates, and the kept ones' unit vectors
     (xyz's, or from their degrees). Each round's center is checked_grid_center's,
     so that a tie the oracle rounds the other way cannot change what the
-    round ranks."""
+    round ranks; each candidate's distance to it is its own one-point cloud's
+    mean."""
     kept = list(points)
     vectors = _unit_vectors([c.point for c in kept], xyz)
     dropped = []
@@ -456,10 +482,10 @@ def scalar_filter_outliers(points, xyz=None):
         if len(kept) <= 3:
             break
         center = checked_grid_center([c.point for c in kept], vectors)
-        cloud = _ScalarCloud([center])
         n_drop = min(math.ceil(0.25 * len(kept)), len(kept) - 3)
-        ranked = sorted(range(len(kept)),
-                        key=lambda i: (-cloud.mean_distance_m(kept[i].point), i))
+        distance = [_ScalarCloud([c.point], [v]).mean_distance_m(center)
+                    for c, v in zip(kept, vectors)]
+        ranked = sorted(range(len(kept)), key=lambda i: (-distance[i], i))
         drop_idx = set(ranked[:n_drop])
         dropped.extend(kept[i] for i in sorted(drop_idx))
         kept = [c for i, c in enumerate(kept) if i not in drop_idx]
@@ -518,15 +544,19 @@ ORACLE_CLOUDS = st.one_of(
 @settings(max_examples=60, deadline=None)
 @given(points=ORACLE_CLOUDS)
 def test_grid_center_matches_scalar_oracle(points):
-    assert_same_or_tied(points, grid_center(points), scalar_grid_center(points))
+    assert_same_or_tied(points, grid_center(cloud_of(points)), scalar_grid_center(points))
 
 
 @settings(max_examples=40, deadline=None)
 @given(points=ORACLE_CLOUDS)
 def test_filter_outliers_matches_scalar_oracle(points):
+    # The filter's cloud takes the oracle's own unit vectors, so both rank
+    # the same bits.
     cands = [cand(p.lat, p.lon, pair=(f"a{i}", "b")) for i, p in enumerate(points)]
-    kept, dropped = ([cands[i] for i in positions] for positions in filter_outliers(cands))
-    ref_kept, ref_dropped, _ = scalar_filter_outliers(cands)
+    vectors = _unit_vectors(points)
+    cloud = _Cloud.of([p.lat for p in points], [p.lon for p in points], np.array(vectors).T)
+    kept, dropped = ([cands[i] for i in positions] for positions in filter_outliers(cloud))
+    ref_kept, ref_dropped, _ = scalar_filter_outliers(cands, vectors)
     # Identity, not equality: duplicate points must keep their input order.
     assert [id(c) for c in kept] == [id(c) for c in ref_kept]
     assert [id(c) for c in dropped] == [id(c) for c in ref_dropped]
@@ -570,8 +600,45 @@ def test_estimate_target_matches_the_scalar_oracle(circles):
     ref_kept, ref_dropped, ref_xyz = scalar_filter_outliers(list(columns), columns.xyz.T.tolist())
     ref_points = [c.point for c in ref_kept]
     assert_same_or_tied(ref_points, est.point, scalar_grid_center(ref_points, ref_xyz), ref_xyz)
-    assert candidate_keys(est.kept_points) == candidate_keys(ref_kept)
-    assert candidate_keys(est.dropped_points) == candidate_keys(ref_dropped)
+    assert candidate_keys(kept_points(est)) == candidate_keys(ref_kept)
+    assert candidate_keys(dropped_points(est)) == candidate_keys(ref_dropped)
+
+
+def dragoon_circle_sets(monkeypatch) -> list[list[LandmarkCircle]]:
+    """The circles of every estimate_target call run_experiment makes with
+    dragoon placement on the criterion-6 worlds of seeds 0 and 1, 40 targets
+    each."""
+    from latloc import simulator
+
+    recorded = []
+
+    def record(circles):
+        recorded.append(circles)
+        return estimate_target(circles)
+
+    monkeypatch.setattr(simulator, "estimate_target", record)
+    for seed in (0, 1):
+        topology = simulator.generate_topology(C6_N_NODES, EUROPE, C6_RADIUS_KM, seed=seed)
+        world = simulator.SimWorld(topology, seed, simulator.DelayParams(stochastic_mean_ms=C6_NOISE_MS))
+        simulator.run_experiment(world, C6_K, "dragoon", 40, seed=seed)
+    return recorded
+
+
+def test_estimates_move_with_a_longitude_shift_across_the_antimeridian(monkeypatch):
+    # A longitude shift is a symmetry of the sphere and of the latitude /
+    # longitude grid, so shifting every circle center shifts the estimate,
+    # up to rounding: the shifts below carry the clouds of European targets
+    # across the antimeridian, or a quarter of the way round.
+    circle_sets = dragoon_circle_sets(monkeypatch)
+    assert len(circle_sets) == 80
+    for circles in circle_sets:
+        point = estimate_target(circles).point
+        for shift in (170.0, -175.5, 95.0):
+            moved = [LandmarkCircle(c.landmark_id, GeoCircle(
+                GeoPoint(c.circle.center.lat, normalize_lon(c.circle.center.lon + shift)),
+                c.circle.radius_m)) for c in circles]
+            expected = GeoPoint(point.lat, normalize_lon(point.lon + shift))
+            assert orthodromic_distance(estimate_target(moved).point, expected) <= 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -630,7 +697,7 @@ def test_first_grid_center_scores_as_the_centroid(points, eps_m):
     assert float.hex(score) == float.hex(other)
     # On the antipodal equator example every grid point scores pi * R / 2 up
     # to rounding, so rounding alone picks the winner.
-    assert_same_or_tied(points, grid_center(points), scalar_grid_center(points))
+    assert_same_or_tied(points, grid_center(cloud_of(points)), scalar_grid_center(points))
 
 
 def test_centroid_score_cases_are_reached():
@@ -688,17 +755,13 @@ def test_step_winner_matches_lexsort_reference(grid):
 
 
 # ---------------------------------------------------------------------------
-# The haversine kernel's declared tolerance (the filter's distances and the
-# residual). It computes the haversine, not the atan2 form of
-# geodesy.orthodromic_distance. While every cloud point lies within
-# 0.9 * pi * R of the query, per point the two angles differ by an ulp or so;
-# with the rounding of the sum and the mean, the two means agree to within
-# four ulps of the largest distance, pi * R (8 000 random cases of the
-# kind kernel_cases draws differed by 2.5 at most). Nearer an antipode h
-# rounds near 1, where asin magnifies its rounding: at an exact antipode a
-# point's distance was off by up to 0.19 m, so that band has a bound of its
-# own. No locate cloud spans 18 000 km, so neither the filter nor the
-# residual sees it.
+# The distance kernel's declared tolerance (the filter's distances and the
+# residual). It computes atan2(|q × p|, q · p) on unit vectors, the angle
+# geodesy.orthodromic_distance computes from degrees, and atan2 is well
+# conditioned at every angle: per point the two differ by the rounding of
+# the unit vectors, about an ulp of 1 in angle, at the query and at its
+# antipode too. With the rounding of the sum and the mean, the means agree
+# to within four ulps of the largest distance, pi * R.
 
 ULPS_M = 4 * math.ulp(math.pi * EARTH_RADIUS_M)  # about 1.5e-8 m
 
@@ -737,56 +800,58 @@ def kernel_cases(draw):
     return points, queries
 
 
-NEAR_M = 0.9 * math.pi * EARTH_RADIUS_M
-ANTIPODAL_M = 0.25
-
-
 @settings(max_examples=300, deadline=None)
 @given(case=kernel_cases())
 def test_kernel_is_within_declared_tolerance(case):
     points, queries = case
-    got = cloud_of(points).mean_distance_m(
-        *_query_terms([q.lat for q in queries], [q.lon for q in queries]))
-    assert got.shape == (len(queries),)
+    cloud = cloud_of(points)
     hypot = hypot_mean_distances_m(points, queries).tolist()
-    for q, value, ref in zip(queries, got.tolist(), hypot):
-        near = max(orthodromic_distance(q, p) for p in points) <= NEAR_M
-        assert abs(value - ref) <= (ULPS_M if near else ANTIPODAL_M)
-        assert abs(value - mean_distance(q, points)) <= (1e-6 if near else ANTIPODAL_M)
+    for q, ref in zip(queries, hypot):
+        distances = cloud.distances_m(q)
+        assert distances.shape == (len(points),)
+        value = float(np.add.reduce(distances) / len(points))
+        assert cloud.mean_at_m(q) == value
+        assert abs(value - ref) <= ULPS_M
+        assert abs(value - mean_distance(q, points)) <= 1e-6
 
 
-class _SinOneUlpOut:
-    """numpy, except that sin rounds one ulp away from zero. A sin accurate
-    to one ulp may do that, and return -1 - 2**-52 for -pi / 2."""
+class _TrigOneUlpOut:
+    """math, except that cos and sin round one ulp away from zero, as a
+    one-ulp-accurate libm may."""
 
     def __getattr__(self, name):
-        return getattr(np, name)
+        return getattr(math, name)
+
+    @staticmethod
+    def cos(x):
+        y = math.cos(x)
+        return math.nextafter(y, math.copysign(math.inf, y))
 
     @staticmethod
     def sin(x):
-        y = np.sin(x)
-        return np.nextafter(y, np.copysign(np.inf, y))
+        y = math.sin(x)
+        return math.nextafter(y, math.copysign(math.inf, y))
 
 
-# Exact antipodes, and pole pairs, whose latitude term is sin(-pi / 2)**2.
-# With numpy 2.4's sin and cos on x86-64, h stayed at most 1 + 2**-52, and
-# sqrt(h) at most 1, in 6e7 sampled antipodal and pole pairs, so the test
-# also runs these pairs with a sin one ulp high, as another build may round it.
+# Exact antipodes, and pole pairs. The query's unit vector comes from math;
+# the tests also run them with a cos and sin one ulp high, as another libm
+# may round them.
 ANTIPODES = [(GeoPoint(-90.0, lon), GeoPoint(90.0, normalize_lon(lon + 180.0)))
              for lon in (0.0, 45.0, 180.0)] + [
     (p, antipode(p)) for p in (GeoPoint(0.0, 0.0), GeoPoint(-33.9, 151.2),
                                GeoPoint(48.85, 2.35), GeoPoint(89.5, -179.5))]
 
 
-@pytest.mark.parametrize("trig", [np, _SinOneUlpOut()], ids=["numpy", "sin-one-ulp-out"])
-def test_kernel_is_finite_where_h_rounds_above_one(monkeypatch, trig):
-    # With sin rounded outward, sqrt(h) rounds above 1 at all but the last
-    # pair: only the clamp keeps asin from returning NaN there.
-    monkeypatch.setattr(estimation, "np", trig)
+@pytest.mark.parametrize("trig", [math, _TrigOneUlpOut()], ids=["math", "trig-one-ulp-out"])
+def test_kernel_is_exact_on_a_point_and_at_its_antipode(monkeypatch, trig):
+    # No clamp or clip: a point's distance to itself is 0 and to its
+    # antipode pi * R, each within ULPS_M, however its cos and sin round.
+    monkeypatch.setattr(estimation, "math", trig)
     for p, q in ANTIPODES:
-        value = cloud_of([p]).mean_at_m(q)
-        assert abs(value - math.pi * EARTH_RADIUS_M) <= ANTIPODAL_M
-        assert abs(value - orthodromic_distance(p, q)) <= ANTIPODAL_M
+        for cloud_point, query, expected in ((p, p, 0.0), (p, q, math.pi * EARTH_RADIUS_M)):
+            value = cloud_of([cloud_point]).mean_at_m(query)
+            assert math.isfinite(value)
+            assert abs(value - expected) <= ULPS_M
 
 
 # ---------------------------------------------------------------------------
@@ -798,10 +863,11 @@ def test_kernel_is_finite_where_h_rounds_above_one(monkeypatch, trig):
 # other's antipode, stayed under 0.44 of this bound). A point within 1 km of
 # the query or of its antipode has a cosine near +-1, where the error is
 # about the arccos of 1 minus a few ulps: up to 0.16 m was seen there, so
-# that band has the haversine's antipodal bound. The search compares only
-# these scores; every distance latloc writes comes from the haversine kernel.
+# that band has a bound of its own, ANTIPODAL_M. The search compares only
+# these scores; every distance latloc writes comes from the atan2 kernel.
 
 ILL_CONDITIONED_M = 1_000.0
+ANTIPODAL_M = 0.25
 
 
 def score_in_grid(cloud, q) -> float:
@@ -853,24 +919,6 @@ def test_grid_scorer_on_a_cloud_of_k_50_size():
         assert cloud.grid_mean_m(lats, lons, clip=clip) == got
 
 
-class _TrigOneUlpOut:
-    """math, except that cos and sin round one ulp away from zero, as a
-    one-ulp-accurate libm may."""
-
-    def __getattr__(self, name):
-        return getattr(math, name)
-
-    @staticmethod
-    def cos(x):
-        y = math.cos(x)
-        return math.nextafter(y, math.copysign(math.inf, y))
-
-    @staticmethod
-    def sin(x):
-        y = math.sin(x)
-        return math.nextafter(y, math.copysign(math.inf, y))
-
-
 @pytest.mark.parametrize("trig", [math, _TrigOneUlpOut()], ids=["math", "trig-one-ulp-out"])
 def test_grid_scorer_is_finite_where_the_cosine_rounds_past_one(monkeypatch, trig):
     # With cos and sin rounded outward, a point's cosine to itself rounds
@@ -900,8 +948,8 @@ def test_grid_center_rescores_with_the_clip_where_the_cosine_rounds_past_one(mon
     monkeypatch.setattr(_Cloud, "grid_mean_m", recorded)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = [bits(grid_center(points)) for points in clouds]
+        got = [bits(grid_center(cloud_of(points))) for points in clouds]
     assert False in clips and True in clips
     monkeypatch.setattr(_Cloud, "grid_mean_m", lambda self, lats, lons, clip=True:
                         scorer(self, lats, lons))
-    assert got == [bits(grid_center(points)) for points in clouds]
+    assert got == [bits(grid_center(cloud_of(points))) for points in clouds]
