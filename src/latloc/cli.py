@@ -8,12 +8,9 @@ byte-identical.
 `locate` takes each landmark's position from its model: `fit` writes it
 there. It opens the topology only when some measured landmark's model has
 no position, as in a models file written before models carried positions,
-and then reads only the node positions from it: a node fault fails it as it
-fails `place`. A JSON topology's edges are decoded with the rest of the
-file, so malformed JSON still fails `locate` then, but no edge is checked:
-graph validation (dangling, duplicate and self-loop edges, connectivity)
-happens in `place` and `fit`. `main` builds its parser once per process, on
-its first call.
+and then loads it as `place` does: any topology that `place` rejects fails
+`locate` with the same message. `main` builds its parser once per process,
+on its first call.
 """
 
 from __future__ import annotations
@@ -44,13 +41,7 @@ from .simulator import (
     generate_topology,
     run_experiment,
 )
-from .topology import (
-    load_positions_edgelist,
-    load_positions_json,
-    load_topology_edgelist,
-    load_topology_json,
-    topology_to_json,
-)
+from .topology import Topology, load_topology_edgelist, load_topology_json, topology_to_json
 
 
 class _Parser(argparse.ArgumentParser):
@@ -69,25 +60,20 @@ def _write(path: str | None, content: str) -> None:
         Path(path).write_text(content, encoding="utf-8")
 
 
-def _topology_texts(args) -> tuple[str, str | None]:
-    """The topology file's text, and its node sidecar's in the edge-list format."""
+def _load_topology(args) -> Topology:
+    text = _read(args.topology)
     if args.format != "edge-list":
-        return _read(args.topology), None
+        return load_topology_json(text)
     if not args.nodes:
         raise UsageError("edge-list format requires --nodes sidecar file")
-    return _read(args.topology), _read(args.nodes)
-
-
-def _load_topology(args) -> "Topology":
-    text, nodes = _topology_texts(args)
-    return load_topology_json(text) if nodes is None else load_topology_edgelist(text, nodes)
+    return load_topology_edgelist(text, _read(args.nodes))
 
 
 def _landmark_positions(args, models: dict[str, LatencyModel],
                         landmark_ids: list[str]) -> list[GeoPoint]:
     """Each landmark's position, in order: the one its model carries, or,
-    for a model written without one, its node's in the topology. The
-    topology is read, its edges left unchecked, only for such a model."""
+    for a model written without one, its node's in the topology, which is
+    loaded only for such a model."""
     nodes = None
     positions = []
     for lm in landmark_ids:
@@ -99,9 +85,7 @@ def _landmark_positions(args, models: dict[str, LatencyModel],
                 if args.topology is None:
                     raise UsageError(f"model for landmark {lm!r} has no position; "
                                      "pass the topology with --topology")
-                text, sidecar = _topology_texts(args)
-                nodes = (load_positions_json(text) if sidecar is None
-                         else load_positions_edgelist(sidecar))
+                nodes = _load_topology(args).positions
             if lm not in nodes:
                 raise UsageError(f"landmark {lm!r} not in topology")
             position = nodes[lm]

@@ -296,7 +296,7 @@ def run_experiment(world: SimWorld, k_landmarks: int, strategy: str,
                     for m in probes
                 ]
                 est = estimate_target(circles).point
-        except (LatlocError, ValueError) as exc:
+        except LatlocError as exc:
             results.append(TargetResult(target, true_point, None, None, failure=str(exc)))
             continue
         error_km = orthodromic_distance(true_point, est) / 1000.0

@@ -16,10 +16,6 @@ Breadth-First Search", SC 2012). Its rows serve hop_rows (cached) and the
 1-center scan, and a BFS tree (cached) reads its parents off its root's
 hop row. build_topology checks connectivity with one sweep from the first
 node.
-
-load_positions_json and load_positions_edgelist read only the node
-positions, with the node checks of the full loaders, for a caller that never
-queries the graph.
 """
 
 from __future__ import annotations
@@ -216,10 +212,16 @@ def build_topology(nodes: Iterable[tuple[str, GeoPoint]],
                    edges: Iterable[tuple[str, str]]) -> Topology:
     """Validate raw nodes/edges and construct a Topology.
 
-    Rejects duplicate node ids, self-loops, duplicate edges, edges with
-    unknown endpoints, and disconnected graphs.
+    Rejects duplicate node ids, an empty node list, self-loops, duplicate
+    edges, edges with unknown endpoints, and disconnected graphs.
     """
-    positions = _positions(nodes)
+    positions: dict[str, GeoPoint] = {}
+    for node_id, point in nodes:
+        if node_id in positions:
+            raise TopologyError(f"duplicate node id {node_id!r}")
+        positions[node_id] = point
+    if not positions:
+        raise TopologyError("topology has no nodes")
 
     adjacency: dict[str, set[str]] = {nid: set() for nid in positions}
     for u, v in edges:
@@ -243,20 +245,10 @@ def build_topology(nodes: Iterable[tuple[str, GeoPoint]],
     return topo
 
 
-def _positions(nodes: Iterable[tuple[str, GeoPoint]]) -> dict[str, GeoPoint]:
-    """Node positions by id, rejecting duplicate ids and an empty node list."""
-    positions: dict[str, GeoPoint] = {}
-    for node_id, point in nodes:
-        if node_id in positions:
-            raise TopologyError(f"duplicate node id {node_id!r}")
-        positions[node_id] = point
-    if not positions:
-        raise TopologyError("topology has no nodes")
-    return positions
-
-
-def _json_document(data: bytes | str) -> tuple[list, list]:
-    """The node and edge lists of a JSON topology, checked for shape only."""
+def load_topology_json(data: bytes | str) -> Topology:
+    """Load the JSON topology format:
+    {"nodes": [{"id": ..., "lat": ..., "lon": ...}], "edges": [[u, v], ...]}
+    """
     if isinstance(data, bytes):
         data = data.decode("utf-8")
     try:
@@ -269,20 +261,24 @@ def _json_document(data: bytes | str) -> tuple[list, list]:
         if not isinstance(doc[key], list):
             raise TopologyError(f"topology JSON {key!r} must be a list, "
                                 f"got {type(doc[key]).__name__}")
-    return doc["nodes"], doc["edges"]
-
-
-def _json_nodes(entries: list) -> list[tuple[str, GeoPoint]]:
     nodes = []
-    for i, entry in enumerate(entries):
+    for i, entry in enumerate(doc["nodes"]):
         try:
             nodes.append((str(entry["id"]), GeoPoint(float(entry["lat"]), float(entry["lon"]))))
         except (KeyError, TypeError, ValueError) as exc:
             raise TopologyError(f"invalid node entry #{i}: {exc}") from exc
-    return nodes
+    edges = []
+    for i, entry in enumerate(doc["edges"]):
+        if not isinstance(entry, (list, tuple)) or len(entry) != 2:
+            raise TopologyError(f"invalid edge entry #{i}: expected [u, v]")
+        edges.append((str(entry[0]), str(entry[1])))
+    return build_topology(nodes, edges)
 
 
-def _sidecar_nodes(node_text: str) -> list[tuple[str, GeoPoint]]:
+def load_topology_edgelist(edge_text: str, node_text: str) -> Topology:
+    """Load the edge-list format: one 'u v' pair per line, with a sidecar
+    node file of 'id lat lon' lines. Blank lines and '#' comments allowed.
+    """
     nodes = []
     for lineno, line in enumerate(node_text.splitlines(), start=1):
         line = line.strip()
@@ -295,28 +291,6 @@ def _sidecar_nodes(node_text: str) -> list[tuple[str, GeoPoint]]:
             nodes.append((parts[0], GeoPoint(float(parts[1]), float(parts[2]))))
         except ValueError as exc:
             raise TopologyError(f"node file line {lineno}: {exc}") from exc
-    return nodes
-
-
-def load_topology_json(data: bytes | str) -> Topology:
-    """Load the JSON topology format:
-    {"nodes": [{"id": ..., "lat": ..., "lon": ...}], "edges": [[u, v], ...]}
-    """
-    node_entries, edge_entries = _json_document(data)
-    nodes = _json_nodes(node_entries)
-    edges = []
-    for i, entry in enumerate(edge_entries):
-        if not isinstance(entry, (list, tuple)) or len(entry) != 2:
-            raise TopologyError(f"invalid edge entry #{i}: expected [u, v]")
-        edges.append((str(entry[0]), str(entry[1])))
-    return build_topology(nodes, edges)
-
-
-def load_topology_edgelist(edge_text: str, node_text: str) -> Topology:
-    """Load the edge-list format: one 'u v' pair per line, with a sidecar
-    node file of 'id lat lon' lines. Blank lines and '#' comments allowed.
-    """
-    nodes = _sidecar_nodes(node_text)
     edges = []
     for lineno, line in enumerate(edge_text.splitlines(), start=1):
         line = line.strip()
@@ -327,24 +301,6 @@ def load_topology_edgelist(edge_text: str, node_text: str) -> Topology:
             raise TopologyError(f"edge file line {lineno}: expected 'u v'")
         edges.append((parts[0], parts[1]))
     return build_topology(nodes, edges)
-
-
-def load_positions_json(data: bytes | str) -> dict[str, GeoPoint]:
-    """The node positions of a JSON topology, without its graph.
-
-    The document shape and the node entries are checked as
-    load_topology_json checks them, with the same messages, and so are
-    duplicate ids and an empty node list. The edge entries are not read:
-    no Topology is built, so nothing checks that the graph is simple and
-    connected.
-    """
-    return _positions(_json_nodes(_json_document(data)[0]))
-
-
-def load_positions_edgelist(node_text: str) -> dict[str, GeoPoint]:
-    """The node positions of an edge-list topology, read from its sidecar
-    node file only, checked as load_topology_edgelist checks them."""
-    return _positions(_sidecar_nodes(node_text))
 
 
 def topology_to_json(t: Topology) -> str:

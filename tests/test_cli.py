@@ -465,35 +465,23 @@ def _node_faults(doc: dict) -> dict:
     }
 
 
-@pytest.mark.parametrize("fmt", ["json", "edge-list"])
-@pytest.mark.parametrize("fault", ["disconnected", "dangling", "duplicated"])
-def test_locate_does_not_read_topology_edges(world_files, legacy_models_file, tmp_path,
-                                             capsys, fmt, fault):
-    # locate reads node positions only; place and fit validate the graph.
-    doc = _topology_doc(world_files)
-    (tmp_path / "valid").mkdir()
-    (tmp_path / "faulty").mkdir()
-    valid = _topology_args(doc, tmp_path / "valid", fmt)
-    faulty = _topology_args(_edge_faults(doc)[fault], tmp_path / "faulty", fmt)
-    assert run(["place", *faulty, "--k", 3]) == 1
-    capsys.readouterr()
-    assert _locate(world_files, legacy_models_file, valid, tmp_path / "valid.json") == 0
-    assert _locate(world_files, legacy_models_file, faulty, tmp_path / "faulty.json") == 0
-    assert (tmp_path / "faulty.json").read_bytes() == (tmp_path / "valid.json").read_bytes()
-
-
 # The node sidecar of the edge-list format has no JSON shape to get wrong,
 # and no null: a null latitude would be written there as the word None.
-NODE_FAULTS = [(fmt, fault) for fmt in ("json", "edge-list")
+TOPOLOGY_FAULTS = [(fmt, fault) for fmt in ("json", "edge-list")
                for fault in ("duplicate-id", "lat-91", "missing-lon", "lon-nan", "lat-not-number",
-                             "lat-null", "nodes-not-list", "no-nodes")
+                             "lat-null", "nodes-not-list", "no-nodes",
+                             "disconnected", "dangling", "duplicated")
                if fmt == "json" or fault not in ("nodes-not-list", "lat-null")]
 
 
-@pytest.mark.parametrize("fmt, fault", NODE_FAULTS)
+@pytest.mark.parametrize("fmt, fault", TOPOLOGY_FAULTS)
 def test_locate_rejects_node_faults_as_place_does(world_files, legacy_models_file, tmp_path,
                                                   capsys, fmt, fault):
-    topology = _topology_args(_node_faults(_topology_doc(world_files))[fault], tmp_path, fmt)
+    # locate loads the topology as place does, so a bad node or edge, or a
+    # disconnected graph, fails it with place's message.
+    doc = _topology_doc(world_files)
+    faulty = {**_node_faults(doc), **_edge_faults(doc)}[fault]
+    topology = _topology_args(faulty, tmp_path, fmt)
     assert run(["place", *topology, "--k", 3]) == 1
     place_err = capsys.readouterr().err
     out = tmp_path / "estimate.json"
@@ -567,10 +555,10 @@ def test_locate_with_positioned_models_reads_no_nodes(world_files, models_file, 
     from latloc import cli
 
     def unread(*args):
-        raise AssertionError("the topology's nodes were read")
+        raise AssertionError("the topology was read")
 
-    monkeypatch.setattr(cli, "load_positions_json", unread)
-    monkeypatch.setattr(cli, "load_positions_edgelist", unread)
+    monkeypatch.setattr(cli, "load_topology_json", unread)
+    monkeypatch.setattr(cli, "load_topology_edgelist", unread)
     args = _topology_args(_topology_doc(world_files), tmp_path, fmt)
     assert _locate_outputs(world_files, models_file, args, tmp_path / "out") == legacy_outputs
 

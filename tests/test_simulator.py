@@ -223,6 +223,18 @@ def test_run_experiment_reraises_programming_errors(monkeypatch):
     with pytest.raises(TypeError, match="bug in estimation"):
         run_experiment(noiseless_world(n=20), 5, "dragoon", 1, seed=1)
 
+
+def test_run_experiment_reraises_value_errors(monkeypatch):
+    # On a validated world a ValueError from estimation is a bug, not a
+    # failed target: only a LatlocError is recorded as one.
+    def broken(*args, **kwargs):
+        raise ValueError("planted")
+
+    monkeypatch.setattr(simulator, "estimate_target", broken)
+    with pytest.raises(ValueError, match="planted"):
+        run_experiment(noiseless_world(n=20), 5, "dragoon", 1, seed=1)
+
+
 def test_run_experiment_shortest_ping_baseline():
     w = noiseless_world()
     report = run_experiment(w, 6, "shortest_ping_only", 8, seed=3)

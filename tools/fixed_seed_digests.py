@@ -29,7 +29,10 @@ outputs are, with S running over SEEDS:
   Their centers are placed with this script's own math-only destination
   formula, and every longitude is wrapped into (-180, 180] here, as a value
   that each latloc version's GeoPoint keeps unchanged, so every checkout
-  solves the same circle lists.
+  solves the same circle lists;
+- help/{latloc,place,fit,locate,simulate,eval}: the `--help` output of
+  `latloc` and of each subcommand, wrapped at COLUMNS=80, which this script
+  sets for its own process.
 
 CLI commands run in process through latloc.cli.main, with their summary
 lines on stdout discarded. --root selects the checkout whose src/ is
@@ -45,6 +48,7 @@ import io
 import json
 import logging
 import math
+import os
 import random
 import sys
 import tempfile
@@ -151,6 +155,8 @@ def main(argv=None) -> int:
     p.add_argument("--against", help="a digest line to compare with")
     args = p.parse_args(argv)
     sys.path.insert(0, str(Path(args.root).resolve() / "src"))
+    # argparse wraps help text at the terminal width it reads from COLUMNS.
+    os.environ["COLUMNS"] = "80"
 
     from latloc import geodesy, lateration
     from latloc.cli import main as latloc_main
@@ -246,6 +252,18 @@ def main(argv=None) -> int:
             lines.append(f"{k} {c.source_pair[0]} {c.source_pair[1]} {c.case_tag} "
                          f"{c.point.lat!r} {c.point.lon!r}\n")
     digests["lateration_cases"] = sha("".join(lines).encode())
+
+    for command in ("latloc", "place", "fit", "locate", "simulate", "eval"):
+        argv = ["--help"] if command == "latloc" else [command, "--help"]
+        text = io.StringIO()
+        with contextlib.redirect_stdout(text):
+            try:
+                code = latloc_main(argv)
+            except SystemExit as exc:  # argparse exits after printing the help
+                code = exc.code
+        if code != 0:
+            raise SystemExit(f"latloc {' '.join(argv)} exited {code}")
+        digests[f"help/{command}"] = sha(text.getvalue().encode())
 
     print(json.dumps(digests, sort_keys=True))
     if args.against:

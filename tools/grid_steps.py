@@ -7,21 +7,19 @@ The clouds are every grid_center input of the seed-0 c6_dragoon pass
 (run_experiment on the criterion-6 world) and of the first 50 seed-0
 locate_k16 calls (latloc locate, in process, on perfbench's set-up). For
 each workload the line gives the grid_center calls, their ε-steps (one call
-of the grid's scorer each, _Cloud.grid_mean_m, or _Cloud.mean_distance_m on
-checkouts without it: the first grid's center supplies the centroid's score;
-a step that grid_center scores again with the clip, because a cosine rounded
-past +-1, counts twice), the median cloud size, the unscaled wall time per
-call and per step (best of REPEATS replays of all its clouds; each cloud is
-replayed as the _Cloud that estimate_target builds once per target, built
-before the timing, or as a GeoPoint list on checkouts whose grid_center
-takes no _Cloud), and, for the first step around the centroid of a cloud of
-the median size, the time of building its 7 x 7 grid (_grid: row and column
-coordinates, and on older checkouts their query terms) and of scoring it
-with the same scorer, as grid_center calls it. perfbench reports grid_center
-totals only; this shows what one step costs and how much of it the scorer
-takes. The script exits 1 when a workload makes no grid_center call or no
-step. --root selects the checkout whose src/ and perfbench/ are imported, so
-two commits can be timed with the same script.
+of the grid's scorer each, _Cloud.grid_mean_m: the first grid's center
+supplies the centroid's score; a step that grid_center scores again with the
+clip, because a cosine rounded past +-1, counts twice), the median cloud
+size, the unscaled wall time per call and per step (best of REPEATS replays
+of all its clouds; each cloud is replayed as the _Cloud that estimate_target
+builds once per target, built before the timing), and, for the first step
+around the centroid of a cloud of the median size, the time of building its
+7 x 7 grid (_grid: row and column coordinates) and of scoring it with the
+same scorer, as grid_center calls it, without the clip. perfbench reports
+grid_center totals only; this shows what one step costs and how much of it
+the scorer takes. The script exits 1 when a workload makes no grid_center
+call or no step. --root selects the checkout whose src/ and perfbench/ are
+imported, so two commits can be timed with the same script.
 
 --against CHECKOUT compares two commits in one run. The clouds are recorded
 once, with --root's code, and both checkouts' src/ replay the same clouds:
@@ -34,7 +32,6 @@ changes.
 """
 
 import argparse
-import inspect
 import json
 import statistics
 import subprocess
@@ -64,16 +61,12 @@ def main(argv=None) -> int:
     from workloads import SHAPES, ExperimentWorkload, LocateWorkload
 
     def recorded(run) -> list:
-        """The clouds grid_center receives while run() runs, as (lat, lon)
-        lists, whether it receives a cloud's columns or a GeoPoint list."""
+        """The clouds grid_center receives while run() runs, as (lat, lon) lists."""
         clouds, grid_center = [], estimation.grid_center
 
-        def record(points):
-            if hasattr(points, "lat"):
-                clouds.append(list(zip(points.lat.tolist(), points.lon.tolist())))
-            else:
-                clouds.append([(p.lat, p.lon) for p in points])
-            return grid_center(points)
+        def record(cloud):
+            clouds.append(list(zip(cloud.lat.tolist(), cloud.lon.tolist())))
+            return grid_center(cloud)
 
         estimation.grid_center = record
         try:
@@ -114,35 +107,14 @@ def main(argv=None) -> int:
     return compare(root, Path(args.against).resolve(), clouds)
 
 
-def replay_inputs(estimation, clouds: list) -> list:
-    """(lat, lon) lists as the grid_center inputs the checkout whose
-    estimation module this is replays: each cloud's _Cloud, built here as
-    estimate_target builds it once per target, or, before grid_center took
-    a _Cloud, its GeoPoint list."""
-    if hasattr(estimation._Cloud, "of"):
-        return [estimation._Cloud.of(*map(list, zip(*points))) for points in clouds]
-    from latloc.geodesy import GeoPoint
-
-    return [[GeoPoint(lat, lon) for lat, lon in points] for points in clouds]
-
-
-def centroid_and_cloud(estimation, cloud):
-    """The spherical centroid of a replay input and its _Cloud, as the
-    checkout whose estimation module this is builds them: the input itself,
-    or, before the centroid moved into _Cloud, from its GeoPoint list."""
-    if hasattr(estimation, "spherical_centroid"):
-        return estimation.spherical_centroid(cloud), estimation._Cloud(cloud)
-    return cloud.centroid(), cloud
-
-
 def measure(estimation, name: str, clouds: list) -> dict | None:
     """Steps and timings of grid_center over workload name's clouds, a list
     of (lat, lon) lists, with estimation the latloc.estimation module to
-    time. The replay inputs are built before any timing starts."""
-    inputs = replay_inputs(estimation, clouds)
+    time. Each cloud is replayed as the _Cloud that estimate_target builds
+    once per target, built before any timing starts."""
+    inputs = [estimation._Cloud.of(*map(list, zip(*points))) for points in clouds]
     count = 0
-    scorer_name = "grid_mean_m" if hasattr(estimation._Cloud, "grid_mean_m") else "mean_distance_m"
-    scorer = getattr(estimation._Cloud, scorer_name)
+    scorer = estimation._Cloud.grid_mean_m
 
     def counted(self, *a, **kw):
         nonlocal count
@@ -150,12 +122,12 @@ def measure(estimation, name: str, clouds: list) -> dict | None:
         return scorer(self, *a, **kw)
 
     # ε-steps over one replay of every cloud: grid evaluations.
-    setattr(estimation._Cloud, scorer_name, counted)
+    estimation._Cloud.grid_mean_m = counted
     try:
         for cloud in inputs:
             estimation.grid_center(cloud)
     finally:
-        setattr(estimation._Cloud, scorer_name, scorer)
+        estimation._Cloud.grid_mean_m = scorer
     if count <= 0:
         print(f"{name}: {count} ε-steps in {len(clouds)} grid_center calls", file=sys.stderr)
         return None
@@ -180,16 +152,12 @@ def measure(estimation, name: str, clouds: list) -> dict | None:
     # cloud of the median size.
     size = statistics.median(len(points) for points in clouds)
     median = min(range(len(clouds)), key=lambda i: abs(len(clouds[i]) - size))
-    center, cloud = centroid_and_cloud(estimation, inputs[median])
-    _, lats, lons, *terms = estimation._grid(center, 100_000.0)
-    # The scorer's arguments: the grid's coordinates, or on checkouts whose
-    # _grid also returns query terms, those terms. A scorer that can skip its
-    # clip is timed as grid_center calls it, without the clip, under one
-    # errstate.
-    args = terms[0] if terms else (lats, lons)
-    kwargs = {"clip": False} if "clip" in inspect.signature(scorer).parameters else {}
+    cloud = inputs[median]
+    center = cloud.centroid()
+    _, lats, lons = estimation._grid(center, 100_000.0)
+    # Timed as grid_center calls it: without the clip, under one errstate.
     with np.errstate(invalid="ignore"):
-        kernel_s = per_call_s(getattr(cloud, scorer_name), *args, **kwargs)
+        kernel_s = per_call_s(cloud.grid_mean_m, lats, lons, clip=False)
     return {
         "calls": len(clouds),
         "eps_steps": count,
