@@ -79,12 +79,8 @@ def test_disconnected_rejected():
 
 
 def test_parse_error_reported():
-    for load, args, message in (
-            (load_topology_json, ("{not json",), "parse error"),
-            (load_topology_json, ('{"nodes": []}',), "must contain 'nodes' and 'edges'"),
-            (load_topology_edgelist, ("a b\n", "a 0 0\na 1 1\n"), "duplicate node id 'a'")):
-        with pytest.raises(TopologyError, match=message):
-            load(*args)
+    with pytest.raises(TopologyError, match="parse error"):
+        load_topology_json("{not json")
 
 
 def test_longitude_normalized():
@@ -96,6 +92,23 @@ def test_edgelist_format():
     t = load_topology_edgelist("a b\nb c\n", "a 0 0\nb 0 1\nc 0 2\n")
     assert edge_count(t) == 2
     assert t.adjacency["b"] == ("a", "c")
+
+
+def test_positions_loaders_read_nodes_only():
+    nodes = [{"id": "b", "lat": 3.0, "lon": 4.0}, {"id": "a", "lat": 1.0, "lon": 270.0}]
+    want = {"a": GeoPoint(1.0, -90.0), "b": GeoPoint(3.0, 4.0)}
+    # The positions come from the node entries alone, whatever the edges.
+    assert load_topology_json(topo_json(nodes, [["a", "b"]])).positions == want
+    assert load_topology_json(topo_json(nodes[::-1], [["b", "a"]])).positions == want
+    assert load_topology_edgelist("a b\n", "b 3.0 4.0\na 1.0 270.0\n").positions == want
+    for bad, message in ((topo_json(nodes + nodes[:1], [["a", "b"]]), "duplicate node id 'b'"),
+                         (topo_json([], []), "no nodes"),
+                         ('{"nodes": []}', "must contain 'nodes' and 'edges'"),
+                         (topo_json(nodes, 7), "'edges' must be a list, got int")):
+        with pytest.raises(TopologyError, match=message):
+            load_topology_json(bad)
+    with pytest.raises(TopologyError, match="duplicate node id 'a'"):
+        load_topology_edgelist("a b\n", "a 0 0\na 1 1\n")
 
 
 def test_hop_distances_path():
