@@ -7,7 +7,7 @@ target estimation, and a delay simulator for end-to-end evaluation.
 
 from .errors import LatlocError
 from .estimation import EstimatedLocation, estimate_target
-from .geodesy import GeoCircle, GeoPoint, circle_intersections, destination_point, orthodromic_distance
+from .geodesy import GeoCircle, GeoPoint, orthodromic_distance
 from .lateration import CandidatePoint, Candidates, LandmarkCircle, all_candidates, build_circle
 from .latency import (
     CalibrationSample,

@@ -175,11 +175,10 @@ class _Cloud:
         self.xyz = columns[2:]
 
     @classmethod
-    def of(cls, lat, lon, xyz: np.ndarray | None = None) -> _Cloud:
+    def of(cls, lat, lon, xyz: np.ndarray) -> _Cloud:
         """The cloud of the points at lat, lon in degrees, with unit vectors
-        xyz (x, y and z rows) if given, else geodesy.unit_vectors'."""
-        return cls(np.concatenate([np.array([lat, lon]),
-                                   unit_vectors(lat, lon) if xyz is None else xyz]))
+        xyz (x, y and z rows)."""
+        return cls(np.concatenate([np.array([lat, lon]), xyz]))
 
     def take(self, idx) -> _Cloud:
         # Rows stay contiguous, as columns[:, idx] would not keep them.
@@ -348,7 +347,8 @@ def filter_outliers(cloud: _Cloud) -> tuple[tuple[int, ...], tuple[int, ...]]:
     if not isinstance(cloud, _Cloud):
         # A CandidatePoint list, as perfbench's tracer test passes; latloc
         # itself always passes a _Cloud.
-        cloud = _Cloud.of([c.point.lat for c in cloud], [c.point.lon for c in cloud])
+        lat, lon = [c.point.lat for c in cloud], [c.point.lon for c in cloud]
+        cloud = _Cloud.of(lat, lon, unit_vectors(lat, lon))
     if not cloud.lat.size:
         raise EstimationError("cannot filter an empty point cloud")
     kept = np.arange(cloud.lat.size)

@@ -1,5 +1,5 @@
-"""Spherical-Earth geometry: great-circle distances, destination points, and
-intersections of geodesic circles.
+"""Spherical-Earth geometry: great-circle distances and intersections of
+geodesic circles.
 
 All public functions take and return degrees; radians are internal only.
 The sphere radius is the WGS84 mean radius.
@@ -10,8 +10,8 @@ the plane a·x = cos(r/R) about its center's vector a: one fixed sequence of
 numpy array calls covers every pair, whatever the number of circles, with
 no trigonometry per case and no loop over pairs. It returns the points as
 latitude and longitude lists and as the unit vectors it computed them as.
-circle_intersections and destination_point are its batches of one;
-orthodromic_distance stays scalar for its many one-pair callers.
+circle_intersections is its batch of one; orthodromic_distance stays scalar
+for its many one-pair callers.
 """
 
 from __future__ import annotations
@@ -164,21 +164,6 @@ def _lat_lon(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     den[1] = x
     lat, lon = np.degrees(np.arctan2(v[2:0:-1], den))
     return lat, normalize_lon(lon)
-
-
-def destination_point(origin: GeoPoint, bearing_deg: float, distance_m: float) -> GeoPoint:
-    """Point reached by travelling distance_m along the given initial
-    bearing: cos(s)·a + sin(s)·(cos(b)·north + sin(b)·east) for the arc s,
-    the bearing b and the origin's frame, as solve_circle_pairs builds its
-    points. From a pole, the bearing is measured from the origin's meridian."""
-    if not 0.0 <= distance_m <= math.pi * EARTH_RADIUS_M + 1e-6:
-        raise ValueError(f"distance {distance_m} outside [0, pi*R]")
-    sigma, theta = distance_m / EARTH_RADIUS_M, math.radians(bearing_deg)
-    coef = np.array([math.cos(sigma), math.sin(sigma) * math.cos(theta),
-                     math.sin(sigma) * math.sin(theta)])
-    v = np.add.reduce(coef[:, None, None] * _frames([origin.lat], [origin.lon]), axis=0)
-    (lat,), (lon,) = _lat_lon(v)
-    return GeoPoint(float(lat), float(lon))
 
 
 class PairSolutions(NamedTuple):

@@ -57,14 +57,14 @@ class CandidatePoint:
 @dataclass(frozen=True)
 class Candidates:
     """Candidates as equal-length columns; item k is read as a CandidatePoint.
-    xyz, when given, holds the points' unit vectors as the solver computed
-    them, as x, y and z rows: the cloud estimation builds starts from them."""
+    xyz holds the points' unit vectors as the solver computed them, as x, y
+    and z rows: the cloud estimation builds starts from them."""
 
     lat: tuple[float, ...]
     lon: tuple[float, ...]
     source_pair: tuple[tuple[str, str], ...]
     case_tag: tuple[str, ...]
-    xyz: np.ndarray | None = field(default=None, compare=False, repr=False)
+    xyz: np.ndarray = field(compare=False, repr=False)
 
     def __len__(self) -> int:
         return len(self.lat)

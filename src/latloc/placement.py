@@ -91,7 +91,8 @@ def _make_set(t: Topology, landmarks: list[str]) -> LandmarkSet:
     )
 
 
-def _check_k(t: Topology, k: int) -> None:
+def check_k(t: Topology, k: int) -> None:
+    """Raise PlacementError unless 1 <= k <= the number of nodes."""
     n = len(t.positions)
     if not 1 <= k <= n:
         raise PlacementError(f"k={k} outside [1, {n}]")
@@ -113,10 +114,11 @@ def two_approx(t: Topology, k: int, seed_node: str) -> LandmarkSet:
     The first landmark is the node farthest from seed_node; each further
     landmark is the node farthest from its closest already-placed landmark.
     The seed itself only orients the first pick and is not a landmark
-    (though it may still be selected on its own merit). All ties break
-    toward the smaller node id.
+    (though it may still be selected on its own merit). No node is picked
+    twice, so k = n places a landmark on every node. All ties break toward
+    the smaller node id.
     """
-    _check_k(t, k)
+    check_k(t, k)
     if seed_node not in t.positions:
         raise PlacementError(f"unknown seed node {seed_node!r}")
     closest = t.hop_rows([t.index_of(seed_node)])[0]
@@ -127,6 +129,8 @@ def two_approx(t: Topology, k: int, seed_node: str) -> LandmarkSet:
         pick = int(closest.argmax())
         landmarks.append(t.ids[pick])
         np.minimum(closest, t.hop_rows([pick])[0], out=closest)
+        # Below every unpicked node's hops, so argmax never picks it again.
+        closest[pick] = -1
     return _make_set(t, landmarks)
 
 
@@ -185,7 +189,7 @@ def refine(t: Topology, ls: LandmarkSet, *, move_log: list | None = None) -> Lan
 
 def dragoon_place(t: Topology, k: int) -> LandmarkSet:
     """Full placement pipeline: orientation mark, farthest-point init, refinement."""
-    _check_k(t, k)
+    check_k(t, k)
     return refine(t, two_approx(t, k, place_orientation_mark(t)))
 
 
@@ -199,7 +203,7 @@ def place_landmarks(t: Topology, k: int, algorithm: str) -> LandmarkSet:
     if algorithm == "dragoon":
         return dragoon_place(t, k)
     if algorithm == "two_approx":
-        _check_k(t, k)
+        check_k(t, k)
         return two_approx(t, k, place_orientation_mark(t))
     raise PlacementError(
         f"unknown placement algorithm {algorithm!r}; choose from {PLACEMENT_ALGORITHMS}"

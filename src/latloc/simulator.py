@@ -29,7 +29,7 @@ from .geodesy import GeoPoint, orthodromic_distance
 from .lateration import LandmarkCircle, build_circle
 from .latency import DEFAULT_PER_HOP_MS, Measurement, calibrate_all
 # perfbench's tracer patches simulator.dragoon_place, so the name stays importable here.
-from .placement import PLACEMENT_ALGORITHMS, dragoon_place, place_landmarks
+from .placement import PLACEMENT_ALGORITHMS, check_k, dragoon_place, place_landmarks
 from .topology import BfsTree, Topology, build_topology
 
 PLACEMENT_STRATEGIES = (*PLACEMENT_ALGORITHMS, "random", "shortest_ping_only")
@@ -231,6 +231,7 @@ class ExperimentReport:
 def _place_landmarks(world: SimWorld, k: int, strategy: str, rng: random.Random) -> list[str]:
     t = world.topology
     if strategy == "random":
+        check_k(t, k)
         return sorted(rng.sample(t.node_ids, k))
     algorithm = "dragoon" if strategy == "shortest_ping_only" else strategy
     return list(place_landmarks(t, k, algorithm).landmarks)

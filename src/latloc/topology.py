@@ -6,16 +6,16 @@ distance metric used by landmark placement.
 
 A Topology builds its array form once, at construction: the sorted node
 ids, a CSR adjacency over them as two numpy index arrays, and the node
-positions in id order. One search answers every graph query: a
+positions in id order. One search answers every hop-count query: a
 level-synchronous breadth-first sweep of up to 64 sources at once, one
 reached bit per source in a uint64 per node (Then et al., "The More the
 Merrier: Efficient Multi-Source Graph Traversal", PVLDB 2014). A level
 pushes the frontier's bits along its edges while they are few and pulls
 every node's neighbours' bits otherwise (Beamer et al., "Direction-Optimizing
 Breadth-First Search", SC 2012). Its rows serve hop_rows (cached) and the
-1-center scan, and a BFS tree (cached) reads its parents off its root's
-hop row. build_topology checks connectivity with one sweep from the first
-node.
+1-center scan; build_topology checks connectivity with one sweep from the
+first node. A BFS tree (cached), which needs parents and path lengths as
+well as hop counts, is one FIFO search of its own from its root.
 """
 
 from __future__ import annotations
@@ -185,23 +185,20 @@ class Topology:
         return ecc, total
 
     def tree(self, i: int) -> BfsTree:
-        """The BFS tree rooted at node i, cached. Its hop row is node i's
-        (cached or swept on its own); the parents are those a FIFO search
-        over ascending neighbour ids assigns: walking the visit order, each
-        neighbour one hop further out gets its first visitor as parent."""
+        """The BFS tree rooted at node i, cached: one FIFO search over
+        ascending neighbour ids, in which each node's first visitor is its
+        parent and its hop count is one more than the parent's."""
         tree = self._trees.get(i)
         if tree is None:
-            row = self._rows.get(i)
-            hops = (self._sweep([i])[0] if row is None else row).tolist()
-            parent = [-1] * len(hops)
-            km = [0.0] * len(hops)
+            n = len(self.ids)
+            parent, hops, km = [-1] * n, [-1] * n, [0.0] * n
+            hops[i] = 0
             points, indptr, indices = self._points, self.indptr.tolist(), self.indices.tolist()
             order = [i]
             for u in order:
-                below = hops[u] + 1
                 for v in indices[indptr[u]:indptr[u + 1]]:
-                    if hops[v] == below and parent[v] < 0:
-                        parent[v] = u
+                    if hops[v] < 0:
+                        parent[v], hops[v] = u, hops[u] + 1
                         km[v] = km[u] + orthodromic_distance(points[u], points[v]) / 1000.0
                         order.append(v)
             tree = self._trees[i] = BfsTree(parent, hops, km)
@@ -245,12 +242,10 @@ def build_topology(nodes: Iterable[tuple[str, GeoPoint]],
     return topo
 
 
-def load_topology_json(data: bytes | str) -> Topology:
+def load_topology_json(data: str) -> Topology:
     """Load the JSON topology format:
     {"nodes": [{"id": ..., "lat": ..., "lon": ...}], "edges": [[u, v], ...]}
     """
-    if isinstance(data, bytes):
-        data = data.decode("utf-8")
     try:
         doc = json.loads(data)
     except json.JSONDecodeError as exc:

@@ -23,7 +23,6 @@ from latloc.geodesy import (
     GeoPoint,
     PairIntersection,
     circle_intersections,
-    destination_point,
     orthodromic_distance,
 )
 from latloc.latency import CalibrationSample, fit_model, predict_distance
@@ -37,6 +36,7 @@ from latloc.placement import (
 from latloc.simulator import DelayParams, SimWorld, generate_topology, run_experiment
 from latloc.topology import hop_distances
 from conftest import random_connected_graph
+from destinations import destination_point
 
 EUROPE = (35.0, 60.0, -10.0, 30.0)
 

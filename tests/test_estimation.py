@@ -27,11 +27,12 @@ from latloc.geodesy import (
     EARTH_RADIUS_M,
     GeoCircle,
     GeoPoint,
-    destination_point,
     normalize_lon,
     orthodromic_distance,
+    unit_vectors,
 )
 from latloc.lateration import CandidatePoint, Candidates, LandmarkCircle, all_candidates
+from destinations import destination_point
 from test_acceptance import C6_K, C6_N_NODES, C6_NOISE_MS, C6_RADIUS_KM, EUROPE
 from test_lateration import circle_sets
 
@@ -40,7 +41,8 @@ def cand(lat, lon, tag="pair_branch", pair=("a", "b")) -> CandidatePoint:
 
 
 def cloud_of(points) -> _Cloud:
-    return _Cloud.of([p.lat for p in points], [p.lon for p in points])
+    lat, lon = [p.lat for p in points], [p.lon for p in points]
+    return _Cloud.of(lat, lon, unit_vectors(lat, lon))
 
 
 def candidate_cloud(cands) -> _Cloud:
@@ -300,8 +302,9 @@ CANDIDATES = st.lists(st.builds(
 
 
 def columns(cands: list[CandidatePoint]) -> Candidates:
-    return Candidates(tuple(c.point.lat for c in cands), tuple(c.point.lon for c in cands),
-                      tuple(c.source_pair for c in cands), tuple(c.case_tag for c in cands))
+    lat, lon = [c.point.lat for c in cands], [c.point.lon for c in cands]
+    return Candidates(tuple(lat), tuple(lon), tuple(c.source_pair for c in cands),
+                      tuple(c.case_tag for c in cands), unit_vectors(lat, lon))
 
 
 @st.composite
@@ -464,7 +467,8 @@ def checked_grid_center(points, xyz=None):
     """grid_center's point on the cloud of points with unit vectors xyz (or
     from their degrees), once assert_same_or_tied accepts it."""
     lat, lon = [p.lat for p in points], [p.lon for p in points]
-    got = grid_center(_Cloud.of(lat, lon, None if xyz is None else np.array(xyz).T))
+    vectors = unit_vectors(lat, lon) if xyz is None else np.array(xyz).T
+    got = grid_center(_Cloud.of(lat, lon, vectors))
     assert_same_or_tied(points, got, scalar_grid_center(points, xyz), xyz)
     return got
 

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import scalar_pairs
+from destinations import destination_point
 from scalar_pairs import LOOSE_BOUND_M, POINT_BOUND_M
 from latloc.errors import DegenerateCirclesError
 from latloc.geodesy import (
@@ -18,7 +19,6 @@ from latloc.geodesy import (
     PairIntersection,
     Tangent,
     circle_intersections,
-    destination_point,
     normalize_lon,
     orthodromic_distance,
 )

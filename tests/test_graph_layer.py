@@ -104,7 +104,9 @@ def ref_two_approx(t, k, seed_node, hops):
     closest = dict(hops[seed_node])
     landmarks = []
     for _ in range(k):
-        pick = max(t.node_ids, key=lambda node: closest[node])
+        # The farthest node not yet picked; max keeps the first, smallest id.
+        pick = max((node for node in t.node_ids if node not in landmarks),
+                   key=lambda node: closest[node])
         landmarks.append(pick)
         for node in t.node_ids:
             d = hops[pick][node]
@@ -208,6 +210,9 @@ def assert_placement_matches_reference(t, k):
         got = two_approx(t, k, seed_node)
         want = ref_two_approx(t, k, seed_node, hops)
         assert_same_set(got, want)
+        assert len(set(got.landmarks)) == k
+        if k == len(t.ids):
+            assert got.max_hop == 0
         assert objective_key(t, got.landmarks) == ref_objective_key(t, want.landmarks, hops)
         got_log, want_log = [], []
         assert_same_set(refine(t, got, move_log=got_log), ref_refine(t, want, hops, want_log))
@@ -342,8 +347,15 @@ def assert_searches_match_references(t, batch_seed):
                 fresh.hop_rows(sources)
         distinct = list(dict.fromkeys(sources))[:64]
         assert t._sweep(distinct).tolist() == [want[i][1] for i in distinct]
-    for i, (parent, hops, km) in enumerate(want):
-        tree = t.tree(i)
+    # Every tree in both cache states: built on a fresh topology before any
+    # hop_rows call, and, where t is connected, after every row is cached.
+    trees = [Topology(t.positions, t.adjacency).tree(i) for i in range(n)]
+    if connected:
+        cached = Topology(t.positions, t.adjacency)
+        cached.hop_rows(list(range(n)))
+        trees += [cached.tree(i) for i in range(n)]
+    for k, tree in enumerate(trees):
+        parent, hops, km = want[k % n]
         assert [t.ids[p] if p >= 0 else None for p in tree.parent] == parent
         assert tree.hops == hops
         assert tree.km == km

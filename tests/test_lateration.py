@@ -10,6 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import scalar_pairs
+from destinations import destination_point
 from latloc.errors import DegenerateCirclesError, LaterationError
 from latloc.geodesy import (
     DEGENERATE_MESSAGE,
@@ -17,7 +18,6 @@ from latloc.geodesy import (
     INTERSECTION_TOLERANCE_M,
     GeoCircle,
     GeoPoint,
-    destination_point,
     normalize_lon,
     orthodromic_distance,
 )

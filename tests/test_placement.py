@@ -13,8 +13,11 @@ from latloc.placement import (
     refine,
     two_approx,
 )
+from latloc.simulator import generate_topology
 from latloc.topology import Topology, build_topology, hop_distances, load_topology_json
 from conftest import path_graph, random_connected_graph
+
+EUROPE = (35.0, 60.0, -10.0, 30.0)
 
 
 def brute_force_k_center(t, k):
@@ -50,9 +53,19 @@ def test_orientation_mark_matches_exhaustive_oracle():
         assert place_orientation_mark(t) == brute_force_one_center(t)
 
 
-def test_two_approx_k_equals_n():
-    t = random_connected_graph(6, 0.3, seed=2)
-    ls = two_approx(t, 6, t.node_ids[0])
+def test_two_approx_k_equals_n(path_abc):
+    for t in (random_connected_graph(6, 0.3, seed=2), path_abc):
+        for seed_node in t.node_ids:
+            ls = two_approx(t, len(t.ids), seed_node)
+            assert sorted(ls.landmarks) == t.node_ids
+            assert ls.max_hop == 0
+    # From b, a and c are picked first; b, the one node left, comes last.
+    assert two_approx(path_abc, 3, "b").landmarks == ("a", "c", "b")
+
+
+def test_dragoon_k_equals_n_places_a_landmark_on_every_node():
+    t = generate_topology(40, EUROPE, 500.0, seed=0)
+    ls = dragoon_place(t, 40)
     assert sorted(ls.landmarks) == t.node_ids
     assert ls.max_hop == 0
 

@@ -22,7 +22,7 @@ EUROPE_BBOX = (35.0, 60.0, -10.0, 30.0)
 
 
 def two_node_world(d_km=1000.0, **delay_kwargs):
-    from latloc.geodesy import destination_point
+    from destinations import destination_point
     a = GeoPoint(50.0, 8.0)
     b = destination_point(a, 90.0, d_km * 1000)
     t = build_topology([("a", a), ("b", b)], [("a", "b")])
@@ -167,6 +167,16 @@ def noiseless_world(n=40, radius=6000, seed=4):
 def test_run_experiment_rejects_small_k():
     with pytest.raises(PlacementError):
         run_experiment(noiseless_world(), 4, "dragoon", 5, seed=1)
+
+
+@pytest.mark.parametrize("strategy", ["random", "shortest_ping_only"])
+def test_run_experiment_rejects_k_above_n_before_the_mesh(strategy, monkeypatch):
+    def unbuilt(*args):
+        raise AssertionError("the calibration mesh was built")
+
+    monkeypatch.setattr(simulator, "calibration_mesh", unbuilt)
+    with pytest.raises(PlacementError, match=r"^k=30 outside \[1, 20\]$"):
+        run_experiment(noiseless_world(n=20), 30, strategy, 1, seed=1)
 
 
 def test_run_experiment_rejects_zero_targets():

@@ -61,11 +61,13 @@ def main(argv=None) -> int:
     from workloads import SHAPES, ExperimentWorkload, LocateWorkload
 
     def recorded(run) -> list:
-        """The clouds grid_center receives while run() runs, as (lat, lon) lists."""
+        """The clouds grid_center receives while run() runs, each as the rows
+        of its _Cloud's columns (latitude, longitude, then the unit vectors
+        the circle solver gave its points)."""
         clouds, grid_center = [], estimation.grid_center
 
         def record(cloud):
-            clouds.append(list(zip(cloud.lat.tolist(), cloud.lon.tolist())))
+            clouds.append(cloud.columns.tolist())
             return grid_center(cloud)
 
         estimation.grid_center = record
@@ -108,11 +110,12 @@ def main(argv=None) -> int:
 
 
 def measure(estimation, name: str, clouds: list) -> dict | None:
-    """Steps and timings of grid_center over workload name's clouds, a list
-    of (lat, lon) lists, with estimation the latloc.estimation module to
-    time. Each cloud is replayed as the _Cloud that estimate_target builds
-    once per target, built before any timing starts."""
-    inputs = [estimation._Cloud.of(*map(list, zip(*points))) for points in clouds]
+    """Steps and timings of grid_center over workload name's clouds, each
+    the rows of a _Cloud's columns, with estimation the latloc.estimation
+    module to time. Each cloud is replayed as the _Cloud that
+    estimate_target builds once per target, unit vectors included, built
+    before any timing starts."""
+    inputs = [estimation._Cloud(np.array(columns)) for columns in clouds]
     count = 0
     scorer = estimation._Cloud.grid_mean_m
 
@@ -150,8 +153,8 @@ def measure(estimation, name: str, clouds: list) -> dict | None:
 
     # Building and scoring the first 7 x 7 grid around the centroid of a
     # cloud of the median size.
-    size = statistics.median(len(points) for points in clouds)
-    median = min(range(len(clouds)), key=lambda i: abs(len(clouds[i]) - size))
+    size = statistics.median(len(columns[0]) for columns in clouds)
+    median = min(range(len(clouds)), key=lambda i: abs(len(clouds[i][0]) - size))
     cloud = inputs[median]
     center = cloud.centroid()
     _, lats, lons = estimation._grid(center, 100_000.0)
