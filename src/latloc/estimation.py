@@ -40,6 +40,7 @@ output only where it changes which grid point wins.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _string
@@ -73,23 +74,21 @@ class EstimatedLocation:
 
     def to_geojson(self) -> str:
         """A FeatureCollection any map viewer can render: the estimate, then
-        the kept and the dropped candidates, as Point features.
-
-        Written byte for byte as json.dumps(doc, indent=2, sort_keys=True)
-        and a newline write it, by the helpers of estimate_document_json.
-        """
+        the kept and the dropped candidates, as Point features, written by
+        json.dumps(doc, indent=2, sort_keys=True) and a newline."""
         c = self.candidates
-        tags, pairs = _texts(c, "        ")
-        features = [_feature(self.point.lat, self.point.lon, '        "kind": "estimate",\n'
-                             f'        "mean_residual_km": {_number(self.mean_residual_km)}')]
+        points = [(self.point.lat, self.point.lon,
+                   {"kind": "estimate", "mean_residual_km": self.mean_residual_km})]
         for status, idx in (("kept", self.kept), ("dropped", self.dropped)):
-            features.extend(_feature(c.lat[i], c.lon[i],
-                                     f'        "case_tag": {tags[c.case_tag[i]]},\n'
-                                     '        "kind": "candidate",\n'
-                                     f'        "source_pair": {pairs[c.source_pair[i]]},\n'
-                                     f'        "status": "{status}"') for i in idx)
-        return ('{\n  "features": [\n' + ",\n".join(features)
-                + '\n  ],\n  "type": "FeatureCollection"\n}\n')
+            points += [(c.lat[i], c.lon[i], {
+                "kind": "candidate", "status": status,
+                "case_tag": c.case_tag[i], "source_pair": list(c.source_pair[i]),
+            }) for i in idx]
+        features = [{"type": "Feature", "properties": properties,
+                     "geometry": {"type": "Point", "coordinates": [lon, lat]}}
+                    for lat, lon, properties in points]
+        doc = {"type": "FeatureCollection", "features": features}
+        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 def estimate_document_json(est: EstimatedLocation, truth: GeoPoint | None = None) -> str:
@@ -101,12 +100,13 @@ def estimate_document_json(est: EstimatedLocation, truth: GeoPoint | None = None
     target's position is known, "truth" and its great-circle "error_km" to
     the estimate.
 
-    json's indent-2 encoder is pure Python, so this schema, like
-    to_geojson's, has its own writer, which reads the candidate columns.
+    json's indent-2 encoder is pure Python, so this schema, which
+    `latloc locate` writes on every call, has its own writer, which reads
+    the candidate columns.
     Every number in it is a float, written as json writes floats; strings go
     through json's own ASCII escaper.
     """
-    texts = _texts(est.candidates, "      ")
+    texts = _texts(est.candidates)
     fields = [("dropped_points", _candidates(est.candidates, est.dropped, *texts))]
     if truth is not None:
         fields.append(("error_km", _number(orthodromic_distance(truth, est.point) / 1000.0)))
@@ -132,11 +132,11 @@ def _latlon(p: GeoPoint) -> str:
     return f'{{\n    "lat": {_number(p.lat)},\n    "lon": {_number(p.lon)}\n  }}'
 
 
-def _texts(c: Candidates, indent: str) -> tuple[dict, dict]:
+def _texts(c: Candidates) -> tuple[dict, dict]:
     """The JSON text of each distinct case tag, and of each distinct source
-    pair closing at indent: formatted once per document, not per candidate."""
+    pair (_pair): formatted once per document, not per candidate."""
     return ({tag: _string(tag) for tag in set(c.case_tag)},
-            {ids: _pair(ids, indent) for ids in set(c.source_pair)})
+            {ids: _pair(ids) for ids in set(c.source_pair)})
 
 
 def _candidates(c: Candidates, idx: tuple[int, ...], tags: dict, pairs: dict) -> str:
@@ -150,18 +150,9 @@ def _candidates(c: Candidates, idx: tuple[int, ...], tags: dict, pairs: dict) ->
         for i in idx) + "\n  ]"
 
 
-def _pair(ids: tuple[str, str], indent: str) -> str:
-    """A source pair as a list whose closing bracket is at indent."""
-    return f"[\n{indent}  {_string(ids[0])},\n{indent}  {_string(ids[1])}\n{indent}]"
-
-
-def _feature(lat: float, lon: float, properties: str) -> str:
-    """One GeoJSON Point feature at the features list's indent, around the
-    already written lines of its properties."""
-    return ('    {\n      "geometry": {\n        "coordinates": [\n'
-            f'          {_number(lon)},\n          {_number(lat)}\n'
-            '        ],\n        "type": "Point"\n      },\n'
-            f'      "properties": {{\n{properties}\n      }},\n      "type": "Feature"\n    }}')
+def _pair(ids: tuple[str, str]) -> str:
+    """A source pair as a list at a candidate's indent in the document."""
+    return f"[\n        {_string(ids[0])},\n        {_string(ids[1])}\n      ]"
 
 
 class _Cloud:

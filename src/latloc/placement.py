@@ -56,8 +56,11 @@ def landmark_set_from_json(data: str) -> LandmarkSet:
     if not isinstance(doc, dict):
         raise ValueError(f"landmark set JSON must be an object, got {type(doc).__name__}")
     try:
+        landmarks = doc["landmarks"]
+        if not isinstance(landmarks, list):
+            raise TypeError(f"'landmarks' must be a list, got {type(landmarks).__name__}")
         ls = LandmarkSet(
-            landmarks=tuple(doc["landmarks"]),
+            landmarks=tuple(landmarks),
             assignment=dict(doc["assignment"]),
             max_hop=int(doc["objective"]["max_hop"]),
             mean_hop=float(doc["objective"]["mean_hop"]),

@@ -266,10 +266,9 @@ def run_experiment(world: SimWorld, k_landmarks: int, strategy: str,
     landmark_ids = _place_landmarks(world, k_landmarks, strategy, rng)
     positions = t.positions
 
-    mesh = calibration_mesh(world, landmark_ids)
     models = None
     if strategy != "shortest_ping_only":
-        models = calibrate_all(landmark_ids, mesh, positions,
+        models = calibrate_all(landmark_ids, calibration_mesh(world, landmark_ids), positions,
                                per_hop_ms=world.delay.per_hop_ms)
 
     placed = set(landmark_ids)

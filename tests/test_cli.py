@@ -106,6 +106,11 @@ MALFORMED_INPUTS = [
     ("fit", "--landmarks", "[1, 2]", "landmark set JSON must be an object, got list"),
     ("fit", "--landmarks", '{"landmarks": [7], "assignment": {}, '
      '"objective": {"max_hop": 0, "mean_hop": 0}}', "non-string landmark 7"),
+    # A string would load as its characters and an object as its keys.
+    ("fit", "--landmarks", '{"landmarks": "n001", "assignment": {}, '
+     '"objective": {"max_hop": 0, "mean_hop": 0}}', "'landmarks' must be a list, got str"),
+    ("fit", "--landmarks", '{"landmarks": {"n001": 1}, "assignment": {}, '
+     '"objective": {"max_hop": 0, "mean_hop": 0}}', "'landmarks' must be a list, got dict"),
     ("locate", "--models", '{"a": {"p": 1}}', "model for landmark 'a' has no entry 'q'"),
     ("locate", "--models", "[]", "models JSON must be an object, got list"),
 ]
@@ -113,7 +118,8 @@ MALFORMED_INPUTS = [
 
 @pytest.mark.parametrize("command, flag, content, message", MALFORMED_INPUTS, ids=[
     "nodes-not-list", "edges-not-list", "no-landmarks-entry", "landmarks-not-object",
-    "non-string-landmark", "model-missing-q", "models-not-object"])
+    "non-string-landmark", "landmarks-string", "landmarks-dict",
+    "model-missing-q", "models-not-object"])
 def test_malformed_input_file_is_error_not_traceback(world_files, tmp_path, capsys,
                                                       command, flag, content, message):
     bad = tmp_path / "bad.json"

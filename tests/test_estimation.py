@@ -1,7 +1,10 @@
 import json
 import math
 import random
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -957,3 +960,24 @@ def test_grid_center_rescores_with_the_clip_where_the_cosine_rounds_past_one(mon
     monkeypatch.setattr(_Cloud, "grid_mean_m", lambda self, lats, lons, clip=True:
                         scorer(self, lats, lons))
     assert got == [bits(grid_center(cloud_of(points))) for points in clouds]
+
+
+def _latloc_modules_after(module: str) -> set[str]:
+    """The latloc modules a fresh interpreter has loaded after importing
+    module from this checkout."""
+    src = str(Path(estimation.__file__).resolve().parent.parent)
+    code = (f"import sys; sys.path.insert(0, {src!r}); import {module}; "
+            "print(*(m for m in sys.modules if m.split('.')[0] == 'latloc'))")
+    child = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert child.returncode == 0, child.stderr
+    return set(child.stdout.split())
+
+
+def test_importing_a_module_loads_only_what_it_needs():
+    # The package imports none of its modules: a name is imported from its
+    # own module, which loads only its own dependencies.
+    assert _latloc_modules_after("latloc.geodesy") == {"latloc", "latloc.errors",
+                                                       "latloc.geodesy"}
+    loaded = _latloc_modules_after("latloc.estimation")
+    assert "latloc.estimation" in loaded
+    assert loaded.isdisjoint({"latloc.simulator", "latloc.placement", "latloc.cli"})

@@ -245,7 +245,12 @@ def test_run_experiment_reraises_value_errors(monkeypatch):
         run_experiment(noiseless_world(n=20), 5, "dragoon", 1, seed=1)
 
 
-def test_run_experiment_shortest_ping_baseline():
+def test_run_experiment_shortest_ping_baseline(monkeypatch):
+    # The baseline fits no models, so it probes no inter-landmark mesh.
+    def unbuilt(*args):
+        raise AssertionError("the calibration mesh was built")
+
+    monkeypatch.setattr(simulator, "calibration_mesh", unbuilt)
     w = noiseless_world()
     report = run_experiment(w, 6, "shortest_ping_only", 8, seed=3)
     positions = w.topology.positions

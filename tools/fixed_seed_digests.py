@@ -248,9 +248,9 @@ def main(argv=None) -> int:
     logging.getLogger("latloc").addHandler(logging.NullHandler())
     lines = []
     for k, (gap_max_km, circles) in enumerate(lateration_cases(geodesy, lateration)):
-        for c in lateration.all_candidates(circles, gap_max_km=gap_max_km):
-            lines.append(f"{k} {c.source_pair[0]} {c.source_pair[1]} {c.case_tag} "
-                         f"{c.point.lat!r} {c.point.lon!r}\n")
+        c = lateration.all_candidates(circles, gap_max_km=gap_max_km)
+        for (a, b), tag, lat, lon in zip(c.source_pair, c.case_tag, c.lat, c.lon):
+            lines.append(f"{k} {a} {b} {tag} {lat!r} {lon!r}\n")
     digests["lateration_cases"] = sha("".join(lines).encode())
 
     for command in ("latloc", "place", "fit", "locate", "simulate", "eval"):
